@@ -69,10 +69,6 @@ class Validation:
     z_abs: float
     status: str             # "pass" | "fail" | "indeterminate"
 
-    @property
-    def score(self) -> float:
-        return -self.z_abs
-
 
 @dataclass(frozen=True)
 class RecoveredKey:
@@ -82,26 +78,14 @@ class RecoveredKey:
     validation: Validation
     rank: int
 
-    @property
-    def validation_score(self) -> float:
-        return self.validation.score
-
 
 def register_rows(poly, n: int) -> np.ndarray:
     """Linear forms of successive outputs: bit vector v with x_t = <v, fill>.
 
-    Rows satisfy the same recurrence as the sequence itself: row_m = e_m for
-    m < L, then row_{m+L} = XOR of row_{m+i} over the feedback exponents.
+    The rows the sequence kernel clocks with, memoised per polynomial and
+    read-only (see kernels.linear_forms).
     """
-    L = poly.degree
-    exps = poly.exponents
-    rows = [1 << m for m in range(min(L, n))]
-    for m in range(n - L):
-        v = 0
-        for e in exps:
-            v ^= rows[m + e]
-        rows.append(v)
-    return np.array(rows[:n], dtype=np.uint64)
+    return kernels.linear_forms(poly.tapmask, poly.degree, n)
 
 
 def _topk_block(corr: np.ndarray, base: int, k: int):

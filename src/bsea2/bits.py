@@ -16,12 +16,6 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-def int_to_bits(value: int, nbits: int) -> np.ndarray:
-    """Bits of ``value``, index 0 = most significant of the nbits window."""
-    return np.array([(value >> (nbits - 1 - i)) & 1 for i in range(nbits)],
-                    dtype=np.uint8)
-
-
 def hex_word(word: int) -> str:
     """Render a 16-bit truth table the way reports expect: 0x + 4 upper hex."""
     return f"0x{word:04X}"

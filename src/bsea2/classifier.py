@@ -34,10 +34,6 @@ def mask_registers(u: int) -> frozenset:
     return frozenset(r for r in range(N_REGISTERS) if u & (1 << (3 - r)))
 
 
-def registers_mask(regs) -> int:
-    return sum(1 << (3 - r) for r in regs)
-
-
 @dataclass(frozen=True)
 class AttackStage:
     """One brute-force stage: recover ``targets`` jointly using ``mask``."""

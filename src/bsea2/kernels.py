@@ -1,78 +1,172 @@
-"""Hot-loop kernels with two interchangeable implementations.
+"""Hot-loop kernels: LFSR output sequences and the Walsh-Hadamard transform.
 
-The compiled Cython module (bsea2._core) is used when importable; otherwise
-a NumPy/pure-Python fallback runs the same algorithms bit-for-bit. Setting
-the environment variable BSEA2_NO_CORE=1 forces the fallback (used by the
-benchmark and the equivalence tests). Correctness of both paths is defined
-by the scalar clock oracle in the test suite, never by each other.
+Each algorithm has one NumPy implementation. The scalar oracles in the
+test suite define what it must compute.
+
+Output bit t of a register with fill I is parity(r_t & I), where r_t is
+the t-th linear form of the recurrence (``linear_forms``). The rows are
+built once per feedback polynomial and shared, read-only, by the sequence
+kernel and the attack's stage scorer. Sequences come CHUNK bits at a time:
+the degree bits that follow a chunk are the register's stages at its end,
+so they are the next chunk's fill.
+
+The transform splits H_{2^m} into Kronecker factors (Fino and Algazi
+1976) and applies each as a matrix product through NumPy's BLAS. H_k
+costs k multiply-adds per element for log2(k) index bits, so small
+factors do less work; below H_16 the products lose more to overhead
+than they save (measured). It runs in float32, which is exact while the
+input's absolute sum is at most 2^24 (an attack stage's sum is its
+sample length), and in float64 above that.
 """
-import os
+import functools
 
 import numpy as np
 
-try:
-    if os.environ.get("BSEA2_NO_CORE"):
-        raise ImportError("fallback forced via BSEA2_NO_CORE")
-    from . import _core
-except ImportError:
-    _core = None
+#: There is no compiled kernel. The benchmark's worker (perfbench/worker.py)
+#: reads this name to report the kernel path, so it stays.
+HAVE_CORE = False
 
-HAVE_CORE = _core is not None
+#: Bits per step of lfsr_sequence.
+CHUNK = 1 << 14
 
+_FACTOR_BITS = 4            # the largest Hadamard factor is H_16
+_BLOCK_BITS = 17            # a 2^17 block and its two work buffers fit L2
+_PANEL = 1 << 12            # columns per product in the whole-array passes
+_FLOAT32_EXACT = 1 << 24    # every integer up to here is a float32
 
-def _lfsr_sequence_py(tapmask: int, degree: int, fill: int, n: int):
-    out = bytearray(n)
-    state = fill
-    shift = degree - 1
-    for t in range(n):
-        out[t] = state & 1
-        state = (state >> 1) | (((state & tapmask).bit_count() & 1) << shift)
-    return np.frombuffer(bytes(out), dtype=np.uint8), state
+_forms = {}                 # (tapmask, degree) -> read-only uint64 rows
 
 
-def _lfsr_sequence_core(tapmask: int, degree: int, fill: int, n: int):
-    out = np.empty(n, dtype=np.uint8)
-    state = _core.lfsr_sequence_into(out, tapmask, degree, fill)
-    return out, int(state)
+def _build_forms(tapmask: int, degree: int, n: int) -> np.ndarray:
+    """Rows r_0..r_{n-1}, for n > degree.
+
+    Once r_0..r_{m+L-1} are known, stage i after m clocks is <r_{m+i}, I>,
+    so r_{m+t} is the XOR of r_{m+i} over the set bits i of r_t. Each pass
+    of the loop extends the table by m rows, so m doubles.
+    """
+    rows = np.empty(n, dtype=np.uint64)
+    have = degree + 1
+    rows[:have] = [1 << i for i in range(degree)] + [tapmask]
+    while have < n:
+        m = have - degree
+        stop = min(have + m, n)
+        src = rows[degree:stop - m]
+        acc = np.zeros(src.size, dtype=np.uint64)
+        for i in range(degree):
+            acc ^= ((src >> np.uint64(i)) & np.uint64(1)) * rows[m + i]
+        rows[have:stop] = acc
+        have = stop
+    rows.flags.writeable = False
+    return rows
+
+
+def linear_forms(tapmask: int, degree: int, n: int) -> np.ndarray:
+    """First n rows r_t (uint64) with output bit t = parity(r_t & fill).
+
+    Memoised per polynomial and read-only: a shorter request gets a view
+    of the stored table's prefix, a longer one rebuilds it.
+    """
+    rows = _forms.get((tapmask, degree))
+    if rows is None or rows.size < n:
+        rows = _forms[(tapmask, degree)] = _build_forms(
+            tapmask, degree, max(n, CHUNK + degree))
+    return rows[:n]
 
 
 def lfsr_sequence(tapmask: int, degree: int, fill: int, n: int):
     """First n output bits of the register plus the state after n clocks."""
-    if HAVE_CORE:
-        return _lfsr_sequence_core(tapmask, degree, fill, n)
-    return _lfsr_sequence_py(tapmask, degree, fill, n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    step = min(n, CHUNK)
+    rows = linear_forms(tapmask, degree, step + degree)
+    # each chunk also writes the degree bits after it, which the next
+    # chunk overwrites with the same values
+    out = np.empty(n + degree, dtype=np.uint8)
+    words = np.empty(step + degree, dtype=np.uint64)
+    state = fill
+    for c in range(0, n, CHUNK):
+        m = min(CHUNK, n - c)
+        w = np.bitwise_and(rows[:m + degree], np.uint64(state),
+                           out=words[:m + degree])
+        bits = np.bitwise_count(w, out=out[c:c + m + degree])
+        bits &= 1
+        state = int.from_bytes(
+            np.packbits(bits[m:], bitorder="little").tobytes(), "little")
+    return out[:n], state
 
 
-def _fwht_numpy(a: np.ndarray) -> None:
-    n = a.size
-    h = 1
-    while h < n:
-        b = a.reshape(-1, 2, h)
-        top = b[:, 0, :] + b[:, 1, :]
-        bot = b[:, 0, :] - b[:, 1, :]
-        b[:, 0, :] = top
-        b[:, 1, :] = bot
-        h *= 2
+@functools.lru_cache(maxsize=None)
+def _hadamard(bits: int, dtype) -> np.ndarray:
+    idx = np.arange(1 << bits)
+    h = np.where(np.bitwise_count(idx[:, None] & idx) & 1, -1, 1)
+    h = h.astype(dtype)
+    h.flags.writeable = False
+    return h
+
+
+def _transform_bits(src, dst, bits: int, stride: int):
+    """Transform ``bits`` index bits from ``stride`` up, one factor per
+    product, alternating between the two buffers; returns the one that
+    holds the result.
+
+    The bits are split as evenly as can be into the fewest groups of at
+    most _FACTOR_BITS. At stride 1 a factor H_k is the product
+    (rows, k) @ H_k; above it, H_k times (k, panel) column panels.
+    """
+    count = -(-bits // _FACTOR_BITS)
+    for i in range(count):
+        b = bits // count + (i < bits % count)
+        k = 1 << b
+        h = _hadamard(b, src.dtype)
+        if stride == 1:
+            np.matmul(src.reshape(-1, k), h, out=dst.reshape(-1, k))
+        else:
+            panel = min(stride, _PANEL)
+            shape = (-1, k, stride // panel, panel)
+            np.matmul(h, src.reshape(shape).transpose(0, 2, 1, 3),
+                      out=dst.reshape(shape).transpose(0, 2, 1, 3))
+        stride <<= b
+        src, dst = dst, src
+    return src
 
 
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform of an int32 array, in place.
 
-    a[u] becomes sum_x a[x] * (-1)^<x,u>; length must be a power of two.
+    a[u] becomes sum_x a[x] * (-1)^<x,u>; length must be a power of two
+    and the results must fit in int32.
+
+    The low _BLOCK_BITS index bits are transformed one cache-sized block
+    at a time, in two small work buffers; the remaining bits take one
+    pass over the whole array per factor, against one scratch array.
     """
     if a.dtype != np.int32 or a.ndim != 1:
         raise ValueError("fwht_inplace expects a 1-D int32 array")
     if a.size & (a.size - 1):
         raise ValueError("length must be a power of two")
-    if HAVE_CORE:
-        _core.fwht_i32(a)
+    if not a.flags.c_contiguous:
+        raise ValueError("fwht_inplace expects a contiguous array")
+    n = a.size
+    if n < 2:
+        return
+    block = min(n, 1 << _BLOCK_BITS)
+    total = sum(int(np.abs(a[i:i + block]).sum(dtype=np.int64))
+                for i in range(0, n, block))
+    if total <= _FLOAT32_EXACT:
+        out = a.view(np.float32)    # each block is read before it is written
     else:
-        _fwht_numpy(a)
+        out = np.empty(n, dtype=np.float64)
+    work = (np.empty(block, out.dtype), np.empty(block, out.dtype))
+    low = block.bit_length() - 1
+    for i in range(0, n, block):
+        work[0][...] = a[i:i + block]
+        out[i:i + block] = _transform_bits(*work, low, 1)
+    if n > block:
+        out = _transform_bits(out, np.empty(n, out.dtype),
+                              n.bit_length() - 1 - low, block)
+    a[...] = out
 
 
 def parity_u64(v: np.ndarray) -> np.ndarray:
     """Elementwise GF(2) parity of uint64 values, as uint8."""
-    v = v.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(s)
-    return (v & np.uint64(1)).astype(np.uint8)
+    return np.bitwise_count(v) & 1

@@ -15,6 +15,9 @@ from . import kernels
 #: check_period refuses degrees above this (exhaustive 2^L clocking).
 MAX_PERIOD_CHECK_DEGREE = 16
 
+#: Fills and linear forms are uint64 words.
+MAX_DEGREE = 64
+
 
 @dataclass(frozen=True)
 class FeedbackPolynomial:
@@ -41,6 +44,9 @@ class FeedbackPolynomial:
 def make_polynomial(exponents, degree: int) -> FeedbackPolynomial:
     """Validate and build a feedback polynomial from its nonzero exponents."""
     exps = list(exponents)
+    if degree > MAX_DEGREE:
+        raise InvalidPolynomial(f"degree {degree} exceeds {MAX_DEGREE}: "
+                                "fills must fit in a 64-bit word")
     if len(set(exps)) != len(exps):
         raise InvalidPolynomial(f"duplicate exponents in {exps}")
     if any(e < 0 or e >= degree for e in exps):

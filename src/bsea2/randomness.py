@@ -118,7 +118,11 @@ def wilson_interval(successes: int, n: int, level: float = 0.95):
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * ((phat * (1 - phat) + z * z / (4 * n)) / n) ** 0.5 / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # the exact bounds at 0 and n successes are 0 and 1; center -/+ half
+    # misses them by a rounding error
+    lo = 0.0 if successes == 0 else center - half
+    hi = 1.0 if successes == n else center + half
+    return (lo, hi)
 
 
 #: headline pass-rate reported for this cipher family; compared against,

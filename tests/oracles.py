@@ -1,9 +1,11 @@
 """Independent reference implementations used only to check the fast paths.
 
 Everything here is deliberately written the dumb way: per-element loops,
-no word tricks, no shared code with the kernels under test. The chain of
-trust is: clock() is verified by hand-traced vectors; scalar_keystream
-composes clock(); stage scoring oracles re-encrypt per candidate.
+no word tricks, no shared code with the kernels under test (the one
+vectorised oracle, butterfly_wht, is the textbook radix-2 butterfly). The
+chain of trust is: clock() is verified by hand-traced vectors;
+scalar_sequence and scalar_keystream compose clock(); stage scoring
+oracles re-encrypt per candidate.
 """
 import numpy as np
 
@@ -27,13 +29,31 @@ def naive_walsh(word: int, n: int = 4) -> tuple:
     return tuple(out)
 
 
-def scalar_sequence(poly, fill: int, n: int) -> list:
-    """Register output via n explicit clock() calls."""
+def scalar_sequence(poly, fill: int, n: int):
+    """(output bits, fill after n clocks) via n explicit clock() calls."""
     state = LfsrState(poly, fill)
     out = []
     for _ in range(n):
         bit, state = clock(state)
         out.append(bit)
+    return out, state.fill
+
+
+def butterfly_wht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform by the radix-2 butterfly in int64.
+
+    Exact for any int32 input; it shares no code or factorisation with
+    the kernel under test.
+    """
+    out = np.asarray(a, dtype=np.int64).copy()
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        top = pairs[:, 0, :] + pairs[:, 1, :]
+        bottom = pairs[:, 0, :] - pairs[:, 1, :]
+        pairs[:, 0, :] = top
+        pairs[:, 1, :] = bottom
+        h *= 2
     return out
 
 
@@ -70,7 +90,7 @@ def oracle_candidate_score(sample, stage, known: dict, kprime: int,
         off += deg
 
     n = sample.bits.size
-    seqs = {r: scalar_sequence(spec.polynomials[r], fills[r], n)
+    seqs = {r: scalar_sequence(spec.polynomials[r], fills[r], n)[0]
             for r in mask_registers(stage.mask)}
     z = 0
     for t in range(n):

@@ -150,6 +150,20 @@ class TestKeystreamCommand:
         expected = bits_to_bytes(lib_keystream(key_setup(MINI_SPEC, key), 64))
         assert out.read_bytes() == expected
 
+    def test_spec_degree_above_64_exits_1(self, capsys, tmp_path):
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({
+            "name": "wide", "f0": "0x93A0",
+            "polynomials": [[65, 1, 0], [9, 4, 0], [11, 2, 0],
+                            [13, 4, 3, 1, 0]]}))
+        out = tmp_path / "ks.bin"
+        code, _, err = run_cli(capsys, "keystream", "--spec", str(spec),
+                               "--key", "00", "--nbits", "8",
+                               "--out", str(out))
+        assert code == 1
+        assert "InvalidPolynomial" in err
+        assert not out.exists()
+
 
 class TestAttackCommand:
     def test_single_instance_transcript(self, capsys, tmp_path):

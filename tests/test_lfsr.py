@@ -38,6 +38,11 @@ class TestMakePolynomial:
         with pytest.raises(InvalidPolynomial):
             make_polynomial([0, 3], 3)
 
+    def test_degree_above_64_rejected(self):
+        make_polynomial([0, 1, 3, 4], 64)
+        with pytest.raises(InvalidPolynomial):
+            make_polynomial([0, 1], 65)
+
     def test_list_round_trip(self):
         assert polynomial_from_list(P0.to_list()) == P0
         assert P0.to_list()[0] == 23

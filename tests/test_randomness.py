@@ -117,3 +117,10 @@ def test_wilson_interval_basic():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo0, hi0 = wilson_interval(0, 100)
     assert lo0 == 0.0 and hi0 < 0.1
+
+
+def test_wilson_interval_contains_its_rate():
+    for n in range(1, 1001):
+        for s in range(n + 1):
+            lo, hi = wilson_interval(s, n)
+            assert 0.0 <= lo <= s / n <= hi <= 1.0, (s, n)
