@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boolfn, kernels
-from .bits import fill_hex, hex_byte
-from .cipher import (InstanceSpec, SecretKey, assemble_key,
-                     combine_outputs, key_setup, keystream)
+from .bits import fill_hex, hex_byte, pack_words
+from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_words,
+                     key_setup, keystream)
 from .classifier import (AttackPlan, AttackStage, mask_registers,
                          partition_keys, plan_to_dict)
 from .errors import (Bsea2Error, EmptyBeam, MissingKnownRegister,
@@ -198,8 +198,11 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
                       n_candidates=1 << stage.exponent, n_bits=n)
 
 
-def split_joint_fill(spec: InstanceSpec, targets, joint: int) -> dict:
-    """Decode a joint candidate into per-register fills (ascending index)."""
+def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
+    """Decode joint candidates into per-register fills (ascending index).
+
+    ``joint`` is one fill or an integer array of them.
+    """
     out = {}
     off = 0
     for r in sorted(targets):
@@ -219,49 +222,69 @@ def validate_key(sample: CiphertextSample, key: SecretKey) -> Validation:
     instance = key_setup(sample.spec, key)
     dec = sample.bits ^ keystream(instance, sample.bits.size)
     zeros = int(sample.bits.size - int(dec.sum()))
-    return _judge(zeros, sample.bits.size, sample.model.p0)
+    p0 = sample.model.p0
+    z, passed = _judge(np.array([zeros]), sample.bits.size, p0)
+    status = ("indeterminate" if p0 == 0.5
+              else "pass" if passed[0] else "fail")
+    return Validation(zeros=zeros, z_abs=float(z[0]), status=status)
 
 
-def _judge(zeros: int, n: int, p0: float) -> Validation:
+def _judge(zeros: np.ndarray, n: int, p0: float):
+    """(z_abs, passed) arrays for decrypted zero counts under the model.
+
+    A p0 = 0.5 model gives z_abs 0 and passes nothing (indeterminate);
+    p0 = 0 or 1 demands an exact count (z_abs 0, else inf).
+    """
     if p0 == 0.5:
-        return Validation(zeros=zeros, z_abs=0.0, status="indeterminate")
+        return np.zeros(zeros.shape), np.zeros(zeros.shape, dtype=bool)
     if p0 in (0.0, 1.0):
-        exact = zeros == (n if p0 == 1.0 else 0)
-        return Validation(zeros=zeros, z_abs=0.0 if exact else float("inf"),
-                          status="pass" if exact else "fail")
-    sigma = (p0 * (1.0 - p0) / n) ** 0.5
-    z = abs(zeros / n - p0) / sigma
-    return Validation(zeros=zeros, z_abs=z,
-                      status="pass" if z <= 3.0 else "fail")
+        z = np.where(zeros == (n if p0 == 1.0 else 0), 0.0, np.inf)
+    else:
+        sigma = (p0 * (1.0 - p0) / n) ** 0.5
+        z = np.abs(zeros / n - p0) / sigma
+    return z, z <= 3.0
 
 
-def _validate_assignments(sample: CiphertextSample, assignments, kprime: int):
-    """Vectorized validation of full fill assignments sharing one K'.
+#: Words per gathered register array in one validation chunk, so that
+#: validation memory grows with neither the sample nor the beam.
+_VALIDATE_WORDS = 1 << 18
 
-    Candidates come from per-stage top-k lists, so per-register fills repeat
-    heavily; sequences are cached per (register, fill).
+
+def _validate_assignments(sample: CiphertextSample, fills: np.ndarray,
+                          kprime: int) -> np.ndarray:
+    """Decrypted zero count of every candidate, in one bit-sliced pass.
+
+    ``fills`` holds one row of four register fills per candidate. The
+    ciphertext and each distinct (register, fill) sequence are packed into
+    uint64 words once. Candidates are then taken in chunks of at most
+    _VALIDATE_WORDS words per register: each chunk gathers its four word
+    rows, combines them through the K'-masked table's multiplexer tree
+    (cipher.combine_words), XORs the ciphertext, masks the tail word's
+    padding bits and counts ones with bitwise_count.
     """
     spec = sample.spec
     n = sample.bits.size
     f = boolfn.apply_key_mask(spec.f0, kprime)
-    cache = {}
-
-    def seq(r, fill):
-        key = (r, fill)
-        if key not in cache:
-            poly = spec.polynomials[r]
-            cache[key], _ = kernels.lfsr_sequence(poly.tapmask, poly.degree,
-                                                  fill, n)
-        return cache[key]
-
-    results = []
-    for a in assignments:
-        sigma = combine_outputs(f, seq(0, a[0]), seq(1, a[1]),
-                                seq(2, a[2]), seq(3, a[3]))
-        dec = sigma ^ sample.bits
-        zeros = n - int(dec.sum())
-        results.append(_judge(zeros, n, sample.model.p0))
-    return results
+    ct = pack_words(sample.bits)
+    tail = np.uint64((1 << (n - 64 * (ct.size - 1))) - 1)
+    seqs, slots = [], []
+    for r, poly in enumerate(spec.polynomials):
+        distinct, slot = np.unique(fills[:, r], return_inverse=True)
+        seqs.append(np.stack([
+            pack_words(kernels.lfsr_sequence(poly.tapmask, poly.degree,
+                                             int(fill), n)[0])
+            for fill in distinct]))
+        slots.append(slot.ravel())
+    zeros = np.empty(len(fills), dtype=np.int64)
+    step = max(1, _VALIDATE_WORDS // ct.size)
+    for c in range(0, len(fills), step):
+        rows = [seq[slot[c:c + step]] for seq, slot in zip(seqs, slots)]
+        dec = combine_words(f, *rows)
+        dec ^= ct
+        dec[:, -1] &= tail
+        zeros[c:c + step] = n - np.bitwise_count(dec).sum(axis=1,
+                                                          dtype=np.int64)
+    return zeros
 
 
 @dataclass
@@ -279,51 +302,61 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
              progress=None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
-    Stage scoring is memoized on the known fills the mask actually consumes,
-    so independent stages are scored once and the final beam is the cross
-    product of per-stage top-k lists (k^stages candidates at most).
+    The beam is an integer array with one row of four register fills per
+    candidate (a register's column is 0 until its stage). Stage scoring is
+    memoized on the known fills the mask actually consumes: one scoring
+    per distinct row of those columns, in order of first occurrence, so
+    independent stages are scored once and the final beam is the cross
+    product of per-stage top-k lists (k^stages candidates at most). Each
+    parent row is repeated once per retained fill of its scoring and the
+    target columns are assigned. The final beam is validated in one
+    bit-sliced pass (_validate_assignments) and judged all at once.
     """
     kprime = plan.kprime
+    spec = sample.spec
+    n = sample.bits.size
     for st in plan.stages:
         if st.exponent > budget:
             raise StageTooLarge(
                 f"plan stage needs 2^{st.exponent} joint states, budget is "
                 f"2^{budget}; raise --budget or attack a smaller instance")
 
-    beam = [{}]
+    beam = np.zeros((1, 4), dtype=np.int64)
+    assigned = []
     stage_log = []
     total_states = sum(1 << st.exponent for st in plan.stages)
     done_states = 0
     t_run = time.monotonic()
     for stage in plan.stages:
         t_start = time.monotonic()
-        memo = {}
-        new_beam = []
-        for parent in beam:
-            consumed = mask_registers(stage.mask) - stage.targets
-            memo_key = tuple(sorted((r, parent[r]) for r in consumed))
-            if memo_key not in memo:
-                memo[memo_key] = score_stage(
-                    sample, stage, parent, kprime, k=k, budget=budget,
-                    block_bits=block_bits, threads=threads)
-            board = memo[memo_key]
-            for joint, _score in board.entries:
-                child = dict(parent)
-                child.update(split_joint_fill(sample.spec, stage.targets,
-                                              joint))
-                new_beam.append(child)
-        if len(new_beam) > max_candidates:
+        cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
+                if r in assigned]
+        _, first, inverse = np.unique(beam[:, cols], axis=0,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)           # scorings by first occurrence
+        boards = [score_stage(sample, stage,
+                              {r: int(beam[first[j], r]) for r in cols},
+                              kprime, k=k, budget=budget,
+                              block_bits=block_bits, threads=threads)
+                  for j in order]
+        joints = np.array([b.fills() for b in boards], dtype=np.int64)
+        size = len(beam) * joints.shape[1]
+        if size > max_candidates:
             raise Bsea2Error(
-                f"beam grew to {len(new_beam)} candidates; lower the "
+                f"beam grew to {size} candidates; lower the "
                 f"retention k (currently {k})")
+        children = joints[np.argsort(order)[inverse.ravel()]].ravel()
+        beam = np.repeat(beam, joints.shape[1], axis=0)
+        for r, col in split_joint_fill(spec, stage.targets, children).items():
+            beam[:, r] = col
+        assigned += sorted(stage.targets)
         elapsed = time.monotonic() - t_start
-        states = len(memo) * (1 << stage.exponent)
+        states = len(boards) * (1 << stage.exponent)
         done_states += 1 << stage.exponent
         rate = states / elapsed if elapsed > 0 else None
         run_elapsed = time.monotonic() - t_run
         eta = (run_elapsed / done_states * (total_states - done_states)
                if done_states else None)
-        first_board = next(iter(memo.values()))
         stage_log.append({
             "mask": stage.mask,
             "targets": sorted(stage.targets),
@@ -331,31 +364,33 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "exponent": stage.exponent,
             "chi": stage.chi,
             "complement": stage.complement,
-            "scorings": len(memo),
+            "scorings": len(boards),
             "states_per_sec": round(rate) if rate else None,
             "eta_s": round(eta, 2) if eta is not None else None,
             "retained": [
                 {"fill": fill_hex(fill, stage.exponent), "score": score}
-                for fill, score in first_board.entries
+                for fill, score in boards[0].entries
             ],
         })
         if progress is not None:
             progress(stage_log[-1])
-        beam = new_beam
 
-    validations = _validate_assignments(sample, beam, kprime)
-    passing = [(a, v) for a, v in zip(beam, validations) if v.status == "pass"]
-    passing.sort(key=lambda av: (av[1].z_abs,
-                                 tuple(av[0][r] for r in range(4))))
+    zeros = _validate_assignments(sample, beam, kprime)
+    z, passed = _judge(zeros, n, sample.model.p0)
+    winners = np.flatnonzero(passed)
+    winners = winners[np.lexsort(tuple(beam[winners, r] for r in (3, 2, 1, 0))
+                                 + (z[winners],))]
     candidates = []
-    for rank, (a, v) in enumerate(passing, start=1):
-        fills = tuple(a[r] for r in range(4))
+    for rank, i in enumerate(winners, start=1):
+        fills = tuple(int(v) for v in beam[i])
         candidates.append(RecoveredKey(
-            key=assemble_key(sample.spec, fills, kprime),
-            fills=fills, kprime=kprime, validation=v, rank=rank))
+            key=assemble_key(spec, fills, kprime), fills=fills,
+            kprime=kprime, rank=rank,
+            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]),
+                                  status="pass")))
     transcript = {
         "kprime": hex_byte(kprime),
-        "plan": plan_to_dict(plan, sample.spec.degrees),
+        "plan": plan_to_dict(plan, spec.degrees),
         "stages": stage_log,
         "beam_size": len(beam),
         "validated": len(candidates),
@@ -363,8 +398,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             {
                 "rank": c.rank,
                 "key": c.key.to_hex(),
-                "fills": {f"R{r}": fill_hex(c.fills[r],
-                                            sample.spec.degrees[r])
+                "fills": {f"R{r}": fill_hex(c.fills[r], spec.degrees[r])
                           for r in range(4)},
                 "zeros": c.validation.zeros,
                 "z_abs": (round(c.validation.z_abs, 4)

@@ -8,6 +8,7 @@ numbered 0..(keybits-1) starting from the most significant hex digit of the
 key file. Bits fill R0 stages s_0.. first, then R1, R2, R3, and the final
 8 bits are K' (first of them = K' MSB).
 """
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -195,6 +196,51 @@ def combine_outputs(f: int, x0, x1, x2, x3) -> np.ndarray:
     idx = (x3 | (x2 << 1) | (x1 << 2) | (x0 << 3)).astype(np.uint8)
     f_table = np.array([(f >> i) & 1 for i in range(16)], dtype=np.uint8)
     return f_table[idx] ^ x0
+
+
+@functools.lru_cache(maxsize=None)
+def _mux_tree(table: int, bits: int):
+    """Multiplexer tree of a 2^bits-entry table over the low index bits.
+
+    Index bit bits-1 is register 4-bits's output (x0 is bit 3, x3 bit 0).
+    A node is a constant 0 or 1, or (register, low child, high child);
+    equal halves fold into one child, so constant subtables vanish and a
+    16-entry table needs at most 7 muxes (the x3 level is never one).
+    """
+    if bits == 0:
+        return table & 1
+    half = 1 << (bits - 1)
+    lo = _mux_tree(table & ((1 << half) - 1), bits - 1)
+    hi = _mux_tree(table >> half, bits - 1)
+    return lo if lo == hi else (4 - bits, lo, hi)
+
+
+def _mux_eval(node, words) -> np.ndarray:
+    if not isinstance(node, tuple):
+        return np.full_like(words[0], 0 if node == 0 else ~np.uint64(0))
+    j, lo, hi = node
+    s = words[j]
+    if lo == 0:
+        return s.copy() if hi == 1 else s & _mux_eval(hi, words)
+    if hi == 0:
+        return ~s if lo == 1 else _mux_eval(lo, words) & ~s
+    if lo == 1:
+        return ~s | _mux_eval(hi, words)
+    if hi == 1:
+        return _mux_eval(lo, words) | s
+    a = _mux_eval(lo, words)
+    a ^= s & (a ^ _mux_eval(hi, words))
+    return a
+
+
+def combine_words(f: int, w0, w1, w2, w3) -> np.ndarray:
+    """combine_outputs on bit-sliced uint64 words, one bit per position.
+
+    sigma = f(idx) XOR x0 is itself a table over idx: f with its x0 = 1
+    half complemented. That table is evaluated as a multiplexer tree over
+    the four word arrays (see _mux_tree), built once per table.
+    """
+    return _mux_eval(_mux_tree(f ^ 0xFF00, 4), (w0, w1, w2, w3))
 
 
 def keystream(instance: CipherInstance, n: int) -> np.ndarray:

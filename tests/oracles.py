@@ -10,7 +10,7 @@ oracles re-encrypt per candidate.
 import numpy as np
 
 from bsea2 import boolfn
-from bsea2.cipher import split_key
+from bsea2.cipher import assemble_key, split_key
 from bsea2.classifier import mask_registers
 from bsea2.lfsr import LfsrState, clock
 
@@ -71,6 +71,19 @@ def scalar_keystream(spec, key, n: int) -> list:
             xs.append(bit)
         idx = xs[3] | (xs[2] << 1) | (xs[1] << 2) | (xs[0] << 3)
         out.append(((f >> idx) & 1) ^ xs[0])
+    return out
+
+
+def oracle_validation_zeros(sample, fills, kprime: int) -> list:
+    """Decrypted zero count per candidate (four register fills each),
+    bit by bit from the clock-by-clock keystream."""
+    n = sample.bits.size
+    out = []
+    for row in fills:
+        key = assemble_key(sample.spec, [int(v) for v in row], kprime)
+        ks = scalar_keystream(sample.spec, key, n)
+        out.append(sum(1 for t in range(n)
+                       if int(sample.bits[t]) == ks[t]))
     return out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsea2 import boolfn
+from bsea2 import attack, boolfn
 from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill, validate_key)
@@ -13,7 +13,7 @@ from bsea2.errors import (EmptyBeam, MissingKnownRegister, StageTooLarge,
                           Unattackable)
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
-from oracles import oracle_all_scores, oracle_topk
+from oracles import oracle_all_scores, oracle_topk, oracle_validation_zeros
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 MINI_953F = InstanceSpec("mini-953F", MINI_SPEC.polynomials, 0x953F)
@@ -223,6 +223,81 @@ class TestValidateKey:
         assert validate_key(sample, key).status == "pass"
         wrong = random_key(MINI_SPEC, rng)
         assert validate_key(sample, wrong).status == "fail"
+
+
+def validation_beam(spec, key, rng, wrong, zero_fill=True):
+    """The true key's fills, then ``wrong`` random fill rows (the last
+    with a zero R2 fill, which the beam may hold, unless zero_fill=False).
+    """
+    fills, _ = split_key(spec, key)
+    rows = [fills] + [[int(rng.integers(1, 1 << d)) for d in spec.degrees]
+                      for _ in range(wrong)]
+    if zero_fill:
+        rows[-1][2] = 0
+    return np.array(rows, dtype=np.int64)
+
+
+def batched_validations(sample, beam, kprime):
+    zeros = attack._validate_assignments(sample, beam, kprime)
+    z, passed = attack._judge(zeros, sample.bits.size, sample.model.p0)
+    return zeros, z, passed
+
+
+class TestValidateAssignments:
+    """The bit-sliced batch pass against the clock-by-clock keystream."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+    def test_zeros_match_scalar_oracle_across_tail(self, n, make_sample):
+        rng = np.random.default_rng(90 + n)
+        for kprime in (0x00, 0x5A, 0xE5):
+            key = random_key(MINI_SPEC, rng, kprime=kprime)
+            sample, _ = make_sample(MINI_SPEC, key, n, 0.9, rng)
+            beam = validation_beam(MINI_SPEC, key, rng, 3)
+            zeros, _, _ = batched_validations(sample, beam, kprime)
+            assert zeros.tolist() == oracle_validation_zeros(sample, beam,
+                                                             kprime)
+
+    def test_every_kprime_table(self, make_sample):
+        # every K' gives its own masked table, hence mux-tree shape; the
+        # f0 = 0x00FF / 0xFF00 specs fold the whole tree to a constant
+        rng = np.random.default_rng(96)
+        cases = [(MINI_SPEC, kp) for kp in range(256)]
+        cases += [(InstanceSpec("c", MINI_SPEC.polynomials, f0), 0x00)
+                  for f0 in (0x00FF, 0xFF00)]
+        for spec, kprime in cases:
+            key = random_key(spec, rng, kprime=kprime)
+            sample, _ = make_sample(spec, key, 65, 0.9, rng)
+            beam = validation_beam(spec, key, rng, 2)
+            zeros, _, _ = batched_validations(sample, beam, kprime)
+            assert zeros.tolist() == oracle_validation_zeros(sample, beam,
+                                                             kprime), kprime
+
+    @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_judgement_matches_validate_key(self, p0, make_sample):
+        rng = np.random.default_rng(97)
+        kprime = 0xE5
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 777, p0, rng)
+        beam = validation_beam(MINI_SPEC, key, rng, 4, zero_fill=False)
+        zeros, z, passed = batched_validations(sample, beam, kprime)
+        assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
+        for row, zr, zz, ok in zip(beam, zeros, z, passed):
+            one = validate_key(sample, assemble_key(MINI_SPEC, row, kprime))
+            assert (one.zeros, one.z_abs) == (zr, zz)
+            assert one.status == ("indeterminate" if p0 == 0.5
+                                  else "pass" if ok else "fail")
+        assert passed[0] == (p0 != 0.5)
+
+    def test_beam_larger_than_one_chunk(self, make_sample, monkeypatch):
+        # 4097 bits are 65 words: two candidates per chunk, four chunks
+        monkeypatch.setattr(attack, "_VALIDATE_WORDS", 130)
+        rng = np.random.default_rng(98)
+        kprime = 0x32
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 4097, 0.9, rng)
+        beam = validation_beam(MINI_SPEC, key, rng, 6)
+        zeros, _, _ = batched_validations(sample, beam, kprime)
+        assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
 
 
 class TestRunPlan:
