@@ -88,8 +88,15 @@ def register_rows(poly, n: int) -> np.ndarray:
     return kernels.linear_forms(poly.tapmask, poly.degree, n)
 
 
+#: Score given to fills no key can have; never returned by a top-k.
+_EXCLUDED = np.iinfo(np.int32).min
+
+
 def _topk_block(corr: np.ndarray, base: int, k: int):
-    """Top-k of one block by (corr desc, index asc); exact under ties."""
+    """Top-k of one block by (corr desc, index asc); exact under ties.
+
+    Entries at _EXCLUDED are left out, so fewer than k may come back.
+    """
     size = corr.size
     if size <= k:
         idx = np.arange(size)
@@ -98,7 +105,28 @@ def _topk_block(corr: np.ndarray, base: int, k: int):
         idx = np.nonzero(corr >= kth)[0]
     order = np.lexsort((idx, -corr[idx]))
     sel = idx[order][:k]
-    return [(base + int(i), int(corr[i])) for i in sel]
+    return [(base + int(i), int(corr[i])) for i in sel
+            if corr[i] != _EXCLUDED]
+
+
+def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
+    """Mark every fill of the block with an all-zero register part.
+
+    The block holds fills base .. base + corr.size - 1 (base a multiple of
+    the power-of-two size); ``parts`` are the (offset, degree) of each
+    register in the joint fill. key_setup rejects such keys, and in a
+    stage that consumes a known register, fill 0 would score as that
+    register's own relation. The cost is one strided write per register.
+    """
+    low = corr.size.bit_length() - 1
+    for off, deg in parts:
+        if (base >> off) & ((1 << deg) - 1):
+            continue
+        top = min(off + deg, low)
+        if off >= top:
+            corr[:] = _EXCLUDED
+        else:
+            corr.reshape(-1, 1 << (top - off), 1 << off)[:, 0, :] = _EXCLUDED
 
 
 def _scatter(rows: np.ndarray, signs: np.ndarray, nbits: int) -> np.ndarray:
@@ -107,13 +135,17 @@ def _scatter(rows: np.ndarray, signs: np.ndarray, nbits: int) -> np.ndarray:
     return w
 
 
-def _stage_topk(rows: np.ndarray, d: np.ndarray, exponent: int, k: int,
+def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
                 block_bits: int, threads: int):
-    """(fill, corr) top-k over all 2^exponent candidates."""
+    """(fill, corr) top-k over all joint fills of registers of ``degrees``
+    (lowest bits first) whose every register part is non-zero."""
+    exponent = sum(degrees)
+    parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
     signs = (1 - 2 * d.astype(np.int32))
     if exponent <= block_bits:
         w = _scatter(rows, signs, exponent)
         kernels.fwht_inplace(w)
+        _exclude_zero_parts(w, 0, parts)
         return _topk_block(w, 0, k)
 
     lo_bits = block_bits
@@ -126,6 +158,7 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, exponent: int, k: int,
         adj = signs * (1 - 2 * par.astype(np.int32))
         w = _scatter(rows_lo, adj, lo_bits)
         kernels.fwht_inplace(w)
+        _exclude_zero_parts(w, hi << lo_bits, parts)
         return _topk_block(w, hi << lo_bits, k)
 
     n_blocks = 1 << (exponent - lo_bits)
@@ -183,7 +216,8 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
                 threads: int = 1) -> ScoreBoard:
     """Score every joint fill of the stage's targets; retain the top k.
 
-    Z(I) counts sample positions where the (possibly complemented) mask
+    Fills with an all-zero register part are never retained: no key has
+    one. Z(I) counts sample positions where the (possibly complemented) mask
     relation holds: E[Z] = N*p' for the correct fill, N/2 for a wrong one.
     """
     if stage.exponent > budget:
@@ -192,7 +226,8 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
             f"2^{budget}; raise --budget or attack a smaller instance")
     rows, d, _ = _stage_data_bits(sample, stage, known, kprime)
     n = sample.bits.size
-    top = _stage_topk(rows, d, stage.exponent, k, block_bits, threads)
+    degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
+    top = _stage_topk(rows, d, degrees, k, block_bits, threads)
     entries = tuple((fill, (n + corr) // 2) for fill, corr in top)
     return ScoreBoard(stage=stage, entries=entries, k=k,
                       n_candidates=1 << stage.exponent, n_bits=n)

@@ -151,7 +151,20 @@ def oracle_all_scores(sample, stage, known: dict, kprime: int) -> np.ndarray:
     return scores
 
 
-def oracle_topk(scores: np.ndarray, k: int):
-    """(fill, score) top-k ranked by score desc then smallest fill."""
-    order = sorted(range(scores.size), key=lambda i: (-int(scores[i]), i))
+def oracle_topk(scores: np.ndarray, k: int, degrees):
+    """(fill, score) top-k ranked by score desc then smallest fill.
+
+    Only joint fills whose every register part is non-zero take part, as
+    no key has an all-zero register; ``degrees`` are the stage targets'
+    degrees in ascending register order (lowest joint bits first).
+    """
+    def possible(joint):
+        for deg in degrees:
+            if joint % (1 << deg) == 0:
+                return False
+            joint >>= deg
+        return True
+
+    fills = [i for i in range(scores.size) if possible(i)]
+    order = sorted(fills, key=lambda i: (-int(scores[i]), i))
     return [(i, int(scores[i])) for i in order[:k]]

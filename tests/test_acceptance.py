@@ -265,7 +265,9 @@ def test_criterion_09_scoring_oracle_equivalence(capsys):
             board = score_stage(sample, stage, known, kprime, k=k)
             if stage.exponent <= 16:
                 scores = oracle_all_scores(sample, stage, known, kprime)
-                ok = ok and list(board.entries) == oracle_topk(scores, k)
+                degrees = [MINI_SPEC.degrees[r] for r in sorted(stage.targets)]
+                ok = ok and list(board.entries) == oracle_topk(scores, k,
+                                                               degrees)
                 full_checked += 1
             else:
                 true_joint = 0

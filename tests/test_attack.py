@@ -36,6 +36,10 @@ def stage_for(spec, kprime, mask, known=frozenset()):
         known=frozenset(known), chi=chi)
 
 
+def target_degrees(spec, stage):
+    return [spec.degrees[r] for r in sorted(stage.targets)]
+
+
 class TestScoreStage:
     def test_deterministic_relation_scores_full_n(self):
         # f = 0: the keystream is exactly R0's output, so the correct fill
@@ -94,7 +98,8 @@ class TestScoreStage:
         stage = stage_for(MINI_953F, 0xBD, 0b1000)
         board = score_stage(sample, stage, {}, 0xBD, k=128)
         expected = oracle_all_scores(sample, stage, {}, 0xBD)
-        assert list(board.entries) == oracle_topk(expected, 128)
+        assert list(board.entries) == oracle_topk(
+            expected, 128, target_degrees(MINI_953F, stage))
 
     def test_matches_oracle_with_known_register(self):
         # mask 1001 = {R0, R3} with R0 already recovered
@@ -106,7 +111,8 @@ class TestScoreStage:
         known = {0: fills[0]}
         board = score_stage(sample, stage, known, 0xBD, k=64)
         expected = oracle_all_scores(sample, stage, known, 0xBD)
-        assert list(board.entries) == oracle_topk(expected, 64)
+        assert list(board.entries) == oracle_topk(
+            expected, 64, target_degrees(MINI_953F, stage))
         assert board.entries[0][0] == fills[3]
 
     def test_matches_oracle_on_anticorrelated_mask(self):
@@ -123,7 +129,8 @@ class TestScoreStage:
         known = {1: fills[1]}
         board = score_stage(sample, stage, known, 0xBD, k=32)
         expected = oracle_all_scores(sample, stage, known, 0xBD)
-        assert list(board.entries) == oracle_topk(expected, 32)
+        assert list(board.entries) == oracle_topk(
+            expected, 32, target_degrees(MINI_953F, stage))
         assert board.entries[0][0] == fills[2]
 
     def test_blocked_kernel_equals_single_shot(self):
@@ -139,6 +146,35 @@ class TestScoreStage:
         threaded = score_stage(sample, stage, known, 0xBD, k=25,
                                block_bits=6, threads=4)
         assert one.entries == blocked.entries == threaded.entries
+
+    def test_zero_fill_is_never_ranked(self):
+        # on this sample fill 0 used to rank first in stage 1001 (R3,
+        # scoring as R0's own relation) and second in stage 0110 (R2)
+        rng = np.random.default_rng(351)
+        key = random_key(MINI_SPEC, rng, 0x98)
+        plain = (rng.random(4096) >= 0.9).astype(np.uint8)
+        sample = CiphertextSample(bits=encrypt_fresh(MINI_SPEC, key, plain),
+                                  model=PlaintextModel(0.9), spec=MINI_SPEC)
+        fills, _ = split_key(MINI_SPEC, key)
+        for stage in plan_attack(MINI_SPEC, 0x98).stages:
+            board = score_stage(sample, stage,
+                                {r: fills[r] for r in stage.known}, 0x98)
+            (target,) = stage.targets
+            assert board.entries[0][0] == fills[target]
+            assert 0 not in board.fills() and len(board.entries) == 10
+
+    def test_zero_parts_excluded_in_every_block(self):
+        # targets R0 (joint bits 0-6) and R1 (7-15); 2^6 blocks put all of
+        # R1 in the block number, 2^10 blocks split it across the two
+        rng = np.random.default_rng(32)
+        key = random_key(MINI_953F, rng, kprime=0x02)
+        sample = keystream_sample(MINI_953F, key, 256)
+        stage = stage_for(MINI_953F, 0x02, 0b1100)
+        possible = [j for j in range(1 << 16) if j & 0x7F and j >> 7]
+        boards = [score_stage(sample, stage, {}, 0x02, k=1 << 16,
+                              block_bits=bits) for bits in (24, 10, 6)]
+        assert sorted(boards[0].fills()) == possible
+        assert boards[0].entries == boards[1].entries == boards[2].entries
 
     def test_tie_break_smallest_fill(self):
         # a one-bit sample ties half the candidates at Z = 1
