@@ -397,6 +397,18 @@ def _cmd_passrates(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_spec_arg(p, default="default"):
     p.add_argument("--spec", default=default,
                    help="instance: default, mini, or a spec JSON file")
@@ -474,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arg(p)
     p.add_argument("--f0")
     p.add_argument("--ciphertext", required=True)
-    p.add_argument("--bits", type=int, default=None,
+    p.add_argument("--bits", type=_positive_int, default=None,
                    help="bit-precise sample length (default: whole file)")
     p.add_argument("--p0", type=float, default=None)
     p.add_argument("--corpus", help="estimate p0 from this byte corpus")
@@ -485,11 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "deterministic)")
     p.add_argument("--exhaustive", action="store_true",
                    help="do not stop at the first successful tier")
-    p.add_argument("--retention", type=int, default=attack.DEFAULT_RETENTION)
+    p.add_argument("--retention", type=_positive_int,
+                   default=attack.DEFAULT_RETENTION)
     p.add_argument("--budget", type=int,
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_attack)

@@ -208,6 +208,23 @@ class TestAttackCommand:
         assert data["recovered_key"] == key.to_hex()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--retention", "0"), ("--retention", "-1"), ("--retention", "ten"),
+    ("--threads", "0"), ("--threads", "-2"),
+    ("--bits", "-8"), ("--bits", "0"), ("--bits", "1.5"),
+])
+def test_attack_rejects_bad_size_at_parse_time(capsys, tmp_path, flag, value):
+    ct = tmp_path / "c.bin"
+    ct.write_bytes(b"\x00" * 16)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--spec", "mini", "--ciphertext", str(ct),
+              "--kprime", "0x00", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: ") and f"argument {flag}: " in err
+    assert "Traceback" not in err
+
+
 class TestFips:
     def test_from_key(self, capsys):
         from test_randomness import GOOD_KEY
