@@ -309,7 +309,7 @@ def _validate_assignments(sample: CiphertextSample, fills: np.ndarray,
             pack_words(kernels.lfsr_sequence(poly.tapmask, poly.degree,
                                              int(fill), n)[0])
             for fill in distinct]))
-        slots.append(slot.ravel())
+        slots.append(slot)
     zeros = np.empty(len(fills), dtype=np.int64)
     step = max(1, _VALIDATE_WORDS // ct.size)
     for c in range(0, len(fills), step):

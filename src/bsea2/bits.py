@@ -17,17 +17,15 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack bits along the last axis into little-endian uint64 words.
+    """Pack a bit array into little-endian uint64 words.
 
     Bit t lands in word t // 64 at bit t % 64 (LSB first, unlike the file
     convention); the last word's unused high bits are 0.
     """
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1,
-                         bitorder="little")
-    pad = -packed.shape[-1] % 8
-    if pad:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
-    return np.ascontiguousarray(packed).view("<u8")
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    if packed.size % 8:
+        packed = np.pad(packed, (0, -packed.size % 8))
+    return packed.view("<u8")
 
 
 def hex_word(word: int) -> str:

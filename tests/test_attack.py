@@ -261,15 +261,11 @@ class TestValidateKey:
         assert validate_key(sample, wrong).status == "fail"
 
 
-def validation_beam(spec, key, rng, wrong, zero_fill=True):
-    """The true key's fills, then ``wrong`` random fill rows (the last
-    with a zero R2 fill, which the beam may hold, unless zero_fill=False).
-    """
+def validation_beam(spec, key, rng, wrong):
+    """The true key's fills, then ``wrong`` random non-zero fill rows."""
     fills, _ = split_key(spec, key)
     rows = [fills] + [[int(rng.integers(1, 1 << d)) for d in spec.degrees]
                       for _ in range(wrong)]
-    if zero_fill:
-        rows[-1][2] = 0
     return np.array(rows, dtype=np.int64)
 
 
@@ -314,7 +310,7 @@ class TestValidateAssignments:
         kprime = 0xE5
         key = random_key(MINI_SPEC, rng, kprime=kprime)
         sample, _ = make_sample(MINI_SPEC, key, 777, p0, rng)
-        beam = validation_beam(MINI_SPEC, key, rng, 4, zero_fill=False)
+        beam = validation_beam(MINI_SPEC, key, rng, 4)
         zeros, z, passed = batched_validations(sample, beam, kprime)
         assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
         for row, zr, zz, ok in zip(beam, zeros, z, passed):
