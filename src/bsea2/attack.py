@@ -14,6 +14,13 @@ scalar oracle in the tests) while touching each candidate O(1) times.
 Stages wider than ``block_bits`` are evaluated in fixed-size blocks over
 the high fill bits, so memory stays bounded and blocks can run on a thread
 pool; results merge deterministically (score desc, then smallest fill).
+
+One search (one sample, one retention k) shares a run cache. A stage's
+data bits depend on K' only through the complement bit s, so its top-k
+list is keyed on the mask, the targets, the consumed known fills and s;
+the instances of the all-256 search that share a stage score it once.
+The cache also holds each (register, fill) sequence, packed into uint64
+words, for the data bits and for validation.
 """
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -172,33 +179,68 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
     return merged[:k]
 
 
-def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
-                     known: dict, kprime: int):
-    """(joint rows A_t, data bits d_t, chi) for the stage."""
-    spec = sample.spec
-    f = boolfn.apply_key_mask(spec.f0, kprime)
-    gspec = boolfn.effective_spectrum(f)
-    chi = gspec[stage.mask]
+class _RunCache:
+    """Stage top-k lists and packed register sequences of one search.
+
+    It belongs to one sample and one retention k; run_parallel_instances
+    hands one to every run_plan, and a run_plan called alone builds its
+    own. ``boards`` maps (mask, targets, consumed (register, fill) pairs
+    in register order, s) to score-board entries; ``words`` maps
+    (register, fill) to the read-only packed sequence (bits.pack_words);
+    ``ct`` is the packed sample.
+    """
+
+    def __init__(self, sample: CiphertextSample, k: int):
+        self.sample = sample
+        self.k = k
+        self.ct = pack_words(sample.bits)
+        self.boards = {}
+        self.words = {}
+
+    def register_words(self, r: int, fill: int) -> np.ndarray:
+        """Packed output sequence of register r from ``fill``."""
+        words = self.words.get((r, fill))
+        if words is None:
+            poly = self.sample.spec.polynomials[r]
+            seq, _ = kernels.lfsr_sequence(poly.tapmask, poly.degree, fill,
+                                           self.sample.bits.size)
+            words = self.words[(r, fill)] = pack_words(seq)
+            words.flags.writeable = False
+        return words
+
+
+def _stage_complement(sample: CiphertextSample, stage: AttackStage,
+                      known: dict, kprime: int) -> bool:
+    """The bit s XORed into the stage's data bits; checks the stage."""
+    f = boolfn.apply_key_mask(sample.spec.f0, kprime)
+    chi = boolfn.effective_spectrum(f)[stage.mask]
     if chi == 0:
         raise Bsea2Error(f"mask {stage.mask:04b} has zero correlation "
                          f"for K' = {hex_byte(kprime)}")
     if not stage.targets <= mask_registers(stage.mask):
         raise Bsea2Error("stage targets are not covered by its mask; "
                          "their fills would never affect the score")
-    consumed = mask_registers(stage.mask) - stage.targets
-    for r in sorted(consumed):
+    for r in sorted(mask_registers(stage.mask) - stage.targets):
         if r not in known:
             raise MissingKnownRegister(f"stage mask needs recovered R{r}")
-
-    n = sample.bits.size
     # complement the prediction for anti-correlated relations; an
     # ones-heavy plaintext (p0 < 1/2) flips the favored relation again
-    s = (chi < 0) ^ (sample.model.p0 < 0.5)
-    d = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0)
-    for r in sorted(consumed):
-        poly = sample.spec.polynomials[r]
-        seq, _ = kernels.lfsr_sequence(poly.tapmask, poly.degree, known[r], n)
-        d ^= seq
+    return bool((chi < 0) ^ (sample.model.p0 < 0.5))
+
+
+def _stage_data_bits(cache: _RunCache, stage: AttackStage, consumed,
+                     s: bool):
+    """(joint rows A_t, data bits d_t) for the stage.
+
+    ``consumed`` holds the (register, known fill) pairs of the mask's
+    other registers.
+    """
+    spec = cache.sample.spec
+    n = cache.sample.bits.size
+    words = cache.ct ^ np.uint64((1 << 64) - 1 if s else 0)
+    for r, fill in consumed:
+        words ^= cache.register_words(r, fill)
+    d = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
     rows = np.zeros(n, dtype=np.uint64)
     off = 0
@@ -206,7 +248,26 @@ def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
         poly = spec.polynomials[r]
         rows ^= register_rows(poly, n) << np.uint64(off)
         off += poly.degree
-    return rows, d, chi
+    return rows, d
+
+
+def _stage_entries(cache: _RunCache, stage: AttackStage, known: dict,
+                   kprime: int, block_bits: int, threads: int) -> tuple:
+    """Score-board entries ((fill, Z), ...) of the stage, from the cache
+    when any instance of this search has scored the same relation."""
+    s = _stage_complement(cache.sample, stage, known, kprime)
+    consumed = tuple((r, int(known[r])) for r in
+                     sorted(mask_registers(stage.mask) - stage.targets))
+    key = (stage.mask, stage.targets, consumed, s)
+    entries = cache.boards.get(key)
+    if entries is None:
+        rows, d = _stage_data_bits(cache, stage, consumed, s)
+        n = cache.sample.bits.size
+        degrees = [cache.sample.spec.degrees[r] for r in sorted(stage.targets)]
+        top = _stage_topk(rows, d, degrees, cache.k, block_bits, threads)
+        entries = cache.boards[key] = tuple((fill, (n + corr) // 2)
+                                            for fill, corr in top)
+    return entries
 
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
@@ -224,13 +285,11 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
         raise StageTooLarge(
             f"stage needs 2^{stage.exponent} joint states, budget is "
             f"2^{budget}; raise --budget or attack a smaller instance")
-    rows, d, _ = _stage_data_bits(sample, stage, known, kprime)
-    n = sample.bits.size
-    degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
-    top = _stage_topk(rows, d, degrees, k, block_bits, threads)
-    entries = tuple((fill, (n + corr) // 2) for fill, corr in top)
+    entries = _stage_entries(_RunCache(sample, k), stage, known, kprime,
+                             block_bits, threads)
     return ScoreBoard(stage=stage, entries=entries, k=k,
-                      n_candidates=1 << stage.exponent, n_bits=n)
+                      n_candidates=1 << stage.exponent,
+                      n_bits=sample.bits.size)
 
 
 def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
@@ -285,30 +344,26 @@ def _judge(zeros: np.ndarray, n: int, p0: float):
 _VALIDATE_WORDS = 1 << 18
 
 
-def _validate_assignments(sample: CiphertextSample, fills: np.ndarray,
+def _validate_assignments(cache: _RunCache, fills: np.ndarray,
                           kprime: int) -> np.ndarray:
     """Decrypted zero count of every candidate, in one bit-sliced pass.
 
     ``fills`` holds one row of four register fills per candidate. The
-    ciphertext and each distinct (register, fill) sequence are packed into
-    uint64 words once. Candidates are then taken in chunks of at most
-    _VALIDATE_WORDS words per register: each chunk gathers its four word
-    rows, combines them through the K'-masked table's multiplexer tree
-    (cipher.combine_words), XORs the ciphertext, masks the tail word's
-    padding bits and counts ones with bitwise_count.
+    sequences come packed from the run cache. Candidates are taken in
+    chunks of at most _VALIDATE_WORDS words per register: each chunk
+    gathers its four word rows, combines them through the K'-masked
+    table's multiplexer tree (cipher.combine_words), XORs the ciphertext,
+    masks the tail word's padding bits and counts ones with bitwise_count.
     """
-    spec = sample.spec
-    n = sample.bits.size
-    f = boolfn.apply_key_mask(spec.f0, kprime)
-    ct = pack_words(sample.bits)
+    n = cache.sample.bits.size
+    f = boolfn.apply_key_mask(cache.sample.spec.f0, kprime)
+    ct = cache.ct
     tail = np.uint64((1 << (n - 64 * (ct.size - 1))) - 1)
     seqs, slots = [], []
-    for r, poly in enumerate(spec.polynomials):
+    for r in range(4):
         distinct, slot = np.unique(fills[:, r], return_inverse=True)
-        seqs.append(np.stack([
-            pack_words(kernels.lfsr_sequence(poly.tapmask, poly.degree,
-                                             int(fill), n)[0])
-            for fill in distinct]))
+        seqs.append(np.stack([cache.register_words(r, int(fill))
+                              for fill in distinct]))
         slots.append(slot)
     zeros = np.empty(len(fills), dtype=np.int64)
     step = max(1, _VALIDATE_WORDS // ct.size)
@@ -334,7 +389,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
              block_bits: int = DEFAULT_BLOCK_BITS,
              threads: int = 1,
              max_candidates: int = 200_000,
-             progress=None) -> RunResult:
+             progress=None, *, cache: _RunCache | None = None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
     The beam is an integer array with one row of four register fills per
@@ -346,7 +401,14 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     parent row is repeated once per retained fill of its scoring and the
     target columns are assigned. The final beam is validated in one
     bit-sliced pass (_validate_assignments) and judged all at once.
+
+    ``cache`` is the run cache of a search over several instances of the
+    same sample and k; without one the run builds its own.
     """
+    if cache is None:
+        cache = _RunCache(sample, k)
+    elif cache.sample is not sample or cache.k != k:
+        raise ValueError("the run cache belongs to another sample or k")
     kprime = plan.kprime
     spec = sample.spec
     n = sample.bits.size
@@ -369,12 +431,12 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         _, first, inverse = np.unique(beam[:, cols], axis=0,
                                       return_index=True, return_inverse=True)
         order = np.argsort(first)           # scorings by first occurrence
-        boards = [score_stage(sample, stage,
-                              {r: int(beam[first[j], r]) for r in cols},
-                              kprime, k=k, budget=budget,
-                              block_bits=block_bits, threads=threads)
+        boards = [_stage_entries(cache, stage,
+                                 {r: int(beam[first[j], r]) for r in cols},
+                                 kprime, block_bits, threads)
                   for j in order]
-        joints = np.array([b.fills() for b in boards], dtype=np.int64)
+        joints = np.array([[fill for fill, _ in b] for b in boards],
+                          dtype=np.int64)
         size = len(beam) * joints.shape[1]
         if size > max_candidates:
             raise Bsea2Error(
@@ -404,13 +466,13 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "eta_s": round(eta, 2) if eta is not None else None,
             "retained": [
                 {"fill": fill_hex(fill, stage.exponent), "score": score}
-                for fill, score in boards[0].entries
+                for fill, score in boards[0]
             ],
         })
         if progress is not None:
             progress(stage_log[-1])
 
-    zeros = _validate_assignments(sample, beam, kprime)
+    zeros = _validate_assignments(cache, beam, kprime)
     z, passed = _judge(zeros, n, sample.model.p0)
     winners = np.flatnonzero(passed)
     winners = winners[np.lexsort(tuple(beam[winners, r] for r in (3, 2, 1, 0))
@@ -482,6 +544,7 @@ def run_parallel_instances(sample: CiphertextSample,
     Per-instance failures are recorded in the status table, never fatal.
     """
     report = partition_keys(sample.spec)
+    cache = _RunCache(sample, k)
     statuses = {}
     transcripts = {}
     best = None
@@ -508,7 +571,8 @@ def run_parallel_instances(sample: CiphertextSample,
             plan = report.plans[kp]
             try:
                 result = run_plan(sample, plan, k=k, budget=budget,
-                                  block_bits=block_bits, threads=threads)
+                                  block_bits=block_bits, threads=threads,
+                                  cache=cache)
                 top = result.candidates[0]
                 statuses[kp] = InstanceStatus(kp, row.exponent, "recovered",
                                               attempt, top)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolfn, kernels
-from .errors import DegenerateKey, WrongKeyLength
+from .errors import DegenerateKey, UnreadableInput, WrongKeyLength
 from .lfsr import (LfsrState, P0, P1, P2, P3, make_polynomial,
                    polynomial_from_list)
 
@@ -97,8 +97,13 @@ def load_spec(selector: str) -> InstanceSpec:
     """Resolve 'default', 'mini' or a path to a spec JSON file."""
     if selector in _NAMED_SPECS:
         return _NAMED_SPECS[selector]
-    with open(selector) as fh:
-        return spec_from_json_dict(json.load(fh))
+    try:
+        with open(selector) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read spec {selector}: "
+                              f"{exc.strerror}") from None
+    return spec_from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

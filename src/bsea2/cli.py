@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -19,7 +20,7 @@ from . import __version__, attack, classifier, randomness
 from .bits import bits_to_bytes, bytes_to_bits, hex_byte, hex_word, parse_hex
 from .cipher import (InstanceSpec, SecretKey, encrypt, key_setup, keystream,
                      load_spec, random_key)
-from .errors import Bsea2Error, WrongLength
+from .errors import Bsea2Error, UnreadableInput, WrongLength
 from .plaintext import (DEFAULT_MODEL, PlaintextModel, estimate_p0)
 
 
@@ -57,19 +58,26 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
+def _read_input(path: str) -> bytes:
+    """Contents of an input file; one that cannot be read is a domain
+    error (UnreadableInput), not a traceback."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_key(args, spec: InstanceSpec) -> SecretKey:
     if args.key:
         text = args.key
     else:
-        with open(args.key_file) as fh:
-            text = fh.read().strip()
+        text = _read_input(args.key_file).decode().strip()
     return SecretKey.from_hex(text, spec.key_bits)
 
 
 def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    bits = bytes_to_bits(data)
+    bits = bytes_to_bits(_read_input(path))
     if nbits is None:
         try:
             with open(path + ".meta.json") as fh:
@@ -132,8 +140,7 @@ def _cmd_keystream(args) -> int:
 def _cmd_encrypt(args) -> int:
     spec = _spec_from_args(args)
     key = _read_key(args, spec)
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
+    data = _read_input(args.infile)
     out_bits = encrypt(key_setup(spec, key), bytes_to_bits(data))
     with open(args.out, "wb") as fh:
         fh.write(bits_to_bytes(out_bits))
@@ -254,8 +261,7 @@ def _cmd_attack(args) -> int:
     spec = _spec_from_args(args)
     bits = _load_sample_bits(args.ciphertext, args.bits)
     if args.corpus:
-        with open(args.corpus, "rb") as fh:
-            model = estimate_p0(fh.read(), source=args.corpus)
+        model = estimate_p0(_read_input(args.corpus), source=args.corpus)
     elif args.p0 is not None:
         model = PlaintextModel(p0=args.p0, source="cli")
     else:
@@ -397,15 +403,33 @@ def _cmd_passrates(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes and counts: an integer of at least 1."""
+def _int_at_least(low: int):
+    """argparse type for sizes and counts: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _probability(text: str) -> float:
+    """argparse type for --p0: a number in [0, 1]."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+            f"invalid number: {text!r}") from None
+    if math.isnan(value) or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -441,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keystream", help="write raw keystream bits")
     _add_spec_arg(p)
     _add_key_args(p)
-    p.add_argument("--nbits", type=int, required=True)
+    p.add_argument("--nbits", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_keystream, f0=None)
 
@@ -458,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arg(p)
     p.add_argument("--f0", help="override the spec's initial truth table")
     p.add_argument("--kprime", required=True)
-    p.add_argument("--p0", type=float, default=None)
+    p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
@@ -488,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ciphertext", required=True)
     p.add_argument("--bits", type=_positive_int, default=None,
                    help="bit-precise sample length (default: whole file)")
-    p.add_argument("--p0", type=float, default=None)
+    p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--corpus", help="estimate p0 from this byte corpus")
     p.add_argument("--kprime", default=None,
                    help="attack a single K' instance (default: all 256)")
@@ -520,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("passrates",
                        help="FIPS pass rates over sampled keys, by class")
     _add_spec_arg(p)
-    p.add_argument("--keys", type=int, default=1000)
+    p.add_argument("--keys", type=_int_at_least(randomness.MIN_KEYS),
+                   default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")

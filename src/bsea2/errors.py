@@ -51,5 +51,9 @@ class EmptyBeam(Bsea2Error):
     """No attack candidate survived key validation."""
 
 
+class UnreadableInput(Bsea2Error):
+    """An input file could not be opened or read."""
+
+
 class WrongLength(Bsea2Error):
     """Bit stream has the wrong length for the requested statistical test."""

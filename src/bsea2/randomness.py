@@ -131,6 +131,10 @@ REFERENCE_ALL_PASS_RATE = 0.55
 REFERENCE_FLAG_MARGIN = 0.20
 
 
+#: Fewest keys batch_pass_rates samples; fewer give no meaningful rate.
+MIN_KEYS = 100
+
+
 def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
                      group_by_class: bool = True) -> dict:
     """FIPS pass rates over random keys, grouped by attack class.
@@ -138,8 +142,9 @@ def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
     Deterministic for a fixed seed; evaluation order is merged by key index
     so any parallel schedule would produce the same report.
     """
-    if n_keys < 100:
-        raise ValueError("sample at least 100 keys for a meaningful rate")
+    if n_keys < MIN_KEYS:
+        raise ValueError(f"sample at least {MIN_KEYS} keys for a "
+                         f"meaningful rate")
     cfg = thresholds()
     rng = np.random.default_rng(seed)
     report = partition_keys(spec) if group_by_class else None

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bsea2 import attack, boolfn
-from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
+from bsea2.attack import (CiphertextSample, DEFAULT_BLOCK_BITS,
+                          DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill, validate_key)
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
@@ -270,7 +271,8 @@ def validation_beam(spec, key, rng, wrong):
 
 
 def batched_validations(sample, beam, kprime):
-    zeros = attack._validate_assignments(sample, beam, kprime)
+    cache = attack._RunCache(sample, attack.DEFAULT_RETENTION)
+    zeros = attack._validate_assignments(cache, beam, kprime)
     z, passed = attack._judge(zeros, sample.bits.size, sample.model.p0)
     return zeros, z, passed
 
@@ -435,6 +437,86 @@ class TestRunParallelInstances:
         assert result.best is None
         assert {s.status for s in result.statuses} == {"skipped_budget",
                                                        "unattackable"}
+
+
+def standalone_search(sample, k, budget, block_bits):
+    """run_parallel_instances's exhaustive schedule, with every instance
+    attacked by its own run_plan call (its own run cache)."""
+    report = partition_keys(sample.spec)
+    statuses, transcripts, attempt = [], {}, 0
+    for row in report.rows:
+        for kp in row.kprimes:
+            if row.exponent is None:
+                statuses.append(attack.InstanceStatus(kp, None,
+                                                      "unattackable"))
+                continue
+            if row.exponent > budget:
+                statuses.append(attack.InstanceStatus(kp, row.exponent,
+                                                      "skipped_budget"))
+                continue
+            attempt += 1
+            try:
+                result = run_plan(sample, report.plans[kp], k=k,
+                                  budget=budget, block_bits=block_bits)
+                status, best = "recovered", result.candidates[0]
+                transcripts[kp] = result.transcript
+            except EmptyBeam as exc:
+                status, best = "empty_beam", None
+                transcripts[kp] = exc.transcript
+            statuses.append(attack.InstanceStatus(kp, row.exponent, status,
+                                                  attempt, best))
+    return sorted(statuses, key=lambda st: st.kprime), transcripts
+
+
+def without_wall_clock(transcript):
+    stages = [{key: value for key, value in st.items()
+               if key not in ("states_per_sec", "eta_s")}
+              for st in transcript["stages"]]
+    return dict(transcript, stages=stages)
+
+
+class TestSharedRunCache:
+    """The all-256 search scores each shared stage once for all K'; it
+    must give what attacking every instance on its own gives."""
+
+    # p0 0.2 flips the complement bit s of every stage against p0 0.9;
+    # budget 22 leaves out the four C4 instances (2^29 stages) for speed
+    @pytest.mark.parametrize("p0, budget, block_bits", [
+        (0.9, 22, DEFAULT_BLOCK_BITS),
+        (0.2, 22, DEFAULT_BLOCK_BITS),
+        (0.9, 16, 8),
+        (0.2, 16, 8),
+    ])
+    def test_shared_search_equals_standalone_plans(self, p0, budget,
+                                                   block_bits, make_sample):
+        rng = np.random.default_rng(84)
+        report = partition_keys(MINI_SPEC)
+        key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
+        sample, _ = make_sample(MINI_SPEC, key, 2048, p0, rng)
+        shared = run_parallel_instances(sample, k=3, budget=budget,
+                                        block_bits=block_bits,
+                                        stop_on_success=False)
+        statuses, transcripts = standalone_search(sample, 3, budget,
+                                                  block_bits)
+        assert list(shared.statuses) == statuses
+        assert shared.transcripts.keys() == transcripts.keys()
+        for kp, transcript in transcripts.items():
+            assert (without_wall_clock(shared.transcripts[kp])
+                    == without_wall_clock(transcript)), hex(kp)
+        assert shared.best is not None and shared.best.key == key
+        recovered = [st for st in statuses if st.status == "recovered"]
+        assert [st.best for st in recovered] == [shared.best]
+
+    def test_run_cache_belongs_to_one_sample_and_k(self, make_sample):
+        rng = np.random.default_rng(85)
+        key = random_key(MINI_SPEC, rng, kprime=0x00)
+        sample, _ = make_sample(MINI_SPEC, key, 256, 0.9, rng)
+        other, _ = make_sample(MINI_SPEC, key, 256, 0.9, rng)
+        plan = plan_attack(MINI_SPEC, 0x00)
+        with pytest.raises(ValueError):
+            run_plan(sample, plan, k=3, cache=attack._RunCache(sample, 4))
+        with pytest.raises(ValueError):
+            run_plan(sample, plan, k=3, cache=attack._RunCache(other, 3))
 
 
 def test_split_joint_fill_round_trip():

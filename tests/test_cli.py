@@ -225,6 +225,61 @@ def test_attack_rejects_bad_size_at_parse_time(capsys, tmp_path, flag, value):
     assert "Traceback" not in err
 
 
+def _bad_input_cases():
+    """(argv with {tmp} for a scratch dir, exit code, name on stderr)."""
+    key = ["--key", "1" * 12]
+    usage = [
+        (["keystream", "--spec", "mini", *key, "--nbits", "-1",
+          "--out", "{tmp}/ks.bin"], "--nbits"),
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--p0", "1.5"], "--p0"),
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--p0", "nan"], "--p0"),
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--p0", "-0.1"], "--p0"),
+        (["spectrum", "--kprime", "0x00", "--p0", "1.5"], "--p0"),
+        (["passrates", "--spec", "mini", "--keys", "10", "--seed", "1"],
+         "--keys"),
+        (["passrates", "--spec", "mini", "--keys", "-5", "--seed", "1"],
+         "--keys"),
+    ]
+    domain = [
+        ["partition", "--spec", "{tmp}/missing.json"],
+        ["attack", "--spec", "mini", "--ciphertext", "{tmp}/missing.bin"],
+        ["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+         "--corpus", "{tmp}/missing.txt"],
+        ["encrypt", "--spec", "mini", *key, "--in", "{tmp}/missing.bin",
+         "--out", "{tmp}/out.bin"],
+        ["keystream", "--spec", "mini", "--key-file", "{tmp}/missing.key",
+         "--nbits", "8", "--out", "{tmp}/ks.bin"],
+        ["fips", "--in", "{tmp}/missing.bin"],
+    ]
+    return ([(argv, 2, f"argument {flag}: ") for argv, flag in usage]
+            + [(argv, 1, "error: UnreadableInput: ") for argv in domain])
+
+
+@pytest.mark.parametrize("argv, code, name", _bad_input_cases(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else str(v))
+def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
+                                            name):
+    # out-of-range values are usage errors (exit 2), caught at parse
+    # time; unreadable files are domain errors (exit 1) named on stderr
+    (tmp_path / "c.bin").write_bytes(b"\x00" * 16)
+    try:
+        got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert name in err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("usage: ")
+    assert not (tmp_path / "ks.bin").exists()
+    assert not (tmp_path / "out.bin").exists()
+
+
 class TestFips:
     def test_from_key(self, capsys):
         from test_randomness import GOOD_KEY
