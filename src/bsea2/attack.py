@@ -261,10 +261,11 @@ def _stage_entries(cache: _RunCache, stage: AttackStage, known: dict,
     key = (stage.mask, stage.targets, consumed, s)
     entries = cache.boards.get(key)
     if entries is None:
+        sample = cache.sample
         rows, d = _stage_data_bits(cache, stage, consumed, s)
-        n = cache.sample.bits.size
-        degrees = [cache.sample.spec.degrees[r] for r in sorted(stage.targets)]
+        degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
         top = _stage_topk(rows, d, degrees, cache.k, block_bits, threads)
+        n = sample.bits.size
         entries = cache.boards[key] = tuple((fill, (n + corr) // 2)
                                             for fill, corr in top)
     return entries

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
@@ -418,17 +417,14 @@ def _int_at_least(low: int):
     return parse
 
 
-_positive_int = _int_at_least(1)
-
-
 def _probability(text: str) -> float:
-    """argparse type for --p0: a number in [0, 1]."""
+    """argparse type for --p0: a number in [0, 1] (NaN fails the test)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid number: {text!r}") from None
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arg(p)
     p.add_argument("--f0")
     p.add_argument("--ciphertext", required=True)
-    p.add_argument("--bits", type=_positive_int, default=None,
+    p.add_argument("--bits", type=_int_at_least(1), default=None,
                    help="bit-precise sample length (default: whole file)")
     p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--corpus", help="estimate p0 from this byte corpus")
@@ -521,12 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "deterministic)")
     p.add_argument("--exhaustive", action="store_true",
                    help="do not stop at the first successful tier")
-    p.add_argument("--retention", type=_positive_int,
+    p.add_argument("--retention", type=_int_at_least(1),
                    default=attack.DEFAULT_RETENTION)
     p.add_argument("--budget", type=int,
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_attack)
