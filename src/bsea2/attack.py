@@ -194,6 +194,7 @@ class _RunCache:
         self.sample = sample
         self.k = k
         self.ct = pack_words(sample.bits)
+        self.ct.flags.writeable = False
         self.boards = {}
         self.words = {}
 
