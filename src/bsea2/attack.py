@@ -19,8 +19,8 @@ One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
 list is keyed on the mask, the targets, the consumed known fills and s;
 the instances of the all-256 search that share a stage score it once.
-The cache also holds each (register, fill) sequence, packed into uint64
-words, for the data bits and for validation.
+The cache also holds each (register, fill) sequence that validation
+needs, packed into uint64 words.
 """
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -179,69 +179,33 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
     return merged[:k]
 
 
-class _RunCache:
-    """Stage top-k lists and packed register sequences of one search.
-
-    It belongs to one sample and one retention k; run_parallel_instances
-    hands one to every run_plan, and a run_plan called alone builds its
-    own. ``boards`` maps (mask, targets, consumed (register, fill) pairs
-    in register order, s) to score-board entries; ``words`` maps
-    (register, fill) to the read-only packed sequence (bits.pack_words);
-    ``ct`` is the packed sample.
-    """
-
-    def __init__(self, sample: CiphertextSample, k: int):
-        self.sample = sample
-        self.k = k
-        self.ct = pack_words(sample.bits)
-        self.ct.flags.writeable = False
-        self.boards = {}
-        self.words = {}
-
-    def register_words(self, r: int, fill: int) -> np.ndarray:
-        """Packed output sequence of register r from ``fill``."""
-        words = self.words.get((r, fill))
-        if words is None:
-            poly = self.sample.spec.polynomials[r]
-            seq, _ = kernels.lfsr_sequence(poly.tapmask, poly.degree, fill,
-                                           self.sample.bits.size)
-            words = self.words[(r, fill)] = pack_words(seq)
-            words.flags.writeable = False
-        return words
-
-
-def _stage_complement(sample: CiphertextSample, stage: AttackStage,
-                      known: dict, kprime: int) -> bool:
-    """The bit s XORed into the stage's data bits; checks the stage."""
-    f = boolfn.apply_key_mask(sample.spec.f0, kprime)
-    chi = boolfn.effective_spectrum(f)[stage.mask]
+def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
+                     known: dict, kprime: int):
+    """(joint rows A_t, data bits d_t, chi) for the stage."""
+    spec = sample.spec
+    f = boolfn.apply_key_mask(spec.f0, kprime)
+    gspec = boolfn.effective_spectrum(f)
+    chi = gspec[stage.mask]
     if chi == 0:
         raise Bsea2Error(f"mask {stage.mask:04b} has zero correlation "
                          f"for K' = {hex_byte(kprime)}")
     if not stage.targets <= mask_registers(stage.mask):
         raise Bsea2Error("stage targets are not covered by its mask; "
                          "their fills would never affect the score")
-    for r in sorted(mask_registers(stage.mask) - stage.targets):
+    consumed = mask_registers(stage.mask) - stage.targets
+    for r in sorted(consumed):
         if r not in known:
             raise MissingKnownRegister(f"stage mask needs recovered R{r}")
+
+    n = sample.bits.size
     # complement the prediction for anti-correlated relations; an
     # ones-heavy plaintext (p0 < 1/2) flips the favored relation again
-    return bool((chi < 0) ^ (sample.model.p0 < 0.5))
-
-
-def _stage_data_bits(cache: _RunCache, stage: AttackStage, consumed,
-                     s: bool):
-    """(joint rows A_t, data bits d_t) for the stage.
-
-    ``consumed`` holds the (register, known fill) pairs of the mask's
-    other registers.
-    """
-    spec = cache.sample.spec
-    n = cache.sample.bits.size
-    words = cache.ct ^ np.uint64((1 << 64) - 1 if s else 0)
-    for r, fill in consumed:
-        words ^= cache.register_words(r, fill)
-    d = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    s = (chi < 0) ^ (sample.model.p0 < 0.5)
+    d = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0)
+    for r in sorted(consumed):
+        poly = sample.spec.polynomials[r]
+        seq, _ = kernels.lfsr_sequence(poly.tapmask, poly.degree, known[r], n)
+        d ^= seq
 
     rows = np.zeros(n, dtype=np.uint64)
     off = 0
@@ -249,27 +213,7 @@ def _stage_data_bits(cache: _RunCache, stage: AttackStage, consumed,
         poly = spec.polynomials[r]
         rows ^= register_rows(poly, n) << np.uint64(off)
         off += poly.degree
-    return rows, d
-
-
-def _stage_entries(cache: _RunCache, stage: AttackStage, known: dict,
-                   kprime: int, block_bits: int, threads: int) -> tuple:
-    """Score-board entries ((fill, Z), ...) of the stage, from the cache
-    when any instance of this search has scored the same relation."""
-    s = _stage_complement(cache.sample, stage, known, kprime)
-    consumed = tuple((r, int(known[r])) for r in
-                     sorted(mask_registers(stage.mask) - stage.targets))
-    key = (stage.mask, stage.targets, consumed, s)
-    entries = cache.boards.get(key)
-    if entries is None:
-        sample = cache.sample
-        rows, d = _stage_data_bits(cache, stage, consumed, s)
-        degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
-        top = _stage_topk(rows, d, degrees, cache.k, block_bits, threads)
-        n = sample.bits.size
-        entries = cache.boards[key] = tuple((fill, (n + corr) // 2)
-                                            for fill, corr in top)
-    return entries
+    return rows, d, chi
 
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
@@ -287,11 +231,66 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
         raise StageTooLarge(
             f"stage needs 2^{stage.exponent} joint states, budget is "
             f"2^{budget}; raise --budget or attack a smaller instance")
-    entries = _stage_entries(_RunCache(sample, k), stage, known, kprime,
-                             block_bits, threads)
+    rows, d, _ = _stage_data_bits(sample, stage, known, kprime)
+    n = sample.bits.size
+    degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
+    top = _stage_topk(rows, d, degrees, k, block_bits, threads)
+    entries = tuple((fill, (n + corr) // 2) for fill, corr in top)
     return ScoreBoard(stage=stage, entries=entries, k=k,
-                      n_candidates=1 << stage.exponent,
-                      n_bits=sample.bits.size)
+                      n_candidates=1 << stage.exponent, n_bits=n)
+
+
+#: Words of packed sequences a run cache keeps per register (8 MB). An
+#: instance that would pass it starts the register's store afresh, so the
+#: cache's memory grows with neither the sample nor the search.
+_CACHE_WORDS = 1 << 20
+
+
+class _RunCache:
+    """Stage top-k lists and packed register sequences of one search.
+
+    It belongs to one sample and one retention k: run_parallel_instances
+    hands one to every run_plan, and a run_plan called alone builds its
+    own. ``boards`` maps (mask, targets, consumed fills in register
+    order, s) to the stage's score-board entries as an integer array, one
+    (fill, Z) row each. ``words[r]`` stacks the packed output sequences
+    (bits.pack_words) of register r that validation has needed, one row
+    per fill, and ``rows[r]`` maps each fill to its row. ``ct`` is the
+    packed sample.
+    """
+
+    def __init__(self, sample: CiphertextSample):
+        self.sample = sample
+        self.ct = pack_words(sample.bits)
+        self.boards = {}
+        self.words = [self._no_words()] * 4
+        self.rows = [{} for _ in range(4)]
+
+    def _no_words(self) -> np.ndarray:
+        return np.empty((0, self.ct.size), dtype=np.uint64)
+
+    def register_words(self, r: int, fills: list):
+        """(store, rows): store[rows[i]] is the packed output sequence of
+        register r from fills[i]; the fills are distinct."""
+        index = self.rows[r]
+        new = [f for f in fills if f not in index]
+        if new:
+            if (len(index) + len(new)) * self.ct.size > _CACHE_WORDS:
+                index.clear()
+                self.words[r] = self._no_words()
+                new = fills
+            poly = self.sample.spec.polynomials[r]
+            n = self.sample.bits.size
+            packed = np.stack([
+                pack_words(kernels.lfsr_sequence(poly.tapmask, poly.degree,
+                                                 f, n)[0])
+                for f in new])
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            self.words[r] = (np.concatenate([self.words[r], packed])
+                             if len(self.words[r]) else packed)
+            self.words[r].flags.writeable = False
+        return self.words[r], np.array([index[f] for f in fills],
+                                       dtype=np.intp)
 
 
 def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
@@ -364,9 +363,9 @@ def _validate_assignments(cache: _RunCache, fills: np.ndarray,
     seqs, slots = [], []
     for r in range(4):
         distinct, slot = np.unique(fills[:, r], return_inverse=True)
-        seqs.append(np.stack([cache.register_words(r, int(fill))
-                              for fill in distinct]))
-        slots.append(slot)
+        store, rows = cache.register_words(r, distinct.tolist())
+        seqs.append(store)
+        slots.append(rows[slot])
     zeros = np.empty(len(fills), dtype=np.int64)
     step = max(1, _VALIDATE_WORDS // ct.size)
     for c in range(0, len(fills), step):
@@ -408,9 +407,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     same sample and k; without one the run builds its own.
     """
     if cache is None:
-        cache = _RunCache(sample, k)
-    elif cache.sample is not sample or cache.k != k:
-        raise ValueError("the run cache belongs to another sample or k")
+        cache = _RunCache(sample)
     kprime = plan.kprime
     spec = sample.spec
     n = sample.bits.size
@@ -433,12 +430,21 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         _, first, inverse = np.unique(beam[:, cols], axis=0,
                                       return_index=True, return_inverse=True)
         order = np.argsort(first)           # scorings by first occurrence
-        boards = [_stage_entries(cache, stage,
-                                 {r: int(beam[first[j], r]) for r in cols},
-                                 kprime, block_bits, threads)
-                  for j in order]
-        joints = np.array([[fill for fill, _ in b] for b in boards],
-                          dtype=np.int64)
+        # the complement bit of score_stage's data bits, the board's only
+        # dependence on K'
+        s = stage.complement ^ (sample.model.p0 < 0.5)
+        boards = []
+        for j in order:
+            known = {r: int(beam[first[j], r]) for r in cols}
+            key = (stage.mask, stage.targets, tuple(known.values()), s)
+            if key not in cache.boards:
+                entries = score_stage(sample, stage, known, kprime, k=k,
+                                      budget=budget, block_bits=block_bits,
+                                      threads=threads).entries
+                cache.boards[key] = np.array(entries, dtype=np.int64
+                                             ).reshape(-1, 2)
+            boards.append(cache.boards[key])
+        joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
         size = len(beam) * joints.shape[1]
         if size > max_candidates:
             raise Bsea2Error(
@@ -468,7 +474,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "eta_s": round(eta, 2) if eta is not None else None,
             "retained": [
                 {"fill": fill_hex(fill, stage.exponent), "score": score}
-                for fill, score in boards[0]
+                for fill, score in boards[0].tolist()
             ],
         })
         if progress is not None:
@@ -546,7 +552,7 @@ def run_parallel_instances(sample: CiphertextSample,
     Per-instance failures are recorded in the status table, never fatal.
     """
     report = partition_keys(sample.spec)
-    cache = _RunCache(sample, k)
+    cache = _RunCache(sample)
     statuses = {}
     transcripts = {}
     best = None

@@ -8,8 +8,6 @@ index packs register outputs as x3 + (x2<<1) + (x1<<2) + (x0<<3): mask bit
 Spectra are exact signed integers; Parseval and table-matching tests rely
 on exactness, so nothing here goes through floats.
 """
-import functools
-
 import numpy as np
 
 from . import kernels
@@ -52,12 +50,10 @@ def correlation_probability(spectrum, u: int) -> float:
     return 0.5 * (1.0 + spectrum[u] / size)
 
 
-@functools.lru_cache(maxsize=None)
 def effective_spectrum(word: int) -> tuple:
     """Spectrum of g = f XOR x0, the combiner the attacker actually sees.
 
-    Since x0 sits at index bit 3, chi_g(u) = chi_f(u ^ 0b1000). Memoised
-    per 16-bit table (at most 2^16 entries): every stage scoring reads it.
+    Since x0 sits at index bit 3, chi_g(u) = chi_f(u ^ 0b1000).
     """
     base = walsh_transform(word, 4)
     return tuple(base[u ^ (1 << R0_INDEX_BIT)] for u in range(16))

@@ -271,8 +271,8 @@ def validation_beam(spec, key, rng, wrong):
 
 
 def batched_validations(sample, beam, kprime):
-    cache = attack._RunCache(sample, attack.DEFAULT_RETENTION)
-    zeros = attack._validate_assignments(cache, beam, kprime)
+    zeros = attack._validate_assignments(attack._RunCache(sample), beam,
+                                         kprime)
     z, passed = attack._judge(zeros, sample.bits.size, sample.model.p0)
     return zeros, z, passed
 
@@ -480,15 +480,21 @@ class TestSharedRunCache:
     must give what attacking every instance on its own gives."""
 
     # p0 0.2 flips the complement bit s of every stage against p0 0.9;
-    # budget 22 leaves out the four C4 instances (2^29 stages) for speed
-    @pytest.mark.parametrize("p0, budget, block_bits", [
-        (0.9, 22, DEFAULT_BLOCK_BITS),
-        (0.2, 22, DEFAULT_BLOCK_BITS),
-        (0.9, 16, 8),
-        (0.2, 16, 8),
+    # budget 22 leaves out the four C4 instances (2^29 stages) for speed.
+    # A store of 40 sequences (32 words each) per register makes the
+    # cache start its stores afresh every few instances.
+    @pytest.mark.parametrize("p0, budget, block_bits, cache_words", [
+        (0.9, 22, DEFAULT_BLOCK_BITS, None),
+        (0.2, 22, DEFAULT_BLOCK_BITS, None),
+        (0.9, 16, 8, None),
+        (0.2, 16, 8, None),
+        (0.2, 16, DEFAULT_BLOCK_BITS, 40 * 32),
     ])
     def test_shared_search_equals_standalone_plans(self, p0, budget,
-                                                   block_bits, make_sample):
+                                                   block_bits, cache_words,
+                                                   make_sample, monkeypatch):
+        if cache_words is not None:
+            monkeypatch.setattr(attack, "_CACHE_WORDS", cache_words)
         rng = np.random.default_rng(84)
         report = partition_keys(MINI_SPEC)
         key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
@@ -506,17 +512,6 @@ class TestSharedRunCache:
         assert shared.best is not None and shared.best.key == key
         recovered = [st for st in statuses if st.status == "recovered"]
         assert [st.best for st in recovered] == [shared.best]
-
-    def test_run_cache_belongs_to_one_sample_and_k(self, make_sample):
-        rng = np.random.default_rng(85)
-        key = random_key(MINI_SPEC, rng, kprime=0x00)
-        sample, _ = make_sample(MINI_SPEC, key, 256, 0.9, rng)
-        other, _ = make_sample(MINI_SPEC, key, 256, 0.9, rng)
-        plan = plan_attack(MINI_SPEC, 0x00)
-        with pytest.raises(ValueError):
-            run_plan(sample, plan, k=3, cache=attack._RunCache(sample, 4))
-        with pytest.raises(ValueError):
-            run_plan(sample, plan, k=3, cache=attack._RunCache(other, 3))
 
 
 def test_split_joint_fill_round_trip():
