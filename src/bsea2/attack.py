@@ -11,9 +11,11 @@ is computed for every I at once through a Walsh-Hadamard accumulation:
 scatter (-1)^(d_t) into a table indexed by A_t, transform, and read
 Z = (N + corr)/2. This is bit-exact with per-candidate re-encryption (the
 scalar oracle in the tests) while touching each candidate O(1) times.
-Stages wider than ``block_bits`` are evaluated in fixed-size blocks over
-the high fill bits, so memory stays bounded and blocks can run on a thread
-pool; results merge deterministically (score desc, then smallest fill).
+The parents of a stage differ only in known_t, so all of them are scored
+in one call: one table row each, transformed together. Stages wider than
+``block_bits`` are evaluated in fixed-size blocks over the high fill bits,
+so memory stays bounded and blocks can run on a thread pool; results
+merge deterministically (score desc, then smallest fill).
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -99,89 +101,115 @@ def register_rows(poly, n: int) -> np.ndarray:
 _EXCLUDED = np.iinfo(np.int32).min
 
 
-def _topk_block(corr: np.ndarray, base: int, k: int):
-    """Top-k of one block by (corr desc, index asc); exact under ties.
+def _topk_rows(corr: np.ndarray, base: int, k: int) -> list:
+    """Top-k of each row of a 2-D block by (corr desc, index asc); exact
+    under ties.
 
-    Entries at _EXCLUDED are left out, so fewer than k may come back.
+    Row i gives a (fills, corrs) pair of int64 arrays, its fills counted
+    from ``base``. Entries at _EXCLUDED are left out, so fewer than k may
+    come back.
     """
-    size = corr.size
-    if size <= k:
-        idx = np.arange(size)
+    n_rows, size = corr.shape
+    if size > k:
+        kth = np.partition(corr, size - k, axis=1)[:, size - k]
+        hit = np.flatnonzero(corr >= kth[:, None])
     else:
-        kth = np.partition(corr, size - k)[size - k]
-        idx = np.nonzero(corr >= kth)[0]
-    order = np.lexsort((idx, -corr[idx]))
-    sel = idx[order][:k]
-    return [(base + int(i), int(corr[i])) for i in sel
-            if corr[i] != _EXCLUDED]
+        hit = np.arange(corr.size)
+    c = corr.reshape(-1)[hit].astype(np.int64)
+    hit, c = hit[c != _EXCLUDED], c[c != _EXCLUDED]
+    r, i = np.divmod(hit, size)
+    order = np.lexsort((i, -c, r))
+    i, c = i[order] + base, c[order]
+    bounds = np.searchsorted(r[order], np.arange(n_rows + 1))
+    return [(i[a:min(b, a + k)], c[a:min(b, a + k)])
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
     """Mark every fill of the block with an all-zero register part.
 
-    The block holds fills base .. base + corr.size - 1 (base a multiple of
-    the power-of-two size); ``parts`` are the (offset, degree) of each
-    register in the joint fill. key_setup rejects such keys, and in a
-    stage that consumes a known register, fill 0 would score as that
-    register's own relation. The cost is one strided write per register.
+    The block holds fills base .. base + size - 1 along corr's last axis
+    (base a multiple of the power-of-two size); a 2-D corr holds one such
+    block per row. ``parts`` are the (offset, degree) of each register in
+    the joint fill. key_setup rejects such keys, and in a stage that
+    consumes a known register, fill 0 would score as that register's own
+    relation. The cost is one strided write per register.
     """
-    low = corr.size.bit_length() - 1
+    low = corr.shape[-1].bit_length() - 1
     for off, deg in parts:
         if (base >> off) & ((1 << deg) - 1):
             continue
         top = min(off + deg, low)
         if off >= top:
-            corr[:] = _EXCLUDED
+            corr[...] = _EXCLUDED
         else:
             corr.reshape(-1, 1 << (top - off), 1 << off)[:, 0, :] = _EXCLUDED
 
 
 def _scatter(rows: np.ndarray, signs: np.ndarray, nbits: int) -> np.ndarray:
-    w = np.zeros(1 << nbits, dtype=np.int32)
-    np.add.at(w, rows.astype(np.int64), signs)
+    """(P, 2^nbits) table whose row p sums signs[p, t] at index rows[t]."""
+    w = np.zeros((len(signs), 1 << nbits), dtype=np.int32)
+    idx = (rows.astype(np.int64)
+           + (np.arange(len(signs), dtype=np.int64) << nbits)[:, None])
+    np.add.at(w.reshape(-1), idx.ravel(), signs.ravel())
     return w
 
 
 def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
                 block_bits: int, threads: int):
-    """(fill, corr) top-k over all joint fills of registers of ``degrees``
-    (lowest bits first) whose every register part is non-zero."""
+    """(fills, corrs) top-k arrays of each row of data bits ``d``, over all
+    joint fills of registers of ``degrees`` (lowest bits first) whose
+    every register part is non-zero.
+
+    A stage of at most ``block_bits`` bits scatters every row into one
+    table and transforms it in one call. A wider stage runs its blocks
+    over the high fill bits for one row at a time.
+    """
     exponent = sum(degrees)
     parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
-    signs = (1 - 2 * d.astype(np.int32))
+    signs = d.astype(np.int32)
+    signs *= -2
+    signs += 1
     if exponent <= block_bits:
         w = _scatter(rows, signs, exponent)
         kernels.fwht_inplace(w)
         _exclude_zero_parts(w, 0, parts)
-        return _topk_block(w, 0, k)
+        return _topk_rows(w, 0, k)
 
     lo_bits = block_bits
     lo_mask = np.uint64((1 << lo_bits) - 1)
     rows_lo = rows & lo_mask
     rows_hi = rows >> np.uint64(lo_bits)
+    n_blocks = 1 << (exponent - lo_bits)
 
-    def run_block(hi: int):
+    def run_block(col, hi: int):
         par = kernels.parity_u64(rows_hi & np.uint64(hi))
-        adj = signs * (1 - 2 * par.astype(np.int32))
-        w = _scatter(rows_lo, adj, lo_bits)
+        adj = col * (1 - 2 * par.astype(np.int32))
+        w = _scatter(rows_lo, adj[None], lo_bits)
         kernels.fwht_inplace(w)
         _exclude_zero_parts(w, hi << lo_bits, parts)
-        return _topk_block(w, hi << lo_bits, k)
+        return _topk_rows(w, hi << lo_bits, k)[0]
 
-    n_blocks = 1 << (exponent - lo_bits)
+    def column_topk(col, map_blocks):
+        fills, corrs = (np.concatenate(part) for part in zip(
+            *map_blocks(lambda hi: run_block(col, hi), range(n_blocks))))
+        order = np.lexsort((fills, -corrs))[:k]
+        return fills[order], corrs[order]
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_block = list(pool.map(run_block, range(n_blocks)))
-    else:
-        per_block = [run_block(hi) for hi in range(n_blocks)]
-    merged = [entry for block in per_block for entry in block]
-    merged.sort(key=lambda fc: (-fc[1], fc[0]))
-    return merged[:k]
+            return [column_topk(col, pool.map) for col in signs]
+    return [column_topk(col, map) for col in signs]
 
 
-def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
-                     known: dict, kprime: int):
-    """(joint rows A_t, data bits d_t, chi) for the stage."""
+def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
+                  knowns: list, kprime: int):
+    """(joint rows A_t, c XOR s, consumed registers) for the stage.
+
+    Checks that the stage's mask correlates under K', that it covers the
+    targets and that every dict of ``knowns`` holds the registers the mask
+    consumes.
+    """
     spec = sample.spec
     f = boolfn.apply_key_mask(spec.f0, kprime)
     gspec = boolfn.effective_spectrum(f)
@@ -192,20 +220,17 @@ def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
     if not stage.targets <= mask_registers(stage.mask):
         raise Bsea2Error("stage targets are not covered by its mask; "
                          "their fills would never affect the score")
-    consumed = mask_registers(stage.mask) - stage.targets
-    for r in sorted(consumed):
-        if r not in known:
-            raise MissingKnownRegister(f"stage mask needs recovered R{r}")
+    consumed = sorted(mask_registers(stage.mask) - stage.targets)
+    for known in knowns:
+        for r in consumed:
+            if r not in known:
+                raise MissingKnownRegister(f"stage mask needs recovered R{r}")
 
     n = sample.bits.size
     # complement the prediction for anti-correlated relations; an
     # ones-heavy plaintext (p0 < 1/2) flips the favored relation again
     s = (chi < 0) ^ (sample.model.p0 < 0.5)
-    d = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0)
-    for r in sorted(consumed):
-        poly = sample.spec.polynomials[r]
-        seq, _ = kernels.lfsr_sequence(poly.tapmask, poly.degree, known[r], n)
-        d ^= seq
+    d0 = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0)
 
     rows = np.zeros(n, dtype=np.uint64)
     off = 0
@@ -213,15 +238,29 @@ def _stage_data_bits(sample: CiphertextSample, stage: AttackStage,
         poly = spec.polynomials[r]
         rows ^= register_rows(poly, n) << np.uint64(off)
         off += poly.degree
-    return rows, d, chi
+    return rows, d0, consumed
 
 
-def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
+#: Cells (parents x sample bits, or parents x table entries) that one
+#: batch of a stage scoring holds, and register sequences x sample bits
+#: that one packing pass holds; so memory grows with neither the beam nor
+#: the number of sequences.
+_BATCH_CELLS = 1 << 20
+
+
+def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 kprime: int, k: int = DEFAULT_RETENTION,
                 budget: int = DEFAULT_BUDGET_EXPONENT,
                 block_bits: int = DEFAULT_BLOCK_BITS,
-                threads: int = 1) -> ScoreBoard:
+                threads: int = 1) -> ScoreBoard | list[ScoreBoard]:
     """Score every joint fill of the stage's targets; retain the top k.
+
+    ``known`` maps each register the mask consumes to its recovered fill
+    and gives one ScoreBoard. A list of such dicts gives one board per
+    dict, in order: the rows and the complemented ciphertext are built
+    once, each consumed register's sequence once per distinct fill (from
+    the memoised linear forms), and each batch of _BATCH_CELLS cells is
+    scattered into one table and transformed in one call.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -231,13 +270,29 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known: dict,
         raise StageTooLarge(
             f"stage needs 2^{stage.exponent} joint states, budget is "
             f"2^{budget}; raise --budget or attack a smaller instance")
-    rows, d, _ = _stage_data_bits(sample, stage, known, kprime)
+    knowns = known if isinstance(known, list) else [known]
+    rows, d0, consumed = _stage_inputs(sample, stage, knowns, kprime)
     n = sample.bits.size
     degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
-    top = _stage_topk(rows, d, degrees, k, block_bits, threads)
-    entries = tuple((fill, (n + corr) // 2) for fill, corr in top)
-    return ScoreBoard(stage=stage, entries=entries, k=k,
-                      n_candidates=1 << stage.exponent, n_bits=n)
+    step = max(1, _BATCH_CELLS // max(n, 1 << min(stage.exponent,
+                                                  block_bits)))
+    boards = []
+    for c in range(0, len(knowns), step):
+        batch = knowns[c:c + step]
+        d = np.broadcast_to(d0, (len(batch), n))
+        for r in consumed:
+            fills, slot = np.unique([kn[r] for kn in batch],
+                                    return_inverse=True)
+            poly = sample.spec.polynomials[r]
+            d = d ^ kernels.sequences(poly.tapmask, poly.degree, fills,
+                                      n)[slot]
+        for fills, corrs in _stage_topk(rows, d, degrees, k, block_bits,
+                                        threads):
+            entries = tuple(zip(fills.tolist(), ((n + corrs) // 2).tolist()))
+            boards.append(ScoreBoard(stage=stage, entries=entries, k=k,
+                                     n_candidates=1 << stage.exponent,
+                                     n_bits=n))
+    return boards if isinstance(known, list) else boards[0]
 
 
 #: Words of packed sequences a run cache keeps per register (8 MB). An
@@ -281,10 +336,11 @@ class _RunCache:
                 new = fills
             poly = self.sample.spec.polynomials[r]
             n = self.sample.bits.size
-            packed = np.stack([
-                pack_words(kernels.lfsr_sequence(poly.tapmask, poly.degree,
-                                                 f, n)[0])
-                for f in new])
+            step = max(1, _BATCH_CELLS // n)
+            packed = np.concatenate([
+                pack_words(kernels.sequences(poly.tapmask, poly.degree,
+                                             new[c:c + step], n))
+                for c in range(0, len(new), step)])
             index.update(zip(new, range(len(index), len(index) + len(new))))
             self.words[r] = (np.concatenate([self.words[r], packed])
                              if len(self.words[r]) else packed)
@@ -427,30 +483,40 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         t_start = time.monotonic()
         cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
                 if r in assigned]
-        _, first, inverse = np.unique(beam[:, cols], axis=0,
-                                      return_index=True, return_inverse=True)
-        order = np.argsort(first)           # scorings by first occurrence
+        if cols:
+            _, first, inverse = np.unique(beam[:, cols], axis=0,
+                                          return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)       # scorings by first occurrence
+            parents = [{r: int(beam[j, r]) for r in cols}
+                       for j in first[order]]
+            pick = np.argsort(order)[inverse.ravel()]
+        else:
+            # nothing consumed: one scoring serves every parent
+            parents = [{}]
+            pick = np.zeros(len(beam), dtype=np.intp)
         # the complement bit of score_stage's data bits, the board's only
         # dependence on K'
         s = stage.complement ^ (sample.model.p0 < 0.5)
-        boards = []
-        for j in order:
-            known = {r: int(beam[first[j], r]) for r in cols}
-            key = (stage.mask, stage.targets, tuple(known.values()), s)
-            if key not in cache.boards:
-                entries = score_stage(sample, stage, known, kprime, k=k,
-                                      budget=budget, block_bits=block_bits,
-                                      threads=threads).entries
-                cache.boards[key] = np.array(entries, dtype=np.int64
-                                             ).reshape(-1, 2)
-            boards.append(cache.boards[key])
+        keys = [(stage.mask, stage.targets, tuple(known.values()), s)
+                for known in parents]
+        misses = [i for i, key in enumerate(keys) if key not in cache.boards]
+        if misses:
+            scored = score_stage(sample, stage, [parents[i] for i in misses],
+                                 kprime, k=k, budget=budget,
+                                 block_bits=block_bits, threads=threads)
+            for i, board in zip(misses, scored):
+                cache.boards[keys[i]] = np.array(board.entries,
+                                                 dtype=np.int64
+                                                 ).reshape(-1, 2)
+        boards = [cache.boards[key] for key in keys]
         joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
         size = len(beam) * joints.shape[1]
         if size > max_candidates:
             raise Bsea2Error(
                 f"beam grew to {size} candidates; lower the "
                 f"retention k (currently {k})")
-        children = joints[np.argsort(order)[inverse.ravel()]].ravel()
+        children = joints[pick].ravel()
         beam = np.repeat(beam, joints.shape[1], axis=0)
         for r, col in split_joint_fill(spec, stage.targets, children).items():
             beam[:, r] = col

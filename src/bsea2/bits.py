@@ -17,14 +17,17 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a bit array into little-endian uint64 words.
+    """Pack a bit array into little-endian uint64 words along its last axis.
 
     Bit t lands in word t // 64 at bit t % 64 (LSB first, unlike the file
-    convention); the last word's unused high bits are 0.
+    convention); the last word's unused high bits are 0. A 2-D array packs
+    each row on its own.
     """
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    if packed.size % 8:
-        packed = np.pad(packed, (0, -packed.size % 8))
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1,
+                         bitorder="little")
+    if packed.shape[-1] % 8:
+        pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+        packed = np.pad(packed, pad)
     return packed.view("<u8")
 
 

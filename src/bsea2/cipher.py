@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolfn, kernels
-from .errors import DegenerateKey, UnreadableInput, WrongKeyLength
+from .errors import (DegenerateKey, InvalidSpec, UnreadableInput,
+                     WrongKeyLength)
 from .lfsr import (LfsrState, P0, P1, P2, P3, make_polynomial,
                    polynomial_from_list)
 
@@ -85,12 +86,32 @@ MINI_SPEC = InstanceSpec(
 _NAMED_SPECS = {"default": DEFAULT_SPEC, "mini": MINI_SPEC}
 
 
-def spec_from_json_dict(data: dict) -> InstanceSpec:
-    polys = tuple(polynomial_from_list(v) for v in data["polynomials"])
-    f0 = data["f0"]
-    if isinstance(f0, str):
-        f0 = int(f0, 16)
-    return InstanceSpec(data.get("name", "custom"), polys, f0)
+def spec_from_json_dict(data) -> InstanceSpec:
+    """The spec of a JSON object in InstanceSpec.to_json_dict's form.
+
+    Anything else raises InvalidSpec: not an object, a missing key, a
+    polynomial that is not a list of integers, an f0 that is not an
+    integer or a hex string, or registers an instance cannot use.
+    """
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"a spec is a JSON object, not a "
+                          f"{type(data).__name__}")
+    try:
+        polys, f0 = data["polynomials"], data["f0"]
+        name = data.get("name", "custom")
+        if isinstance(f0, str):
+            f0 = int(f0, 16)
+        if not (isinstance(polys, list) and type(f0) is int
+                and isinstance(name, str)
+                and all(isinstance(p, list) and p
+                        and all(type(v) is int for v in p) for p in polys)):
+            raise TypeError("a field has the wrong type")
+        return InstanceSpec(name, tuple(polynomial_from_list(p)
+                                        for p in polys), f0)
+    except KeyError as exc:
+        raise InvalidSpec(f"spec has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"not a valid spec: {exc}") from None
 
 
 def load_spec(selector: str) -> InstanceSpec:
@@ -98,12 +119,16 @@ def load_spec(selector: str) -> InstanceSpec:
     if selector in _NAMED_SPECS:
         return _NAMED_SPECS[selector]
     try:
-        with open(selector) as fh:
+        with open(selector, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         raise UnreadableInput(f"cannot read spec {selector}: "
                               f"{exc.strerror}") from None
-    return spec_from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InvalidSpec(f"spec {selector} is not JSON: {exc}") from None
+    return spec_from_json_dict(data)
 
 
 @dataclass(frozen=True)

@@ -55,5 +55,9 @@ class UnreadableInput(Bsea2Error):
     """An input file could not be opened or read."""
 
 
+class InvalidSpec(Bsea2Error):
+    """A spec file was read but does not describe an instance."""
+
+
 class WrongLength(Bsea2Error):
     """Bit stream has the wrong length for the requested statistical test."""

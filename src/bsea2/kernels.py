@@ -6,9 +6,10 @@ test suite define what it must compute.
 Output bit t of a register with fill I is parity(r_t & I), where r_t is
 the t-th linear form of the recurrence (``linear_forms``). The rows are
 built once per feedback polynomial and shared, read-only, by the sequence
-kernel and the attack's stage scorer. Sequences come CHUNK bits at a time:
-the degree bits that follow a chunk are the register's stages at its end,
-so they are the next chunk's fill.
+kernels and the attack's stage scorer. ``lfsr_sequence`` makes one long
+sequence CHUNK bits at a time: the degree bits that follow a chunk are
+the register's stages at its end, so they are the next chunk's fill.
+``sequences`` makes the sequences of many fills in one pass over the rows.
 
 The transform splits H_{2^m} into Kronecker factors (Fino and Algazi
 1976) and applies each as a matrix product through NumPy's BLAS. H_k
@@ -95,6 +96,20 @@ def lfsr_sequence(tapmask: int, degree: int, fill: int, n: int):
     return out[:n], state
 
 
+def sequences(tapmask: int, degree: int, fills, n: int) -> np.ndarray:
+    """First n output bits of the register from each of ``fills``.
+
+    Row i of the (len(fills), n) uint8 result is
+    lfsr_sequence(tapmask, degree, fills[i], n)[0], computed in one pass
+    as parity(r_t & fill) over the memoised rows; the pass holds one
+    uint64 per output bit, so callers bound len(fills) * n.
+    """
+    rows = linear_forms(tapmask, degree, n)
+    bits = np.bitwise_count(rows & np.asarray(fills, np.uint64)[:, None])
+    bits &= 1
+    return bits
+
+
 @functools.lru_cache(maxsize=None)
 def _hadamard(bits: int, dtype) -> np.ndarray:
     idx = np.arange(1 << bits)
@@ -133,38 +148,47 @@ def _transform_bits(src, dst, bits: int, stride: int):
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform of an int32 array, in place.
 
-    a[u] becomes sum_x a[x] * (-1)^<x,u>; length must be a power of two
-    and the results must fit in int32.
+    a[u] becomes sum_x a[x] * (-1)^<x,u>. A 2-D array has each row (its
+    last axis) transformed on its own. The transform length must be a power
+    of two and the results must fit in int32.
 
-    The low _BLOCK_BITS index bits are transformed one cache-sized block
-    at a time, in two small work buffers; the remaining bits take one
-    pass over the whole array per factor, against one scratch array.
+    The array is taken as one flat run of rows. Its low _BLOCK_BITS index
+    bits are transformed one cache-sized block at a time, in two small work
+    buffers; a block holds whole rows or a part of one. The bits above a
+    block take one pass over the whole array per factor, against one
+    scratch array. float32 runs when every row's absolute sum is at most
+    2^24, which makes every row's results exact.
     """
-    if a.dtype != np.int32 or a.ndim != 1:
-        raise ValueError("fwht_inplace expects a 1-D int32 array")
-    if a.size & (a.size - 1):
+    if a.dtype != np.int32 or a.ndim not in (1, 2):
+        raise ValueError("fwht_inplace expects a 1-D or 2-D int32 array")
+    m = a.shape[-1]
+    if m & (m - 1):
         raise ValueError("length must be a power of two")
     if not a.flags.c_contiguous:
         raise ValueError("fwht_inplace expects a contiguous array")
-    n = a.size
-    if n < 2:
+    if m < 2 or a.size == 0:
         return
-    block = min(n, 1 << _BLOCK_BITS)
-    total = sum(int(np.abs(a[i:i + block]).sum(dtype=np.int64))
-                for i in range(0, n, block))
-    if total <= _FLOAT32_EXACT:
-        out = a.view(np.float32)    # each block is read before it is written
+    flat = a.reshape(-1)
+    block = min(flat.size, 1 << _BLOCK_BITS)
+    seg = min(m, block)             # the row bits a block transforms
+    sums = np.concatenate([
+        np.abs(flat[i:i + block].reshape(-1, seg)).sum(axis=1, dtype=np.int64)
+        for i in range(0, flat.size, block)])
+    if sums.reshape(-1, m // seg).sum(axis=1).max() <= _FLOAT32_EXACT:
+        out = flat.view(np.float32)  # each block is read before it is written
     else:
-        out = np.empty(n, dtype=np.float64)
+        out = np.empty(flat.size, dtype=np.float64)
     work = (np.empty(block, out.dtype), np.empty(block, out.dtype))
-    low = block.bit_length() - 1
-    for i in range(0, n, block):
-        work[0][...] = a[i:i + block]
-        out[i:i + block] = _transform_bits(*work, low, 1)
-    if n > block:
-        out = _transform_bits(out, np.empty(n, out.dtype),
-                              n.bit_length() - 1 - low, block)
-    a[...] = out
+    low = seg.bit_length() - 1
+    for i in range(0, flat.size, block):
+        size = min(block, flat.size - i)
+        work[0][:size] = flat[i:i + size]
+        out[i:i + size] = _transform_bits(work[0][:size], work[1][:size],
+                                          low, 1)
+    if m > seg:
+        out = _transform_bits(out, np.empty(flat.size, out.dtype),
+                              m.bit_length() - 1 - low, seg)
+    flat[...] = out
 
 
 def parity_u64(v: np.ndarray) -> np.ndarray:

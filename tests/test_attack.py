@@ -14,7 +14,8 @@ from bsea2.errors import (EmptyBeam, MissingKnownRegister, StageTooLarge,
                           Unattackable)
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
-from oracles import oracle_all_scores, oracle_topk, oracle_validation_zeros
+from oracles import (oracle_all_scores, oracle_topk, oracle_validation_zeros,
+                     scalar_sequence)
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 MINI_953F = InstanceSpec("mini-953F", MINI_SPEC.polynomials, 0x953F)
@@ -171,11 +172,16 @@ class TestScoreStage:
         key = random_key(MINI_953F, rng, kprime=0x02)
         sample = keystream_sample(MINI_953F, key, 256)
         stage = stage_for(MINI_953F, 0x02, 0b1100)
+        # k = 65000 lies between the 64,897 possible fills and the table
+        # size; the single-block path once ranked 536 excluded fills in
+        # it and dropped as many possible ones
         possible = [j for j in range(1 << 16) if j & 0x7F and j >> 7]
-        boards = [score_stage(sample, stage, {}, 0x02, k=1 << 16,
-                              block_bits=bits) for bits in (24, 10, 6)]
-        assert sorted(boards[0].fills()) == possible
-        assert boards[0].entries == boards[1].entries == boards[2].entries
+        for k in (1 << 16, 65000):
+            boards = [score_stage(sample, stage, {}, 0x02, k=k,
+                                  block_bits=bits) for bits in (24, 10, 6)]
+            assert sorted(boards[0].fills()) == possible
+            assert (boards[0].entries == boards[1].entries
+                    == boards[2].entries)
 
     def test_tie_break_smallest_fill(self):
         # a one-bit sample ties half the candidates at Z = 1
@@ -199,6 +205,47 @@ class TestScoreStage:
                                model=sample.model, spec=sample.spec)
         full_rev = oracle_all_scores(rev, stage, {}, 0xBD)
         assert int(full.sum()) == int(full_rev.sum())
+
+    # mask 1011 scores R0 against recovered R2 and R3 (chi = -4 under
+    # K' 0x02); p0 0.2 flips the complement bit s against p0 0.9. Seven
+    # parents repeat fills of both registers; a batch of 2 x 160 cells
+    # splits them into four batches.
+    @pytest.mark.parametrize("p0", [0.9, 0.2])
+    @pytest.mark.parametrize("block_bits", [DEFAULT_BLOCK_BITS, 6])
+    @pytest.mark.parametrize("parents, cells", [(1, None), (2, None),
+                                                (7, 2 * 160)])
+    def test_batch_equals_single_calls_and_oracle(self, p0, block_bits,
+                                                  parents, cells,
+                                                  make_sample, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(attack, "_BATCH_CELLS", cells)
+        rng = np.random.default_rng(24)
+        key = random_key(MINI_SPEC, rng, kprime=0x02)
+        fills, _ = split_key(MINI_SPEC, key)
+        sample, _ = make_sample(MINI_SPEC, key, 160, p0, rng)
+        stage = stage_for(MINI_SPEC, 0x02, 0b1011, known=frozenset({2, 3}))
+        r2 = [fills[2], 5, 77]
+        r3 = [fills[3], 1000]
+        knowns = [{2: r2[i % 3], 3: r3[i % 2]} for i in range(parents)]
+        batch = score_stage(sample, stage, knowns, 0x02, k=20,
+                            block_bits=block_bits)
+        assert len(batch) == parents
+        for known, board in zip(knowns, batch):
+            one = score_stage(sample, stage, known, 0x02, k=20,
+                              block_bits=block_bits)
+            assert board == one
+            expected = oracle_all_scores(sample, stage, known, 0x02)
+            assert list(board.entries) == oracle_topk(
+                expected, 20, target_degrees(MINI_SPEC, stage))
+
+    def test_empty_batch_still_checks_the_stage(self):
+        rng = np.random.default_rng(25)
+        key = random_key(MINI_953F, rng, kprime=0xBD)
+        sample = keystream_sample(MINI_953F, key, 64)
+        stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
+        assert score_stage(sample, stage, [], 0xBD) == []
+        with pytest.raises(MissingKnownRegister):
+            score_stage(sample, stage, [{0: 3}, {}], 0xBD)
 
     def test_budget_refusal(self):
         rng = np.random.default_rng(51)
@@ -332,6 +379,31 @@ class TestValidateAssignments:
         beam = validation_beam(MINI_SPEC, key, rng, 6)
         zeros, _, _ = batched_validations(sample, beam, kprime)
         assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
+
+
+class TestRegisterWords:
+    """The run cache's packed sequences, several fills to a pass."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+    def test_packed_sequences_match_scalar_oracle(self, n, monkeypatch):
+        # passes of three fills: 2 then 7 fills (5 new) take 1 + 2 passes
+        monkeypatch.setattr(attack, "_BATCH_CELLS", 3 * n)
+        rng = np.random.default_rng(100 + n)
+        sample = CiphertextSample(bits=rng.integers(0, 2, n, dtype=np.uint8),
+                                  model=PlaintextModel(0.9), spec=MINI_SPEC)
+        cache = attack._RunCache(sample)
+        for r, poly in enumerate(MINI_SPEC.polynomials):
+            fills = [1, (1 << poly.degree) - 1] + rng.choice(
+                np.arange(2, (1 << poly.degree) - 1), 5, replace=False
+            ).tolist()
+            cache.register_words(r, fills[:2])
+            store, rows = cache.register_words(r, fills[::-1])
+            assert store.shape == (7, -(-n // 64))
+            for fill, row in zip(fills[::-1], rows):
+                bits = np.unpackbits(store[row].view(np.uint8),
+                                     bitorder="little")
+                assert bits[:n].tolist() == scalar_sequence(poly, fill, n)[0]
+                assert not bits[n:].any()
 
 
 class TestRunPlan:

@@ -254,8 +254,21 @@ def _bad_input_cases():
          "--nbits", "8", "--out", "{tmp}/ks.bin"],
         ["fips", "--in", "{tmp}/missing.bin"],
     ]
+    # readable files that are not a spec; each is written by the test
+    invalid = [["partition", "--spec", "{tmp}/" + spec_file]
+               for spec_file in BAD_SPECS]
     return ([(argv, 2, f"argument {flag}: ") for argv, flag in usage]
-            + [(argv, 1, "error: UnreadableInput: ") for argv in domain])
+            + [(argv, 1, "error: UnreadableInput: ") for argv in domain]
+            + [(argv, 1, "error: InvalidSpec: ") for argv in invalid])
+
+
+BAD_SPECS = {
+    "malformed.json": '{"polynomials": [',
+    "no-polynomials.json": '{"f0": "0x93A0"}',
+    "bad-f0.json": ('{"polynomials": [[7, 1, 0], [9, 4, 0], [11, 2, 0], '
+                    '[13, 4, 3, 1, 0]], "f0": "zz"}'),
+    "list.json": '[[7, 1, 0], [9, 4, 0]]',
+}
 
 
 @pytest.mark.parametrize("argv, code, name", _bad_input_cases(),
@@ -264,8 +277,11 @@ def _bad_input_cases():
 def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
                                             name):
     # out-of-range values are usage errors (exit 2), caught at parse
-    # time; unreadable files are domain errors (exit 1) named on stderr
+    # time; unreadable files and invalid specs are domain errors (exit 1)
+    # named on stderr
     (tmp_path / "c.bin").write_bytes(b"\x00" * 16)
+    for spec_file, text in BAD_SPECS.items():
+        (tmp_path / spec_file).write_text(text)
     try:
         got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     except SystemExit as exc:

@@ -47,6 +47,17 @@ def test_sequence_matches_scalar_oracle_across_chunks(poly, n):
     assert state == final
 
 
+@pytest.mark.parametrize("poly", [P0, MINI_SPEC.polynomials[3], P64],
+                         ids=lambda p: f"L{p.degree}")
+def test_sequences_match_scalar_oracle(poly):
+    n = 300
+    fills = [1, (1 << poly.degree) - 1, (1 << (poly.degree - 1)) | 0x2D]
+    seqs = kernels.sequences(poly.tapmask, poly.degree, fills, n)
+    assert seqs.dtype == np.uint8 and seqs.shape == (3, n)
+    for fill, seq in zip(fills, seqs):
+        assert seq.tolist() == scalar_sequence(poly, fill, n)[0]
+
+
 def test_sequence_rejects_negative_length():
     # -1 + degree would still be a valid buffer size
     with pytest.raises(ValueError):
@@ -119,6 +130,24 @@ def test_fwht_matches_butterfly(bits, total, signed):
     assert np.array_equal(a, expected)
 
 
+# Rows of 2^4 (many to a block), 2^10 (the last block partial) and 2^18
+# (a row over two blocks). Every row has an absolute sum of 2^24, so
+# float32 is exact for each although the array's sum is far above 2^24;
+# an all-positive last row of 2^24 + 1 makes the whole array float64.
+@pytest.mark.parametrize("bits,count", [(4, 5), (10, 200), (18, 3)])
+@pytest.mark.parametrize("last,signed", [
+    (1 << 24, True), ((1 << 24) + 1, False)], ids=["at-2^24", "above-2^24"])
+def test_fwht_2d_matches_each_row(bits, count, last, signed):
+    a = np.stack([_input_with_abs_sum(1 << bits,
+                                      last if i == count - 1 else 1 << 24,
+                                      signed, seed=bits + i)
+                  for i in range(count)])
+    expected = [butterfly_wht(row) for row in a]
+    kernels.fwht_inplace(a)
+    assert a.dtype == np.int32 and a.shape == (count, 1 << bits)
+    assert all(np.array_equal(row, want) for row, want in zip(a, expected))
+
+
 def test_fwht_rejects_bad_input():
     with pytest.raises(ValueError):
         kernels.fwht_inplace(np.zeros(3, np.int32))
@@ -126,6 +155,12 @@ def test_fwht_rejects_bad_input():
         kernels.fwht_inplace(np.zeros(4, np.int64))
     with pytest.raises(ValueError):
         kernels.fwht_inplace(np.zeros(8, np.int32)[::2])
+    with pytest.raises(ValueError):
+        kernels.fwht_inplace(np.zeros((2, 3), np.int32))
+    with pytest.raises(ValueError):
+        kernels.fwht_inplace(np.zeros((4, 4), np.int32)[:, ::2])
+    with pytest.raises(ValueError):
+        kernels.fwht_inplace(np.zeros((2, 2, 2), np.int32))
 
 
 def test_parity_u64():
