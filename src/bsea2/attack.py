@@ -281,10 +281,11 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
         batch = knowns[c:c + step]
         d = np.broadcast_to(d0, (len(batch), n))
         for r in consumed:
-            fills, slot = np.unique([kn[r] for kn in batch],
-                                    return_inverse=True)
+            distinct, slot = np.unique(
+                np.array([kn[r] for kn in batch], dtype=np.uint64),
+                return_inverse=True)
             poly = sample.spec.polynomials[r]
-            d = d ^ kernels.sequences(poly.tapmask, poly.degree, fills,
+            d = d ^ kernels.sequences(poly.tapmask, poly.degree, distinct,
                                       n)[slot]
         for fills, corrs in _stage_topk(rows, d, degrees, k, block_bits,
                                         threads):

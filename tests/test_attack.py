@@ -12,6 +12,7 @@ from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
                               plan_attack)
 from bsea2.errors import (EmptyBeam, MissingKnownRegister, StageTooLarge,
                           Unattackable)
+from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
 from oracles import (oracle_all_scores, oracle_topk, oracle_validation_zeros,
@@ -237,6 +238,22 @@ class TestScoreStage:
             expected = oracle_all_scores(sample, stage, known, 0x02)
             assert list(board.entries) == oracle_topk(
                 expected, 20, target_degrees(MINI_SPEC, stage))
+
+    def test_known_fill_above_2_pow_63(self):
+        # a 64-stage register's fill must reach the sequence kernel
+        # exactly, not through a float
+        spec = InstanceSpec("wide", MINI_953F.polynomials[:3]
+                            + (make_polynomial([4, 3, 1, 0], 64),), 0x953F)
+        wide = (1 << 63) | 12345
+        key = assemble_key(spec, [5, 9, 17, wide], 0xBD)
+        sample = keystream_sample(spec, key, 160)
+        stage = stage_for(spec, 0xBD, 0b1001, known=frozenset({3}))
+        knowns = [{3: wide}, {3: 7}]
+        boards = score_stage(sample, stage, knowns, 0xBD, k=10)
+        for known, board in zip(knowns, boards):
+            expected = oracle_all_scores(sample, stage, known, 0xBD)
+            assert list(board.entries) == oracle_topk(
+                expected, 10, target_degrees(spec, stage))
 
     def test_empty_batch_still_checks_the_stage(self):
         rng = np.random.default_rng(25)
