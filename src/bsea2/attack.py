@@ -244,8 +244,10 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
 #: Cells (parents x sample bits, or parents x table entries) that one
 #: batch of a stage scoring holds, and register sequences x sample bits
 #: that one packing pass holds; so memory grows with neither the beam nor
-#: the number of sequences.
-_BATCH_CELLS = 1 << 20
+#: the number of sequences. A batch's arrays, at up to 8 bytes a cell,
+#: then stay near a 2 MB L2 cache: 2^20 cells made K' 0x32's mini attack
+#: about 20% slower (measured).
+_BATCH_CELLS = 1 << 17
 
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known,
@@ -398,8 +400,11 @@ def _judge(zeros: np.ndarray, n: int, p0: float):
 
 
 #: Words per gathered register array in one validation chunk, so that
-#: validation memory grows with neither the sample nor the beam.
-_VALIDATE_WORDS = 1 << 18
+#: validation memory grows with neither the sample nor the beam. At 2^14
+#: words (128 KB) the four gathered arrays and the multiplexer tree's
+#: temporaries fit a 2 MB L2 cache; 2^18 made the mini attacks about 20%
+#: slower and the all-256 search at the CLI defaults about 2x (measured).
+_VALIDATE_WORDS = 1 << 14
 
 
 def _validate_assignments(cache: _RunCache, fills: np.ndarray,
