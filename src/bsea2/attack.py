@@ -12,10 +12,12 @@ scatter (-1)^(d_t) into a table indexed by A_t, transform, and read
 Z = (N + corr)/2. This is bit-exact with per-candidate re-encryption (the
 scalar oracle in the tests) while touching each candidate O(1) times.
 The parents of a stage differ only in known_t, so all of them are scored
-in one call: one table row each, transformed together. Stages wider than
-``block_bits`` are evaluated in fixed-size blocks over the high fill bits,
-so memory stays bounded and blocks can run on a thread pool; results
-merge deterministically (score desc, then smallest fill).
+in one call. Every stage runs one loop over blocks of 2^_BLOCK_BITS fills,
+numbered by the high fill bits: one block when the stage has no more
+bits. Each block scatters every parent of a batch into one table row and
+transforms the table in one call, so memory stays bounded and blocks can
+run on a thread pool. The blocks' top-k lists are merged once, for all
+parents together, by score desc, then smallest fill.
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -42,7 +44,6 @@ from .plaintext import PlaintextModel
 
 DEFAULT_RETENTION = 10
 DEFAULT_BUDGET_EXPONENT = 32
-DEFAULT_BLOCK_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,23 @@ def register_rows(poly, n: int) -> np.ndarray:
 _EXCLUDED = np.iinfo(np.int32).min
 
 
-def _topk_rows(corr: np.ndarray, base: int, k: int) -> list:
-    """Top-k of each row of a 2-D block by (corr desc, index asc); exact
-    under ties.
+def _first_k(row: np.ndarray, fill: np.ndarray, corr: np.ndarray,
+             k: int):
+    """(row, fill, corr) int64 arrays sorted by (row, corr desc, fill
+    asc), keeping the first k entries of each row; exact under ties."""
+    order = np.lexsort((fill, -corr, row))
+    row, fill, corr = row[order], fill[order], corr[order]
+    keep = np.arange(row.size) - np.searchsorted(row, row) < k
+    return row[keep], fill[keep], corr[keep]
 
-    Row i gives a (fills, corrs) pair of int64 arrays, its fills counted
-    from ``base``. Entries at _EXCLUDED are left out, so fewer than k may
-    come back.
+
+def _topk_rows(corr: np.ndarray, base: int, k: int):
+    """Top-k of each row of a 2-D block, as _first_k gives them; the
+    block's fills are counted from ``base``.
+
+    Entries at _EXCLUDED are left out, so a row may give fewer than k.
     """
-    n_rows, size = corr.shape
+    size = corr.shape[1]
     if size > k:
         kth = np.partition(corr, size - k, axis=1)[:, size - k]
         hit = np.flatnonzero(corr >= kth[:, None])
@@ -118,11 +127,7 @@ def _topk_rows(corr: np.ndarray, base: int, k: int) -> list:
     c = corr.reshape(-1)[hit].astype(np.int64)
     hit, c = hit[c != _EXCLUDED], c[c != _EXCLUDED]
     r, i = np.divmod(hit, size)
-    order = np.lexsort((i, -c, r))
-    i, c = i[order] + base, c[order]
-    bounds = np.searchsorted(r[order], np.arange(n_rows + 1))
-    return [(i[a:min(b, a + k)], c[a:min(b, a + k)])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    return _first_k(r, i + base, c, k)
 
 
 def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
@@ -156,50 +161,41 @@ def _scatter(rows: np.ndarray, signs: np.ndarray, nbits: int) -> np.ndarray:
 
 
 def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
-                block_bits: int, threads: int):
-    """(fills, corrs) top-k arrays of each row of data bits ``d``, over all
-    joint fills of registers of ``degrees`` (lowest bits first) whose
-    every register part is non-zero.
+                threads: int):
+    """Top-k (row, fill, corr) of each row of data bits ``d``, as
+    _first_k gives them, over all joint fills of registers of ``degrees``
+    (lowest bits first) whose every register part is non-zero.
 
-    A stage of at most ``block_bits`` bits scatters every row into one
-    table and transforms it in one call. A wider stage runs its blocks
-    over the high fill bits for one row at a time.
+    The fills run in blocks of 2^_BLOCK_BITS over their high bits, one
+    block when the stage has no more bits. A block's high fill bits flip
+    the sign of each row's data bit by <A_t's high part, block number>, so
+    a block scatters every row into one table over the low bits and
+    transforms it in one call. The blocks' lists, on a thread pool if
+    ``threads`` > 1, are merged once by _first_k.
     """
     exponent = sum(degrees)
     parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
-    signs = d.astype(np.int32)
-    signs *= -2
-    signs += 1
-    if exponent <= block_bits:
-        w = _scatter(rows, signs, exponent)
-        kernels.fwht_inplace(w)
-        _exclude_zero_parts(w, 0, parts)
-        return _topk_rows(w, 0, k)
-
-    lo_bits = block_bits
-    lo_mask = np.uint64((1 << lo_bits) - 1)
-    rows_lo = rows & lo_mask
+    lo_bits = min(exponent, _BLOCK_BITS)
+    rows_lo = rows & np.uint64((1 << lo_bits) - 1)
     rows_hi = rows >> np.uint64(lo_bits)
-    n_blocks = 1 << (exponent - lo_bits)
 
-    def run_block(col, hi: int):
-        par = kernels.parity_u64(rows_hi & np.uint64(hi))
-        adj = col * (1 - 2 * par.astype(np.int32))
-        w = _scatter(rows_lo, adj[None], lo_bits)
+    def run_block(hi: int):
+        signs = (d ^ kernels.parity_u64(rows_hi & np.uint64(hi))
+                 ).astype(np.int32)
+        signs *= -2
+        signs += 1
+        w = _scatter(rows_lo, signs, lo_bits)
         kernels.fwht_inplace(w)
         _exclude_zero_parts(w, hi << lo_bits, parts)
-        return _topk_rows(w, hi << lo_bits, k)[0]
+        return _topk_rows(w, hi << lo_bits, k)
 
-    def column_topk(col, map_blocks):
-        fills, corrs = (np.concatenate(part) for part in zip(
-            *map_blocks(lambda hi: run_block(col, hi), range(n_blocks))))
-        order = np.lexsort((fills, -corrs))[:k]
-        return fills[order], corrs[order]
-
+    blocks = range(1 << (exponent - lo_bits))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [column_topk(col, pool.map) for col in signs]
-    return [column_topk(col, map) for col in signs]
+            tops = list(pool.map(run_block, blocks))
+    else:
+        tops = list(map(run_block, blocks))
+    return _first_k(*map(np.concatenate, zip(*tops)), k)
 
 
 def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
@@ -241,6 +237,11 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
     return rows, d0, consumed
 
 
+#: Fill bits of one block of a stage scoring. A block's table takes 64 MB
+#: a row at 2^24 int32 entries; a wider stage runs 2^(exponent - 24)
+#: blocks, numbered by the high fill bits.
+_BLOCK_BITS = 24
+
 #: Cells (parents x sample bits, or parents x table entries) that one
 #: batch of a stage scoring holds, and register sequences x sample bits
 #: that one packing pass holds; so memory grows with neither the beam nor
@@ -253,7 +254,6 @@ _BATCH_CELLS = 1 << 17
 def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 kprime: int, k: int = DEFAULT_RETENTION,
                 budget: int = DEFAULT_BUDGET_EXPONENT,
-                block_bits: int = DEFAULT_BLOCK_BITS,
                 threads: int = 1) -> ScoreBoard | list[ScoreBoard]:
     """Score every joint fill of the stage's targets; retain the top k.
 
@@ -261,8 +261,9 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     and gives one ScoreBoard. A list of such dicts gives one board per
     dict, in order: the rows and the complemented ciphertext are built
     once, each consumed register's sequence once per distinct fill (from
-    the memoised linear forms), and each batch of _BATCH_CELLS cells is
-    scattered into one table and transformed in one call.
+    the memoised linear forms), and each batch of _BATCH_CELLS cells runs
+    through one block loop (_stage_topk). ``threads`` > 1 runs a batch's
+    blocks on a thread pool.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -277,7 +278,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     n = sample.bits.size
     degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
     step = max(1, _BATCH_CELLS // max(n, 1 << min(stage.exponent,
-                                                  block_bits)))
+                                                  _BLOCK_BITS)))
     boards = []
     for c in range(0, len(knowns), step):
         batch = knowns[c:c + step]
@@ -289,12 +290,12 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             poly = sample.spec.polynomials[r]
             d = d ^ kernels.sequences(poly.tapmask, poly.degree, distinct,
                                       n)[slot]
-        for fills, corrs in _stage_topk(rows, d, degrees, k, block_bits,
-                                        threads):
-            entries = tuple(zip(fills.tolist(), ((n + corrs) // 2).tolist()))
-            boards.append(ScoreBoard(stage=stage, entries=entries, k=k,
-                                     n_candidates=1 << stage.exponent,
-                                     n_bits=n))
+        row, fill, corr = _stage_topk(rows, d, degrees, k, threads)
+        bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
+        entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
+        boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,
+                              n_candidates=1 << stage.exponent, n_bits=n)
+                   for a, b in zip(bounds[:-1], bounds[1:])]
     return boards if isinstance(known, list) else boards[0]
 
 
@@ -440,6 +441,10 @@ def _validate_assignments(cache: _RunCache, fills: np.ndarray,
     return zeros
 
 
+#: Most candidates a beam may hold; a larger one asks for a lower k.
+_MAX_CANDIDATES = 200_000
+
+
 @dataclass
 class RunResult:
     candidates: tuple
@@ -449,9 +454,7 @@ class RunResult:
 def run_plan(sample: CiphertextSample, plan: AttackPlan,
              k: int = DEFAULT_RETENTION,
              budget: int = DEFAULT_BUDGET_EXPONENT,
-             block_bits: int = DEFAULT_BLOCK_BITS,
              threads: int = 1,
-             max_candidates: int = 200_000,
              progress=None, *, cache: _RunCache | None = None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
@@ -510,7 +513,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         if misses:
             scored = score_stage(sample, stage, [parents[i] for i in misses],
                                  kprime, k=k, budget=budget,
-                                 block_bits=block_bits, threads=threads)
+                                 threads=threads)
             for i, board in zip(misses, scored):
                 cache.boards[keys[i]] = np.array(board.entries,
                                                  dtype=np.int64
@@ -518,7 +521,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         boards = [cache.boards[key] for key in keys]
         joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
         size = len(beam) * joints.shape[1]
-        if size > max_candidates:
+        if size > _MAX_CANDIDATES:
             raise Bsea2Error(
                 f"beam grew to {size} candidates; lower the "
                 f"retention k (currently {k})")
@@ -612,7 +615,6 @@ class ParallelResult:
 def run_parallel_instances(sample: CiphertextSample,
                            k: int = DEFAULT_RETENTION,
                            budget: int = DEFAULT_BUDGET_EXPONENT,
-                           block_bits: int = DEFAULT_BLOCK_BITS,
                            threads: int = 1,
                            stop_on_success: bool = True,
                            progress=None) -> ParallelResult:
@@ -627,50 +629,34 @@ def run_parallel_instances(sample: CiphertextSample,
     cache = _RunCache(sample)
     statuses = {}
     transcripts = {}
-    best = None
     attempt = 0
     done = False
     for row in report.rows:
-        if row.exponent is None:
+        skip = ("unattackable" if row.exponent is None
+                else "not_attempted" if done
+                else "skipped_budget" if row.exponent > budget else None)
+        if skip:
             for kp in row.kprimes:
-                statuses[kp] = InstanceStatus(kp, None, "unattackable")
+                statuses[kp] = InstanceStatus(kp, row.exponent, skip)
             continue
-        if done:
-            for kp in row.kprimes:
-                statuses[kp] = InstanceStatus(kp, row.exponent,
-                                              "not_attempted")
-            continue
-        if row.exponent > budget:
-            for kp in row.kprimes:
-                statuses[kp] = InstanceStatus(kp, row.exponent,
-                                              "skipped_budget")
-            continue
-        tier_hits = []
         for kp in row.kprimes:
             attempt += 1
             plan = report.plans[kp]
             try:
                 result = run_plan(sample, plan, k=k, budget=budget,
-                                  block_bits=block_bits, threads=threads,
-                                  cache=cache)
-                top = result.candidates[0]
+                                  threads=threads, cache=cache)
                 statuses[kp] = InstanceStatus(kp, row.exponent, "recovered",
-                                              attempt, top)
+                                              attempt, result.candidates[0])
                 transcripts[kp] = result.transcript
-                tier_hits.append(top)
+                done = stop_on_success      # after this tier
             except EmptyBeam as exc:
                 statuses[kp] = InstanceStatus(kp, row.exponent, "empty_beam",
                                               attempt)
                 transcripts[kp] = exc.transcript
             if progress is not None:
                 progress(statuses[kp])
-        if tier_hits and stop_on_success:
-            best = min(tier_hits,
-                       key=lambda c: (c.validation.z_abs, c.key.value))
-            done = True
-    if best is None:
-        hits = [s.best for s in statuses.values() if s.best is not None]
-        if hits:
-            best = min(hits, key=lambda c: (c.validation.z_abs, c.key.value))
+    # a stopped search has hits in its last tier only
+    best = min((st.best for st in statuses.values() if st.best is not None),
+               key=lambda c: (c.validation.z_abs, c.key.value), default=None)
     ordered = tuple(statuses[kp] for kp in sorted(statuses))
     return ParallelResult(best=best, statuses=ordered, transcripts=transcripts)

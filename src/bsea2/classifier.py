@@ -211,22 +211,13 @@ def _partition_cached(spec: InstanceSpec) -> KeyClassReport:
 
     rows = []
     exps = sorted(e for e in by_exponent if e is not None)
+    if None in by_exponent:
+        exps.append(None)
     for i, exp in enumerate(exps):
         ks = tuple(sorted(by_exponent[exp]))
-        example = ks[0]
         rows.append(KeyClassRow(
-            label=f"C{i}",
+            label="UNATTACKABLE" if exp is None else f"C{i}",
             exponent=exp,
-            kprimes=ks,
-            example_kprime=example,
-            example_spectrum=boolfn.walsh_transform(
-                boolfn.apply_key_mask(spec.f0, example)),
-        ))
-    if None in by_exponent:
-        ks = tuple(sorted(by_exponent[None]))
-        rows.append(KeyClassRow(
-            label="UNATTACKABLE",
-            exponent=None,
             kprimes=ks,
             example_kprime=ks[0],
             example_spectrum=boolfn.walsh_transform(

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -19,7 +20,8 @@ from . import __version__, attack, classifier, randomness
 from .bits import bits_to_bytes, bytes_to_bits, hex_byte, hex_word, parse_hex
 from .cipher import (InstanceSpec, SecretKey, encrypt, key_setup, keystream,
                      load_spec, random_key)
-from .errors import Bsea2Error, UnreadableInput, WrongLength
+from .errors import (Bsea2Error, InvalidSidecar, UnreadableInput,
+                     WrongLength)
 from .plaintext import (DEFAULT_MODEL, PlaintextModel, estimate_p0)
 
 
@@ -76,15 +78,25 @@ def _read_key(args, spec: InstanceSpec) -> SecretKey:
 
 
 def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
+    """The bits of ``path``, cut to ``nbits`` or else to the "bits" of its
+    sidecar ``path``.meta.json, if there is one: a JSON object whose
+    "bits" is an int (not a bool) from 1 to the file's bit count."""
     bits = bytes_to_bits(_read_input(path))
-    if nbits is None:
+    meta = path + ".meta.json"
+    if nbits is None and os.path.exists(meta):
         try:
-            with open(path + ".meta.json") as fh:
-                nbits = json.load(fh)["bits"]
-        except FileNotFoundError:
-            nbits = bits.size
-    if nbits > bits.size:
-        raise WrongLength(f"{path} holds {bits.size} bits, need {nbits}")
+            data = json.loads(_read_input(meta))
+        except ValueError:          # not JSON, or not text
+            data = None
+        nbits = data.get("bits") if isinstance(data, dict) else None
+        if type(nbits) is not int or nbits < 1:
+            raise InvalidSidecar(f'{meta} must be a JSON object whose '
+                                 f'"bits" is a positive integer')
+    if nbits is None:
+        nbits = bits.size
+    if not 0 < nbits <= bits.size:
+        raise WrongLength(f"{path} holds {bits.size} bits, need "
+                          f"{max(nbits, 1)}")
     return bits[:nbits]
 
 
@@ -463,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_key_args(p)
     p.add_argument("--nbits", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_keystream, f0=None)
+    p.set_defaults(func=_cmd_keystream)
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} a file (XOR keystream)")
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_key_args(p)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_encrypt, f0=None)
+        p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("spectrum",
                        help="masked table, Walsh spectra, usable masks, plan")
@@ -535,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=_cmd_fips, f0=None)
+    p.set_defaults(func=_cmd_fips)
 
     p = sub.add_parser("passrates",
                        help="FIPS pass rates over sampled keys, by class")
@@ -547,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=_cmd_passrates, f0=None)
+    p.set_defaults(func=_cmd_passrates)
 
     return ap
 

@@ -59,5 +59,9 @@ class InvalidSpec(Bsea2Error):
     """A spec file was read but does not describe an instance."""
 
 
+class InvalidSidecar(Bsea2Error):
+    """A sample's .meta.json was read but gives no usable bit count."""
+
+
 class WrongLength(Bsea2Error):
     """Bit stream has the wrong length for the requested statistical test."""

@@ -135,8 +135,7 @@ REFERENCE_FLAG_MARGIN = 0.20
 MIN_KEYS = 100
 
 
-def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
-                     group_by_class: bool = True) -> dict:
+def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int) -> dict:
     """FIPS pass rates over random keys, grouped by attack class.
 
     Deterministic for a fixed seed; evaluation order is merged by key index
@@ -147,7 +146,7 @@ def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
                          f"meaningful rate")
     cfg = thresholds()
     rng = np.random.default_rng(seed)
-    report = partition_keys(spec) if group_by_class else None
+    report = partition_keys(spec)
 
     keys = [random_key(spec, rng) for _ in range(n_keys)]
     rows = {}
@@ -157,14 +156,10 @@ def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
     for key in keys:
         stream = keystream_for_key(spec, key, cfg["stream_bits"])
         res = fips_battery(stream)
-        if report is not None:
-            _, kprime = split_key(spec, key)
-            row = report.row_for(kprime)
-            label, exponent = row.label, row.exponent
-        else:
-            label, exponent = "all", None
-        cell = rows.setdefault(label, {
-            "exponent": exponent, "n": 0, "monobit": 0, "poker": 0,
+        _, kprime = split_key(spec, key)
+        row = report.row_for(kprime)
+        cell = rows.setdefault(row.label, {
+            "exponent": row.exponent, "n": 0, "monobit": 0, "poker": 0,
             "runs": 0, "long_run": 0, "all": 0})
         for tally in (cell, overall):
             tally["n"] += 1
@@ -204,12 +199,10 @@ def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int,
         "reference_flagged": abs(rate - REFERENCE_ALL_PASS_RATE)
         > REFERENCE_FLAG_MARGIN,
     }
-    if report is not None:
-        sampled = set(rows)
-        missing = [row.label for row in report.rows if row.label not in sampled]
-        if missing:
-            data["omitted_classes"] = {
-                "labels": missing,
-                "note": "no sampled key fell in these classes",
-            }
+    missing = [row.label for row in report.rows if row.label not in rows]
+    if missing:
+        data["omitted_classes"] = {
+            "labels": missing,
+            "note": "no sampled key fell in these classes",
+        }
     return data

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bsea2 import attack, boolfn
-from bsea2.attack import (CiphertextSample, DEFAULT_BLOCK_BITS,
-                          DEFAULT_BUDGET_EXPONENT,
+from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill, validate_key)
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
@@ -136,8 +135,8 @@ class TestScoreStage:
             expected, 32, target_degrees(MINI_953F, stage))
         assert board.entries[0][0] == fills[2]
 
-    def test_blocked_kernel_equals_single_shot(self):
-        # force the blocked path with a tiny block size
+    def test_blocked_kernel_equals_single_shot(self, monkeypatch):
+        # a tiny block size splits the stage into 2^7 blocks
         rng = np.random.default_rng(31)
         key = random_key(MINI_953F, rng, kprime=0xBD)
         fills, _ = split_key(MINI_953F, key)
@@ -145,9 +144,9 @@ class TestScoreStage:
         stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
         known = {0: fills[0]}
         one = score_stage(sample, stage, known, 0xBD, k=25)
-        blocked = score_stage(sample, stage, known, 0xBD, k=25, block_bits=6)
-        threaded = score_stage(sample, stage, known, 0xBD, k=25,
-                               block_bits=6, threads=4)
+        monkeypatch.setattr(attack, "_BLOCK_BITS", 6)
+        blocked = score_stage(sample, stage, known, 0xBD, k=25)
+        threaded = score_stage(sample, stage, known, 0xBD, k=25, threads=4)
         assert one.entries == blocked.entries == threaded.entries
 
     def test_zero_fill_is_never_ranked(self):
@@ -166,7 +165,7 @@ class TestScoreStage:
             assert board.entries[0][0] == fills[target]
             assert 0 not in board.fills() and len(board.entries) == 10
 
-    def test_zero_parts_excluded_in_every_block(self):
+    def test_zero_parts_excluded_in_every_block(self, monkeypatch):
         # targets R0 (joint bits 0-6) and R1 (7-15); 2^6 blocks put all of
         # R1 in the block number, 2^10 blocks split it across the two
         rng = np.random.default_rng(32)
@@ -178,8 +177,10 @@ class TestScoreStage:
         # it and dropped as many possible ones
         possible = [j for j in range(1 << 16) if j & 0x7F and j >> 7]
         for k in (1 << 16, 65000):
-            boards = [score_stage(sample, stage, {}, 0x02, k=k,
-                                  block_bits=bits) for bits in (24, 10, 6)]
+            boards = []
+            for bits in (24, 10, 6):
+                monkeypatch.setattr(attack, "_BLOCK_BITS", bits)
+                boards.append(score_stage(sample, stage, {}, 0x02, k=k))
             assert sorted(boards[0].fills()) == possible
             assert (boards[0].entries == boards[1].entries
                     == boards[2].entries)
@@ -210,14 +211,18 @@ class TestScoreStage:
     # mask 1011 scores R0 against recovered R2 and R3 (chi = -4 under
     # K' 0x02); p0 0.2 flips the complement bit s against p0 0.9. Seven
     # parents repeat fills of both registers; a batch of 2 x 160 cells
-    # splits them into four batches.
+    # splits them into four batches. 2^6 blocks split R0 in two, so each
+    # block holds every row of its batch, on one thread or two.
     @pytest.mark.parametrize("p0", [0.9, 0.2])
-    @pytest.mark.parametrize("block_bits", [DEFAULT_BLOCK_BITS, 6])
+    @pytest.mark.parametrize("block_bits, threads", [
+        pytest.param(24, 1, id="24"), pytest.param(24, 2, id="24-threads2"),
+        pytest.param(6, 1, id="6"), pytest.param(6, 2, id="6-threads2")])
     @pytest.mark.parametrize("parents, cells", [(1, None), (2, None),
                                                 (7, 2 * 160)])
     def test_batch_equals_single_calls_and_oracle(self, p0, block_bits,
-                                                  parents, cells,
+                                                  threads, parents, cells,
                                                   make_sample, monkeypatch):
+        monkeypatch.setattr(attack, "_BLOCK_BITS", block_bits)
         if cells is not None:
             monkeypatch.setattr(attack, "_BATCH_CELLS", cells)
         rng = np.random.default_rng(24)
@@ -229,11 +234,10 @@ class TestScoreStage:
         r3 = [fills[3], 1000]
         knowns = [{2: r2[i % 3], 3: r3[i % 2]} for i in range(parents)]
         batch = score_stage(sample, stage, knowns, 0x02, k=20,
-                            block_bits=block_bits)
+                            threads=threads)
         assert len(batch) == parents
         for known, board in zip(knowns, batch):
-            one = score_stage(sample, stage, known, 0x02, k=20,
-                              block_bits=block_bits)
+            one = score_stage(sample, stage, known, 0x02, k=20)
             assert board == one
             expected = oracle_all_scores(sample, stage, known, 0x02)
             assert list(board.entries) == oracle_topk(
@@ -528,7 +532,7 @@ class TestRunParallelInstances:
                                                        "unattackable"}
 
 
-def standalone_search(sample, k, budget, block_bits):
+def standalone_search(sample, k, budget):
     """run_parallel_instances's exhaustive schedule, with every instance
     attacked by its own run_plan call (its own run cache)."""
     report = partition_keys(sample.spec)
@@ -546,7 +550,7 @@ def standalone_search(sample, k, budget, block_bits):
             attempt += 1
             try:
                 result = run_plan(sample, report.plans[kp], k=k,
-                                  budget=budget, block_bits=block_bits)
+                                  budget=budget)
                 status, best = "recovered", result.candidates[0]
                 transcripts[kp] = result.transcript
             except EmptyBeam as exc:
@@ -573,15 +577,16 @@ class TestSharedRunCache:
     # A store of 40 sequences (32 words each) per register makes the
     # cache start its stores afresh every few instances.
     @pytest.mark.parametrize("p0, budget, block_bits, cache_words", [
-        (0.9, 22, DEFAULT_BLOCK_BITS, None),
-        (0.2, 22, DEFAULT_BLOCK_BITS, None),
+        (0.9, 22, 24, None),
+        (0.2, 22, 24, None),
         (0.9, 16, 8, None),
         (0.2, 16, 8, None),
-        (0.2, 16, DEFAULT_BLOCK_BITS, 40 * 32),
+        (0.2, 16, 24, 40 * 32),
     ])
     def test_shared_search_equals_standalone_plans(self, p0, budget,
                                                    block_bits, cache_words,
                                                    make_sample, monkeypatch):
+        monkeypatch.setattr(attack, "_BLOCK_BITS", block_bits)
         if cache_words is not None:
             monkeypatch.setattr(attack, "_CACHE_WORDS", cache_words)
         rng = np.random.default_rng(84)
@@ -589,10 +594,8 @@ class TestSharedRunCache:
         key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
         sample, _ = make_sample(MINI_SPEC, key, 2048, p0, rng)
         shared = run_parallel_instances(sample, k=3, budget=budget,
-                                        block_bits=block_bits,
                                         stop_on_success=False)
-        statuses, transcripts = standalone_search(sample, 3, budget,
-                                                  block_bits)
+        statuses, transcripts = standalone_search(sample, 3, budget)
         assert list(shared.statuses) == statuses
         assert shared.transcripts.keys() == transcripts.keys()
         for kp, transcript in transcripts.items():

@@ -257,9 +257,18 @@ def _bad_input_cases():
     # readable files that are not a spec; each is written by the test
     invalid = [["partition", "--spec", "{tmp}/" + spec_file]
                for spec_file in BAD_SPECS]
+    # samples read through a bad sidecar, or holding too few bits
+    samples = [(f"{{tmp}}/{name}.bin", error)
+               for name, (_, error) in BAD_SIDECARS.items()]
+    samples.append(("{tmp}/empty.bin", "WrongLength"))
+    sample_argv = [
+        (["attack", "--spec", "mini", "--ciphertext", path, "--kprime",
+          "0x78"], error) for path, error in samples] + [
+        (["fips", "--in", path], error) for path, error in samples]
     return ([(argv, 2, f"argument {flag}: ") for argv, flag in usage]
             + [(argv, 1, "error: UnreadableInput: ") for argv in domain]
-            + [(argv, 1, "error: InvalidSpec: ") for argv in invalid])
+            + [(argv, 1, "error: InvalidSpec: ") for argv in invalid]
+            + [(argv, 1, f"error: {error}: ") for argv, error in sample_argv])
 
 
 BAD_SPECS = {
@@ -270,6 +279,21 @@ BAD_SPECS = {
     "list.json": '[[7, 1, 0], [9, 4, 0]]',
 }
 
+#: name -> (text of <name>.bin.meta.json, or None for a directory there,
+#: error name); each <name>.bin holds 128 bits
+BAD_SIDECARS = {
+    "negative": ('{"bits": -8}', "InvalidSidecar"),
+    "bool": ('{"bits": true}', "InvalidSidecar"),
+    "zero": ('{"bits": 0}', "InvalidSidecar"),
+    "string": ('{"bits": "128"}', "InvalidSidecar"),
+    "float": ('{"bits": 100.5}', "InvalidSidecar"),
+    "no-bits": ('{}', "InvalidSidecar"),
+    "list": ('[1]', "InvalidSidecar"),
+    "not-json": ('not json', "InvalidSidecar"),
+    "too-long": ('{"bits": 129}', "WrongLength"),
+    "directory": (None, "UnreadableInput"),
+}
+
 
 @pytest.mark.parametrize("argv, code, name", _bad_input_cases(),
                          ids=lambda v: " ".join(v) if isinstance(v, list)
@@ -277,11 +301,19 @@ BAD_SPECS = {
 def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
                                             name):
     # out-of-range values are usage errors (exit 2), caught at parse
-    # time; unreadable files and invalid specs are domain errors (exit 1)
-    # named on stderr
+    # time; unreadable files, invalid specs and sidecars and samples of
+    # the wrong length are domain errors (exit 1) named on stderr
     (tmp_path / "c.bin").write_bytes(b"\x00" * 16)
     for spec_file, text in BAD_SPECS.items():
         (tmp_path / spec_file).write_text(text)
+    for stem, (text, _) in BAD_SIDECARS.items():
+        (tmp_path / f"{stem}.bin").write_bytes(b"\x00" * 16)
+        meta = tmp_path / f"{stem}.bin.meta.json"
+        if text is None:
+            meta.mkdir()
+        else:
+            meta.write_text(text)
+    (tmp_path / "empty.bin").write_bytes(b"")
     try:
         got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     except SystemExit as exc:
