@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boolfn, kernels
-from .bits import fill_hex, hex_byte, pack_words
+from .bits import fill_hex, hex_byte, pack_words, unpack_words
 from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_words,
                      key_setup, keystream)
 from .classifier import (AttackPlan, AttackStage, mask_registers,
@@ -170,8 +170,9 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
     block when the stage has no more bits. A block's high fill bits flip
     the sign of each row's data bit by <A_t's high part, block number>, so
     a block scatters every row into one table over the low bits and
-    transforms it in one call. The blocks' lists, on a thread pool if
-    ``threads`` > 1, are merged once by _first_k.
+    transforms it in one call; block 0 flips nothing. The blocks' lists,
+    on a thread pool if ``threads`` > 1, are merged once by _first_k; the
+    list of a one-block stage is already in that order.
     """
     exponent = sum(degrees)
     parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
@@ -180,8 +181,8 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
     rows_hi = rows >> np.uint64(lo_bits)
 
     def run_block(hi: int):
-        signs = (d ^ kernels.parity_u64(rows_hi & np.uint64(hi))
-                 ).astype(np.int32)
+        flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
+        signs = flip.astype(np.int32)
         signs *= -2
         signs += 1
         w = _scatter(rows_lo, signs, lo_bits)
@@ -195,12 +196,15 @@ def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
             tops = list(pool.map(run_block, blocks))
     else:
         tops = list(map(run_block, blocks))
+    if len(tops) == 1:
+        return tops[0]
     return _first_k(*map(np.concatenate, zip(*tops)), k)
 
 
 def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
                   knowns: list, kprime: int):
-    """(joint rows A_t, c XOR s, consumed registers) for the stage.
+    """(joint rows A_t, c XOR s packed by bits.pack_words, consumed
+    registers) for the stage.
 
     Checks that the stage's mask correlates under K', that it covers the
     targets and that every dict of ``knowns`` holds the registers the mask
@@ -226,7 +230,7 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
     # complement the prediction for anti-correlated relations; an
     # ones-heavy plaintext (p0 < 1/2) flips the favored relation again
     s = (chi < 0) ^ (sample.model.p0 < 0.5)
-    d0 = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0)
+    d0 = pack_words(sample.bits ^ np.uint8(1 if s else 0))
 
     rows = np.zeros(n, dtype=np.uint64)
     off = 0
@@ -243,9 +247,8 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
 _BLOCK_BITS = 24
 
 #: Cells (parents x sample bits, or parents x table entries) that one
-#: batch of a stage scoring holds, and register sequences x sample bits
-#: that one packing pass holds; so memory grows with neither the beam nor
-#: the number of sequences. A batch's arrays, at up to 8 bytes a cell,
+#: batch of a stage scoring holds, so memory grows with neither the beam
+#: nor the number of parents. A batch's arrays, at up to 8 bytes a cell,
 #: then stay near a 2 MB L2 cache: 2^20 cells made K' 0x32's mini attack
 #: about 20% slower (measured).
 _BATCH_CELLS = 1 << 17
@@ -259,11 +262,12 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
 
     ``known`` maps each register the mask consumes to its recovered fill
     and gives one ScoreBoard. A list of such dicts gives one board per
-    dict, in order: the rows and the complemented ciphertext are built
-    once, each consumed register's sequence once per distinct fill (from
-    the memoised linear forms), and each batch of _BATCH_CELLS cells runs
-    through one block loop (_stage_topk). ``threads`` > 1 runs a batch's
-    blocks on a thread pool.
+    dict, in order: the rows and the packed complemented ciphertext are
+    built once. In each batch of _BATCH_CELLS cells, the packed sequences
+    of the consumed registers' fills (kernels.packed_sequences) are XORed
+    into the parents' words, which are unpacked once and run through one
+    block loop (_stage_topk).
+    ``threads`` > 1 runs a batch's blocks on a thread pool.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -282,15 +286,13 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     boards = []
     for c in range(0, len(knowns), step):
         batch = knowns[c:c + step]
-        d = np.broadcast_to(d0, (len(batch), n))
+        d = np.tile(d0, (len(batch), 1))
         for r in consumed:
-            distinct, slot = np.unique(
-                np.array([kn[r] for kn in batch], dtype=np.uint64),
-                return_inverse=True)
             poly = sample.spec.polynomials[r]
-            d = d ^ kernels.sequences(poly.tapmask, poly.degree, distinct,
-                                      n)[slot]
-        row, fill, corr = _stage_topk(rows, d, degrees, k, threads)
+            d ^= kernels.packed_sequences(poly.tapmask, poly.degree,
+                                          [kn[r] for kn in batch], n)
+        row, fill, corr = _stage_topk(rows, unpack_words(d, n), degrees, k,
+                                      threads)
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,
@@ -315,12 +317,20 @@ class _RunCache:
     (fill, Z) row each. ``words[r]`` stacks the packed output sequences
     (bits.pack_words) of register r that validation has needed, one row
     per fill, and ``rows[r]`` maps each fill to its row. ``ct`` is the
-    packed sample.
+    packed sample. ``band`` is (lo, hi), the least and the greatest
+    decrypted zero count that _judge passes, or None if it passes none.
+    _judge's float test is monotone on each side of p0, so it passes
+    exactly the counts from lo to hi.
     """
 
     def __init__(self, sample: CiphertextSample):
         self.sample = sample
         self.ct = pack_words(sample.bits)
+        n = sample.bits.size
+        counts = np.flatnonzero(_judge(np.arange(n + 1), n,
+                                       sample.model.p0)[1])
+        self.band = ((int(counts[0]), int(counts[-1])) if counts.size
+                     else None)
         self.boards = {}
         self.words = [self._no_words()] * 4
         self.rows = [{} for _ in range(4)]
@@ -339,12 +349,8 @@ class _RunCache:
                 self.words[r] = self._no_words()
                 new = fills
             poly = self.sample.spec.polynomials[r]
-            n = self.sample.bits.size
-            step = max(1, _BATCH_CELLS // n)
-            packed = np.concatenate([
-                pack_words(kernels.sequences(poly.tapmask, poly.degree,
-                                             new[c:c + step], n))
-                for c in range(0, len(new), step)])
+            packed = kernels.packed_sequences(poly.tapmask, poly.degree, new,
+                                              self.sample.bits.size)
             index.update(zip(new, range(len(index), len(index) + len(new))))
             self.words[r] = (np.concatenate([self.words[r], packed])
                              if len(self.words[r]) else packed)
@@ -409,17 +415,32 @@ _VALIDATE_WORDS = 1 << 14
 
 
 def _validate_assignments(cache: _RunCache, fills: np.ndarray,
-                          kprime: int) -> np.ndarray:
-    """Decrypted zero count of every candidate, in one bit-sliced pass.
+                          kprime: int):
+    """(zeros, passed): each candidate's decrypted zero count, and whether
+    _judge passes it, in bit-sliced passes over prefixes of the words.
 
     ``fills`` holds one row of four register fills per candidate. The
-    sequences come packed from the run cache. Candidates are taken in
-    chunks of at most _VALIDATE_WORDS words per register: each chunk
-    gathers its four word rows, combines them through the K'-masked
-    table's multiplexer tree (cipher.combine_words), XORs the ciphertext,
-    masks the tail word's padding bits and counts ones with bitwise_count.
+    sequences come packed from the run cache. A pass takes the candidates
+    still alive over the next words of the sample, in chunks of at most
+    _VALIDATE_WORDS words per register: each chunk gathers its four word
+    rows, combines them through the K'-masked table's multiplexer tree
+    (cipher.combine_words), XORs the ciphertext, masks the tail word's
+    padding bits and adds the ones to each candidate's count. After a pass
+    over ``seen`` bits a candidate with ``ones`` decrypted ones is ruled
+    out when ones > n - lo or seen - ones > hi (cache.band): its zero count
+    can no longer reach the band. The first prefix is the shortest on
+    which a candidate that decrypts to half zeros is ruled out; each later
+    one doubles, and a pass is never narrower than _VALIDATE_WORDS words
+    over the candidates alive, so a beam that fits one chunk runs in one
+    pass. The zeros are exact where passed and -1 elsewhere. With an empty
+    band nothing is packed or combined.
     """
     n = cache.sample.bits.size
+    zeros = np.full(len(fills), -1, dtype=np.int64)
+    passed = np.zeros(len(fills), dtype=bool)
+    if cache.band is None:
+        return zeros, passed
+    lo, hi = cache.band
     f = boolfn.apply_key_mask(cache.sample.spec.f0, kprime)
     ct = cache.ct
     tail = np.uint64((1 << (n - 64 * (ct.size - 1))) - 1)
@@ -429,16 +450,28 @@ def _validate_assignments(cache: _RunCache, fills: np.ndarray,
         store, rows = cache.register_words(r, distinct.tolist())
         seqs.append(store)
         slots.append(rows[slot])
-    zeros = np.empty(len(fills), dtype=np.int64)
-    step = max(1, _VALIDATE_WORDS // ct.size)
-    for c in range(0, len(fills), step):
-        rows = [seq[slot[c:c + step]] for seq, slot in zip(seqs, slots)]
-        dec = combine_words(f, *rows)
-        dec ^= ct
-        dec[:, -1] &= tail
-        zeros[c:c + step] = n - np.bitwise_count(dec).sum(axis=1,
-                                                          dtype=np.int64)
-    return zeros
+    ones = np.zeros(len(fills), dtype=np.int64)
+    alive = np.arange(len(fills))
+    # half of seen bits are over n - lo, or over hi, from here on
+    start, end = 0, -(-(2 * min(n - lo, hi) + 2) // 64)
+    while start < ct.size and alive.size:
+        end = min(ct.size, max(end, start + _VALIDATE_WORDS // alive.size))
+        step = max(1, _VALIDATE_WORDS // (end - start))
+        for c in range(0, alive.size, step):
+            idx = alive[c:c + step]
+            dec = combine_words(f, *(np.take(seq[:, start:end], slot[idx],
+                                             axis=0)
+                                     for seq, slot in zip(seqs, slots)))
+            dec ^= ct[start:end]
+            if end == ct.size:
+                dec[:, -1] &= tail
+            ones[idx] += np.bitwise_count(dec).sum(axis=1, dtype=np.int64)
+        seen = min(64 * end, n)
+        alive = alive[(ones[alive] <= n - lo) & (seen - ones[alive] <= hi)]
+        start, end = end, 2 * end
+    zeros[alive] = n - ones[alive]
+    passed[alive] = True
+    return zeros, passed
 
 
 #: Most candidates a beam may hold; a larger one asks for a lower k.
@@ -465,8 +498,9 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     independent stages are scored once and the final beam is the cross
     product of per-stage top-k lists (k^stages candidates at most). Each
     parent row is repeated once per retained fill of its scoring and the
-    target columns are assigned. The final beam is validated in one
-    bit-sliced pass (_validate_assignments) and judged all at once.
+    target columns are assigned. The final beam is validated in
+    bit-sliced passes that stop counting a candidate once it cannot pass
+    (_validate_assignments).
 
     ``cache`` is the run cache of a search over several instances of the
     same sample and k; without one the run builds its own.
@@ -555,18 +589,17 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         if progress is not None:
             progress(stage_log[-1])
 
-    zeros = _validate_assignments(cache, beam, kprime)
-    z, passed = _judge(zeros, n, sample.model.p0)
+    zeros, passed = _validate_assignments(cache, beam, kprime)
     winners = np.flatnonzero(passed)
-    winners = winners[np.lexsort(tuple(beam[winners, r] for r in (3, 2, 1, 0))
-                                 + (z[winners],))]
+    z = _judge(zeros[winners], n, sample.model.p0)[0]
+    order = np.lexsort(tuple(beam[winners, r] for r in (3, 2, 1, 0)) + (z,))
     candidates = []
-    for rank, i in enumerate(winners, start=1):
+    for rank, (i, zi) in enumerate(zip(winners[order], z[order]), start=1):
         fills = tuple(int(v) for v in beam[i])
         candidates.append(RecoveredKey(
             key=assemble_key(spec, fills, kprime), fills=fills,
             kprime=kprime, rank=rank,
-            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]),
+            validation=Validation(zeros=int(zeros[i]), z_abs=float(zi),
                                   status="pass")))
     transcript = {
         "kprime": hex_byte(kprime),

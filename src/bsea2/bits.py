@@ -31,6 +31,12 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of pack_words output along its last axis, as uint8."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+
+
 def hex_word(word: int) -> str:
     """Render a 16-bit truth table the way reports expect: 0x + 4 upper hex."""
     return f"0x{word:04X}"

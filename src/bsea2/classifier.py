@@ -78,49 +78,52 @@ def _set_partitions(items):
 
 def _plan_from_spectrum(spec: InstanceSpec, kprime: int, gspec) -> AttackPlan:
     degrees = spec.degrees
-    usable = {u: gspec[u] for u in range(1, 16) if gspec[u] != 0}
-    covered = frozenset().union(*map(mask_registers, usable)) if usable else frozenset()
+    # (mask, its registers) of every usable mask, ascending
+    usable = [(u, mask_registers(u)) for u in range(1, 16) if gspec[u] != 0]
+    covered = frozenset().union(*(regs for _, regs in usable))
     missing = frozenset(range(N_REGISTERS)) - covered
     if missing:
         raise Unattackable(missing)
 
     best_key = None
-    best_plan = None
+    best_order = None
     for part in _set_partitions(list(range(N_REGISTERS))):
         blocks = [frozenset(b) for b in part]
         for order in permutations(blocks):
             known = frozenset()
-            stages = []
-            feasible = True
+            masks = []
             for block in order:
-                mask = next((u for u in sorted(usable)
-                             if mask_registers(u) - known == block), None)
+                mask = next((u for u, regs in usable if regs - known == block),
+                            None)
                 if mask is None:
-                    feasible = False
                     break
-                stages.append(AttackStage(
-                    targets=block,
-                    mask=mask,
-                    exponent=sum(degrees[r] for r in block),
-                    known=known,
-                    chi=usable[mask],
-                ))
+                masks.append(mask)
                 known |= block
-            if not feasible:
-                continue
-            exps = [st.exponent for st in stages]
-            key = (max(exps),
-                   math.log2(sum(2 ** e for e in exps)),
-                   len(stages),
-                   tuple(st.mask for st in stages))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_plan = stages
+            else:
+                exps = [sum(degrees[r] for r in block) for block in order]
+                key = (max(exps),
+                       math.log2(sum(2 ** e for e in exps)),
+                       len(order),
+                       tuple(masks))
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_order = order
     # covered == all registers guarantees at least the greedy ordering exists
-    assert best_plan is not None
+    assert best_order is not None
+    stages = []
+    known = frozenset()
+    for block, mask in zip(best_order, best_key[3]):
+        stages.append(AttackStage(
+            targets=block,
+            mask=mask,
+            exponent=sum(degrees[r] for r in block),
+            known=known,
+            chi=gspec[mask],
+        ))
+        known |= block
     return AttackPlan(
         kprime=kprime,
-        stages=tuple(best_plan),
+        stages=tuple(stages),
         max_exponent=best_key[0],
         sum_cost=best_key[1],
         distinguisher=gspec[0] != 0,

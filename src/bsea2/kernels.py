@@ -9,7 +9,8 @@ built once per feedback polynomial and shared, read-only, by the sequence
 kernels and the attack's stage scorer. ``lfsr_sequence`` makes one long
 sequence CHUNK bits at a time: the degree bits that follow a chunk are
 the register's stages at its end, so they are the next chunk's fill.
-``sequences`` makes the sequences of many fills in one pass over the rows.
+``packed_sequences`` makes the packed sequences of many fills as XORs of
+the memoised packed sequences of the unit fills.
 
 The transform splits H_{2^m} into Kronecker factors (Fino and Algazi
 1976) and applies each as a matrix product through NumPy's BLAS. H_k
@@ -22,6 +23,8 @@ sample length), and in float64 above that.
 import functools
 
 import numpy as np
+
+from .bits import pack_words
 
 #: There is no compiled kernel. The benchmark's worker (perfbench/worker.py)
 #: reads this name to report the kernel path, so it stays.
@@ -36,6 +39,7 @@ _PANEL = 1 << 12            # columns per product in the whole-array passes
 _FLOAT32_EXACT = 1 << 24    # every integer up to here is a float32
 
 _forms = {}                 # (tapmask, degree) -> read-only uint64 rows
+_basis = {}                 # (tapmask, degree) -> (n, read-only packed rows)
 
 
 def _build_forms(tapmask: int, degree: int, n: int) -> np.ndarray:
@@ -96,18 +100,47 @@ def lfsr_sequence(tapmask: int, degree: int, fill: int, n: int):
     return out[:n], state
 
 
-def sequences(tapmask: int, degree: int, fills, n: int) -> np.ndarray:
-    """First n output bits of the register from each of ``fills``.
+def _packed_basis(tapmask: int, degree: int, n: int) -> np.ndarray:
+    """(degree, ceil(n / 64)) packed sequences of the unit fills 1 << i.
 
-    Row i of the (len(fills), n) uint8 result is
-    lfsr_sequence(tapmask, degree, fills[i], n)[0], computed in one pass
-    as parity(r_t & fill) over the memoised rows; the pass holds one
-    uint64 per output bit, so callers bound len(fills) * n.
+    Row i is bits.pack_words of bit i of the first n linear forms, so its
+    tail bits are 0. Memoised per polynomial for the last n asked, and
+    read-only.
     """
-    rows = linear_forms(tapmask, degree, n)
-    bits = np.bitwise_count(rows & np.asarray(fills, np.uint64)[:, None])
-    bits &= 1
-    return bits
+    have = _basis.get((tapmask, degree))
+    if have is None or have[0] != n:
+        rows = linear_forms(tapmask, degree, n)
+        basis = np.stack([pack_words((rows >> np.uint64(i)) & np.uint64(1))
+                          for i in range(degree)])
+        basis.flags.writeable = False
+        have = _basis[(tapmask, degree)] = (n, basis)
+    return have[1]
+
+
+def packed_sequences(tapmask: int, degree: int, fills, n: int) -> np.ndarray:
+    """First n output bits of the register from each of ``fills``, packed.
+
+    Row i of the (len(fills), ceil(n / 64)) uint64 result is
+    bits.pack_words(lfsr_sequence(tapmask, degree, fills[i], n)[0]). The
+    output is GF(2)-linear in the fill, so a row is the XOR of the packed
+    unit-fill sequences of the fill's set bits. They are taken a group of
+    fill bits at a time: the group's 2^group XOR combinations are made
+    once, by doubling, and each fill gathers one of them. A group has about
+    log2(len(fills)) bits, at most 8, so making the table costs no more
+    than the gathers.
+    """
+    fills = np.asarray(fills, dtype=np.uint64)
+    basis = _packed_basis(tapmask, degree, n)
+    group = min(8, max(1, fills.size.bit_length()))
+    table = np.zeros((1 << group, basis.shape[1]), dtype=np.uint64)
+    out = np.zeros((fills.size, basis.shape[1]), dtype=np.uint64)
+    for g in range(0, degree, group):
+        b = min(group, degree - g)
+        for j in range(b):
+            np.bitwise_xor(table[:1 << j], basis[g + j],
+                           out=table[1 << j:2 << j])
+        out ^= table[(fills >> np.uint64(g)) & np.uint64((1 << b) - 1)]
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -339,10 +339,38 @@ def validation_beam(spec, key, rng, wrong):
 
 
 def batched_validations(sample, beam, kprime):
-    zeros = attack._validate_assignments(attack._RunCache(sample), beam,
-                                         kprime)
-    z, passed = attack._judge(zeros, sample.bits.size, sample.model.p0)
-    return zeros, z, passed
+    """(zeros, z, passed) from the batch pass, z judged where passed."""
+    zeros, passed = attack._validate_assignments(attack._RunCache(sample),
+                                                 beam, kprime)
+    z = attack._judge(zeros, sample.bits.size, sample.model.p0)[0]
+    return zeros, np.where(passed, z, np.nan), passed
+
+
+def assert_matches_oracle(sample, beam, kprime, zeros, passed):
+    """Passed exactly where _judge passes the oracle count; that count
+    where passed, -1 elsewhere."""
+    want = np.array(oracle_validation_zeros(sample, beam, kprime))
+    ok = attack._judge(want, sample.bits.size, sample.model.p0)[1]
+    assert passed.tolist() == ok.tolist()
+    assert zeros.tolist() == np.where(ok, want, -1).tolist()
+
+
+def judged_band(n, p0):
+    """(lo, hi), the least and greatest zero counts _judge passes."""
+    counts = np.flatnonzero(attack._judge(np.arange(n + 1), n, p0)[1])
+    return (int(counts[0]), int(counts[-1])) if counts.size else None
+
+
+def sample_decrypting_to(spec, key, n, p0, zeros, last):
+    """A sample whose plaintext under ``key`` has exactly ``zeros`` zero
+    bits, its last bit ``last``; the other zeros sit at seeded places."""
+    rng = np.random.default_rng([n, zeros])
+    plain = np.ones(n, dtype=np.uint8)
+    plain[-1] = last
+    plain[rng.permutation(n - 1)[:zeros - (last == 0)]] = 0
+    assert n - int(plain.sum()) == zeros
+    return CiphertextSample(bits=encrypt_fresh(spec, key, plain),
+                            model=PlaintextModel(p0), spec=spec)
 
 
 class TestValidateAssignments:
@@ -355,9 +383,8 @@ class TestValidateAssignments:
             key = random_key(MINI_SPEC, rng, kprime=kprime)
             sample, _ = make_sample(MINI_SPEC, key, n, 0.9, rng)
             beam = validation_beam(MINI_SPEC, key, rng, 3)
-            zeros, _, _ = batched_validations(sample, beam, kprime)
-            assert zeros.tolist() == oracle_validation_zeros(sample, beam,
-                                                             kprime)
+            zeros, _, passed = batched_validations(sample, beam, kprime)
+            assert_matches_oracle(sample, beam, kprime, zeros, passed)
 
     def test_every_kprime_table(self, make_sample):
         # every K' gives its own masked table, hence mux-tree shape; the
@@ -370,9 +397,8 @@ class TestValidateAssignments:
             key = random_key(spec, rng, kprime=kprime)
             sample, _ = make_sample(spec, key, 65, 0.9, rng)
             beam = validation_beam(spec, key, rng, 2)
-            zeros, _, _ = batched_validations(sample, beam, kprime)
-            assert zeros.tolist() == oracle_validation_zeros(sample, beam,
-                                                             kprime), kprime
+            zeros, _, passed = batched_validations(sample, beam, kprime)
+            assert_matches_oracle(sample, beam, kprime, zeros, passed)
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.9, 1.0])
     def test_judgement_matches_validate_key(self, p0, make_sample):
@@ -382,12 +408,13 @@ class TestValidateAssignments:
         sample, _ = make_sample(MINI_SPEC, key, 777, p0, rng)
         beam = validation_beam(MINI_SPEC, key, rng, 4)
         zeros, z, passed = batched_validations(sample, beam, kprime)
-        assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
+        assert_matches_oracle(sample, beam, kprime, zeros, passed)
         for row, zr, zz, ok in zip(beam, zeros, z, passed):
             one = validate_key(sample, assemble_key(MINI_SPEC, row, kprime))
-            assert (one.zeros, one.z_abs) == (zr, zz)
             assert one.status == ("indeterminate" if p0 == 0.5
                                   else "pass" if ok else "fail")
+            if ok:
+                assert (one.zeros, one.z_abs) == (zr, zz)
         assert passed[0] == (p0 != 0.5)
 
     def test_beam_larger_than_one_chunk(self, make_sample, monkeypatch):
@@ -398,17 +425,52 @@ class TestValidateAssignments:
         key = random_key(MINI_SPEC, rng, kprime=kprime)
         sample, _ = make_sample(MINI_SPEC, key, 4097, 0.9, rng)
         beam = validation_beam(MINI_SPEC, key, rng, 6)
-        zeros, _, _ = batched_validations(sample, beam, kprime)
-        assert zeros.tolist() == oracle_validation_zeros(sample, beam, kprime)
+        zeros, _, passed = batched_validations(sample, beam, kprime)
+        assert_matches_oracle(sample, beam, kprime, zeros, passed)
+
+    # At 8 words a chunk holds one candidate, and the true key's copies
+    # keep every pass narrow up to the tail word.
+    @pytest.mark.parametrize("words", [None, 8])
+    @pytest.mark.parametrize("n", [1, 63, 65, 500, 4097])
+    @pytest.mark.parametrize("p0", [0.0, 0.2, 0.5, 0.9, 1.0])
+    def test_counts_at_the_band_edges(self, p0, n, words, monkeypatch):
+        # The true key decrypts to lo - 1, lo, hi and hi + 1 zeros. Its
+        # last plaintext bit decides: a one below the band, a zero above
+        # it, so no prefix short of the tail word can rule it out.
+        if words is not None:
+            monkeypatch.setattr(attack, "_VALIDATE_WORDS", words)
+        rng = np.random.default_rng(99)
+        kprime = 0xE5
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        beam = np.concatenate([validation_beam(MINI_SPEC, key, rng, 0)] * 3
+                              + [validation_beam(MINI_SPEC, key, rng, 3)])
+        band = judged_band(n, p0)
+        assert (band is None) == (p0 == 0.5)
+        lo, hi = band or (0, n)
+        targets = [t for t in (lo - 1, lo, hi, hi + 1) if 0 <= t <= n]
+        for target in targets:
+            last = 0 if target > hi or target == n else 1
+            sample = sample_decrypting_to(MINI_SPEC, key, n, p0, target,
+                                          last)
+            cache = attack._RunCache(sample)
+            assert cache.band == band
+            zeros, passed = attack._validate_assignments(cache, beam, kprime)
+            for row, zr, ok in zip(beam, zeros, passed):
+                one = validate_key(sample,
+                                   assemble_key(MINI_SPEC, row, kprime))
+                assert ok == (one.status == "pass")
+                assert zr == (one.zeros if ok else -1)
+            inside = band is not None and lo <= target <= hi
+            assert passed[:3].tolist() == [inside] * 3, target
+            assert validate_key(sample, key).zeros == target
 
 
 class TestRegisterWords:
-    """The run cache's packed sequences, several fills to a pass."""
+    """The run cache's packed sequences, stored as the kernel packs them."""
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
-    def test_packed_sequences_match_scalar_oracle(self, n, monkeypatch):
-        # passes of three fills: 2 then 7 fills (5 new) take 1 + 2 passes
-        monkeypatch.setattr(attack, "_BATCH_CELLS", 3 * n)
+    def test_packed_sequences_match_scalar_oracle(self, n):
+        # 2 fills, then 7 (5 new): the store grows by the new ones only
         rng = np.random.default_rng(100 + n)
         sample = CiphertextSample(bits=rng.integers(0, 2, n, dtype=np.uint8),
                                   model=PlaintextModel(0.9), spec=MINI_SPEC)

@@ -50,12 +50,23 @@ def test_sequence_matches_scalar_oracle_across_chunks(poly, n):
 @pytest.mark.parametrize("poly", [P0, MINI_SPEC.polynomials[3], P64],
                          ids=lambda p: f"L{p.degree}")
 def test_sequences_match_scalar_oracle(poly):
-    n = 300
+    # packed_sequences against clock(): LSB-first words, tail bits 0; the
+    # last fill of P64 is above 2^63
     fills = [1, (1 << poly.degree) - 1, (1 << (poly.degree - 1)) | 0x2D]
-    seqs = kernels.sequences(poly.tapmask, poly.degree, fills, n)
-    assert seqs.dtype == np.uint8 and seqs.shape == (3, n)
-    for fill, seq in zip(fills, seqs):
-        assert seq.tolist() == scalar_sequence(poly, fill, n)[0]
+    for n in (1, 63, 64, 65, 4097):
+        words = kernels.packed_sequences(poly.tapmask, poly.degree, fills, n)
+        assert words.dtype == np.uint64 and words.shape == (3, -(-n // 64))
+        for fill, row in zip(fills, words):
+            bits = [int(row[t // 64]) >> (t % 64) & 1
+                    for t in range(64 * row.size)]
+            assert bits[:n] == scalar_sequence(poly, fill, n)[0], (fill, n)
+            assert not any(bits[n:])
+    # the fill groups follow the number of fills: one fill, and none
+    three = kernels.packed_sequences(poly.tapmask, poly.degree, fills, 65)
+    one = kernels.packed_sequences(poly.tapmask, poly.degree, fills[2:], 65)
+    assert one.tolist() == three[2:].tolist()
+    assert kernels.packed_sequences(poly.tapmask, poly.degree, [],
+                                    65).shape == (0, 2)
 
 
 def test_sequence_rejects_negative_length():
