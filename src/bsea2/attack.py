@@ -12,12 +12,15 @@ scatter (-1)^(d_t) into a table indexed by A_t, transform, and read
 Z = (N + corr)/2. This is bit-exact with per-candidate re-encryption (the
 scalar oracle in the tests) while touching each candidate O(1) times.
 The parents of a stage differ only in known_t, so all of them are scored
-in one call. Every stage runs one loop over blocks of 2^_BLOCK_BITS fills,
-numbered by the high fill bits: one block when the stage has no more
-bits. Each block scatters every parent of a batch into one table row and
-transforms the table in one call, so memory stays bounded and blocks can
-run on a thread pool. The blocks' top-k lists are merged once, for all
-parents together, by score desc, then smallest fill.
+in one call. Every stage runs one loop over blocks of 2^17 fills
+(_BLOCK_BITS, the transform's L2-sized block), numbered by the high fill
+bits: one block when the stage has no more bits. Each block scatters
+every parent of a batch into one float table row and transforms the
+table in one call. The table and the buffers the transform and the top-k
+selection work in are made once per call and reused by every batch and
+block, so memory stays near 1 MB a worker whatever the stage's width,
+and blocks can run on a thread pool. The blocks' top-k lists are merged once, for
+all parents together, by score desc, then smallest fill.
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -112,16 +115,21 @@ def _first_k(row: np.ndarray, fill: np.ndarray, corr: np.ndarray,
     return row[keep], fill[keep], corr[keep]
 
 
-def _topk_rows(corr: np.ndarray, base: int, k: int):
+def _topk_rows(corr: np.ndarray, base: int, k: int, part: np.ndarray,
+               mask: np.ndarray):
     """Top-k of each row of a 2-D block, as _first_k gives them; the
     block's fills are counted from ``base``.
 
-    Entries at _EXCLUDED are left out, so a row may give fewer than k.
+    ``part`` (corr's shape and dtype) and ``mask`` (its shape, bool) are
+    work buffers. Entries at _EXCLUDED are left out, so a row may give
+    fewer than k.
     """
     size = corr.shape[1]
     if size > k:
-        kth = np.partition(corr, size - k, axis=1)[:, size - k]
-        hit = np.flatnonzero(corr >= kth[:, None])
+        np.copyto(part, corr)
+        part.partition(size - k, axis=1)
+        np.greater_equal(corr, part[:, size - k, None], out=mask)
+        hit = np.flatnonzero(mask)
     else:
         hit = np.arange(corr.size)
     c = corr.reshape(-1)[hit].astype(np.int64)
@@ -151,54 +159,88 @@ def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
             corr.reshape(-1, 1 << (top - off), 1 << off)[:, 0, :] = _EXCLUDED
 
 
-def _scatter(rows: np.ndarray, signs: np.ndarray, nbits: int) -> np.ndarray:
-    """(P, 2^nbits) table whose row p sums signs[p, t] at index rows[t]."""
-    w = np.zeros((len(signs), 1 << nbits), dtype=np.int32)
-    idx = (rows.astype(np.int64)
-           + (np.arange(len(signs), dtype=np.int64) << nbits)[:, None])
-    np.add.at(w.reshape(-1), idx.ravel(), signs.ravel())
-    return w
+def _scatter(table: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> None:
+    """Zero the table, then add each of ``signs`` at its flat index."""
+    table.fill(0)
+    np.add.at(table.reshape(-1), idx, signs.reshape(-1))
 
 
-def _stage_topk(rows: np.ndarray, d: np.ndarray, degrees, k: int,
-                threads: int):
-    """Top-k (row, fill, corr) of each row of data bits ``d``, as
-    _first_k gives them, over all joint fills of registers of ``degrees``
-    (lowest bits first) whose every register part is non-zero.
+class _StageBlocks:
+    """The block loop of one stage scoring, for batches of up to ``batch``
+    rows of data bits; every batch gives the top-k (row, fill, corr) of
+    each row, as _first_k gives them, over all joint fills of registers of
+    ``degrees`` (lowest bits first) whose every register part is non-zero.
 
     The fills run in blocks of 2^_BLOCK_BITS over their high bits, one
     block when the stage has no more bits. A block's high fill bits flip
     the sign of each row's data bit by <A_t's high part, block number>, so
     a block scatters every row into one table over the low bits and
-    transforms it in one call; block 0 flips nothing. The blocks' lists,
-    on a thread pool if ``threads`` > 1, are merged once by _first_k; the
-    list of a one-block stage is already in that order.
+    transforms it in one call; block 0 flips nothing. The table is float32
+    while the sample has at most 2^24 bits, which keeps every score exact,
+    and float64 above that.
+
+    A worker takes every ``threads``-th block, on a thread pool if
+    ``threads`` > 1. The scatter indices, and per worker one workspace,
+    are made once and reused by every batch and block: the table, a buffer
+    of its size that the transform works in and _topk_rows partitions,
+    _topk_rows' mask and the signs. The blocks' lists are merged once by
+    _first_k; the list of a one-block stage is already in that order.
     """
-    exponent = sum(degrees)
-    parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
-    lo_bits = min(exponent, _BLOCK_BITS)
-    rows_lo = rows & np.uint64((1 << lo_bits) - 1)
-    rows_hi = rows >> np.uint64(lo_bits)
 
-    def run_block(hi: int):
-        flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
-        signs = flip.astype(np.int32)
-        signs *= -2
-        signs += 1
-        w = _scatter(rows_lo, signs, lo_bits)
-        kernels.fwht_inplace(w)
-        _exclude_zero_parts(w, hi << lo_bits, parts)
-        return _topk_rows(w, hi << lo_bits, k)
+    def __init__(self, rows: np.ndarray, degrees, batch: int, k: int,
+                 threads: int):
+        exponent = sum(degrees)
+        self.parts = [(sum(degrees[:i]), deg)
+                      for i, deg in enumerate(degrees)]
+        self.lo_bits = lo = min(exponent, _BLOCK_BITS)
+        self.rows_hi = rows >> np.uint64(lo)
+        # a table has at most max(_BATCH_CELLS, 2^_BLOCK_BITS) entries, so
+        # int32 indices do
+        rows_lo = (rows & np.uint64((1 << lo) - 1)).astype(np.int32)
+        self.idx = (rows_lo + (np.arange(batch, dtype=np.int32)
+                               << lo)[:, None]).ravel()
+        self.k = k
+        self.blocks = 1 << (exponent - lo)
+        self.workers = max(1, min(threads, self.blocks))
+        dtype = (np.float32 if rows.size <= kernels._FLOAT32_EXACT
+                 else np.float64)
+        self.spaces = [
+            (np.empty((batch, 1 << lo), dtype),
+             np.empty((batch, 1 << lo), dtype),
+             np.empty((batch, 1 << lo), bool),
+             np.empty((batch, rows.size), dtype))
+            for _ in range(self.workers)]
 
-    blocks = range(1 << (exponent - lo_bits))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tops = list(pool.map(run_block, blocks))
-    else:
-        tops = list(map(run_block, blocks))
-    if len(tops) == 1:
-        return tops[0]
-    return _first_k(*map(np.concatenate, zip(*tops)), k)
+    def topk(self, d: np.ndarray):
+        """Top-k (row, fill, corr) of each row of data bits ``d``."""
+        if self.workers > 1:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                tops = [t for ts in pool.map(lambda w: self._run(d, w),
+                                             range(self.workers))
+                        for t in ts]
+        else:
+            tops = self._run(d, 0)
+        if len(tops) == 1:
+            return tops[0]
+        return _first_k(*map(np.concatenate, zip(*tops)), self.k)
+
+    def _run(self, d: np.ndarray, worker: int) -> list:
+        """The top-k lists of blocks worker, worker + workers, ..."""
+        table, part, mask, signs = (a[:len(d)] for a in self.spaces[worker])
+        idx = self.idx[:d.size]
+        tops = []
+        for hi in range(worker, self.blocks, self.workers):
+            flip = (d ^ kernels.parity_u64(self.rows_hi & np.uint64(hi))
+                    if hi else d)
+            np.copyto(signs, flip)
+            signs *= -2
+            signs += 1
+            _scatter(table, idx, signs)
+            kernels.fwht_inplace(table, part.reshape(-1))
+            base = hi << self.lo_bits
+            _exclude_zero_parts(table, base, self.parts)
+            tops.append(_topk_rows(table, base, self.k, part, mask))
+        return tops
 
 
 def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
@@ -241,10 +283,11 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
     return rows, d0, consumed
 
 
-#: Fill bits of one block of a stage scoring. A block's table takes 64 MB
-#: a row at 2^24 int32 entries; a wider stage runs 2^(exponent - 24)
-#: blocks, numbered by the high fill bits.
-_BLOCK_BITS = 24
+#: Fill bits of one block of a stage scoring: the transform's cache block,
+#: so a one-row table and its work buffers fit L2 (512 KB a row in
+#: float32). A wider stage runs 2^(exponent - 17) blocks, numbered by the
+#: high fill bits.
+_BLOCK_BITS = kernels._BLOCK_BITS
 
 #: Cells (parents x sample bits, or parents x table entries) that one
 #: batch of a stage scoring holds, so memory grows with neither the beam
@@ -265,8 +308,8 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     dict, in order: the rows and the packed complemented ciphertext are
     built once. In each batch of _BATCH_CELLS cells, the packed sequences
     of the consumed registers' fills (kernels.packed_sequences) are XORed
-    into the parents' words, which are unpacked once and run through one
-    block loop (_stage_topk).
+    into the parents' words, which are unpacked once and run through the
+    stage's block loop (_StageBlocks), whose buffers every batch reuses.
     ``threads`` > 1 runs a batch's blocks on a thread pool.
 
     Fills with an all-zero register part are never retained: no key has
@@ -283,6 +326,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
     step = max(1, _BATCH_CELLS // max(n, 1 << min(stage.exponent,
                                                   _BLOCK_BITS)))
+    blocks = _StageBlocks(rows, degrees, min(step, len(knowns)), k, threads)
     boards = []
     for c in range(0, len(knowns), step):
         batch = knowns[c:c + step]
@@ -291,8 +335,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             poly = sample.spec.polynomials[r]
             d ^= kernels.packed_sequences(poly.tapmask, poly.degree,
                                           [kn[r] for kn in batch], n)
-        row, fill, corr = _stage_topk(rows, unpack_words(d, n), degrees, k,
-                                      threads)
+        row, fill, corr = blocks.topk(unpack_words(d, n))
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,

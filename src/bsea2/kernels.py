@@ -17,8 +17,10 @@ The transform splits H_{2^m} into Kronecker factors (Fino and Algazi
 costs k multiply-adds per element for log2(k) index bits, so small
 factors do less work; below H_16 the products lose more to overhead
 than they save (measured). It runs in float32, which is exact while the
-input's absolute sum is at most 2^24 (an attack stage's sum is its
-sample length), and in float64 above that.
+input's absolute sum is at most 2^24, and in float64 above that. An
+int32 input is summed to pick one; the attack's stage scorer scatters
+into the float dtype itself, since a stage table's sum is at most its
+sample length, and so skips that pass.
 """
 import functools
 
@@ -34,9 +36,11 @@ HAVE_CORE = False
 CHUNK = 1 << 14
 
 _FACTOR_BITS = 4            # the largest Hadamard factor is H_16
-_BLOCK_BITS = 17            # a 2^17 block and its two work buffers fit L2
+_BLOCK_BITS = 17            # a 2^17 block and its two work buffers fit L2;
+                            # the stage scorer's blocks take it too
 _PANEL = 1 << 12            # columns per product in the whole-array passes
 _FLOAT32_EXACT = 1 << 24    # every integer up to here is a float32
+_FWHT_DTYPES = (np.int32, np.float32, np.float64)
 
 _forms = {}                 # (tapmask, degree) -> read-only uint64 rows
 _basis = {}                 # (tapmask, degree) -> (n, read-only packed rows)
@@ -178,22 +182,31 @@ def _transform_bits(src, dst, bits: int, stride: int):
     return src
 
 
-def fwht_inplace(a: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform of an int32 array, in place.
+def fwht_inplace(a: np.ndarray, work=None) -> None:
+    """Unnormalized Walsh-Hadamard transform of a numeric array, in place.
 
     a[u] becomes sum_x a[x] * (-1)^<x,u>. A 2-D array has each row (its
     last axis) transformed on its own. The transform length must be a power
-    of two and the results must fit in int32.
+    of two.
+
+    A float32 or float64 array is transformed in its own dtype, with no
+    check: the caller sees to it that the results are exact (in float32,
+    an absolute sum of at most 2^24 a row). An int32 array must have
+    results that fit int32; it runs in float32 when every row's absolute
+    sum is at most 2^24, which makes every row's results exact, and in
+    float64 otherwise.
 
     The array is taken as one flat run of rows. Its low _BLOCK_BITS index
-    bits are transformed one cache-sized block at a time, in two small work
-    buffers; a block holds whole rows or a part of one. The bits above a
-    block take one pass over the whole array per factor, against one
-    scratch array. float32 runs when every row's absolute sum is at most
-    2^24, which makes every row's results exact.
+    bits are transformed one cache-sized block at a time, alternating with
+    a work buffer; a block holds whole rows or a part of one. An int32
+    block is first copied into a float buffer. ``work`` may give the work
+    buffer for a float array: a 1-D array of its dtype with at least
+    min(a.size, 2^_BLOCK_BITS) entries. The bits above a block take one
+    pass over the whole array per factor, against one scratch array.
     """
-    if a.dtype != np.int32 or a.ndim not in (1, 2):
-        raise ValueError("fwht_inplace expects a 1-D or 2-D int32 array")
+    if a.dtype not in _FWHT_DTYPES or a.ndim not in (1, 2):
+        raise ValueError("fwht_inplace expects a 1-D or 2-D int32, float32 "
+                         "or float64 array")
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")
@@ -204,24 +217,33 @@ def fwht_inplace(a: np.ndarray) -> None:
     flat = a.reshape(-1)
     block = min(flat.size, 1 << _BLOCK_BITS)
     seg = min(m, block)             # the row bits a block transforms
-    sums = np.concatenate([
-        np.abs(flat[i:i + block].reshape(-1, seg)).sum(axis=1, dtype=np.int64)
-        for i in range(0, flat.size, block)])
-    if sums.reshape(-1, m // seg).sum(axis=1).max() <= _FLOAT32_EXACT:
-        out = flat.view(np.float32)  # each block is read before it is written
+    if a.dtype != np.int32:
+        out = flat
     else:
-        out = np.empty(flat.size, dtype=np.float64)
-    work = (np.empty(block, out.dtype), np.empty(block, out.dtype))
+        sums = np.concatenate([
+            np.abs(flat[i:i + block].reshape(-1, seg)).sum(axis=1,
+                                                           dtype=np.int64)
+            for i in range(0, flat.size, block)])
+        if sums.reshape(-1, m // seg).sum(axis=1).max() <= _FLOAT32_EXACT:
+            out = flat.view(np.float32)  # each block is read before written
+        else:
+            out = np.empty(flat.size, dtype=np.float64)
+    if work is None:
+        work = np.empty(block, out.dtype)
+    copy = None if out is flat else np.empty(block, out.dtype)
     low = seg.bit_length() - 1
     for i in range(0, flat.size, block):
         size = min(block, flat.size - i)
-        work[0][:size] = flat[i:i + size]
-        out[i:i + size] = _transform_bits(work[0][:size], work[1][:size],
-                                          low, 1)
+        src = flat[i:i + size]
+        if copy is not None:
+            copy[:size] = src
+            src = copy[:size]
+        out[i:i + size] = _transform_bits(src, work[:size], low, 1)
     if m > seg:
         out = _transform_bits(out, np.empty(flat.size, out.dtype),
                               m.bit_length() - 1 - low, seg)
-    flat[...] = out
+    if out is not flat:
+        flat[...] = out
 
 
 def parity_u64(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bsea2 import attack, boolfn
+from bsea2 import attack, boolfn, kernels
 from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill, validate_key)
@@ -148,6 +150,64 @@ class TestScoreStage:
         blocked = score_stage(sample, stage, known, 0xBD, k=25)
         threaded = score_stage(sample, stage, known, 0xBD, k=25, threads=4)
         assert one.entries == blocked.entries == threaded.entries
+
+    def test_default_block_size_equals_one_block(self, make_sample,
+                                                 monkeypatch):
+        # K' 0x81's first mini stage has 2^22 fills: 32 blocks of the
+        # default 2^17, against one block of 2^24
+        rng = np.random.default_rng(33)
+        key = random_key(MINI_SPEC, rng, kprime=0x81)
+        sample, _ = make_sample(MINI_SPEC, key, 512, 0.9, rng)
+        stage = plan_attack(MINI_SPEC, 0x81).stages[0]
+        assert stage.exponent == 22 and attack._BLOCK_BITS == 17
+        blocked = score_stage(sample, stage, {}, 0x81)
+        threaded = score_stage(sample, stage, {}, 0x81, threads=2)
+        monkeypatch.setattr(attack, "_BLOCK_BITS", 24)
+        one = score_stage(sample, stage, {}, 0x81)
+        assert blocked.entries == threaded.entries == one.entries
+        assert len(one.entries) == 10
+
+    def test_float64_tables_match_oracle(self, make_sample, monkeypatch):
+        # a float32 limit below the sample length makes every stage table
+        # float64; the 2-D transforms are the tables (spectra are 1-D)
+        dtypes = set()
+        fwht = kernels.fwht_inplace
+
+        def spy(a, *args):
+            if a.ndim == 2:
+                dtypes.add(a.dtype)
+            fwht(a, *args)
+        monkeypatch.setattr(kernels, "_FLOAT32_EXACT", 64)
+        monkeypatch.setattr(kernels, "fwht_inplace", spy)
+        rng = np.random.default_rng(34)
+        key = random_key(MINI_953F, rng, kprime=0xBD)
+        fills, _ = split_key(MINI_953F, key)
+        sample, _ = make_sample(MINI_953F, key, 160, 0.9, rng)
+        stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
+        known = {0: fills[0]}
+        board = score_stage(sample, stage, known, 0xBD, k=20)
+        expected = oracle_all_scores(sample, stage, known, 0xBD)
+        assert list(board.entries) == oracle_topk(
+            expected, 20, target_degrees(MINI_953F, stage))
+        assert dtypes == {np.dtype(np.float64)}
+
+    def test_full_size_r0_stage_memory(self):
+        # 2^23 fills x 6000 bits; whole-stage tables would take 32 MB each
+        rng = np.random.default_rng(35)
+        key = random_key(SPEC_953F, rng, kprime=0xBD)
+        fills, _ = split_key(SPEC_953F, key)
+        sample = keystream_sample(SPEC_953F, key, 6000)
+        stage = next(st for st in plan_attack(SPEC_953F, 0xBD).stages
+                     if st.targets == frozenset({0}))
+        known = {r: fills[r] for r in stage.known}
+        tracemalloc.start()
+        try:
+            board = score_stage(sample, stage, known, 0xBD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert board.entries[0][0] == fills[0]
+        assert peak < 8 << 20
 
     def test_zero_fill_is_never_ranked(self):
         # on this sample fill 0 used to rank first in stage 1001 (R3,

@@ -159,6 +159,24 @@ def test_fwht_2d_matches_each_row(bits, count, last, signed):
     assert all(np.array_equal(row, want) for row, want in zip(a, expected))
 
 
+# A float array keeps its dtype and is summed by no one: rows of 2^4 and
+# 2^10 fit one block, a row of 2^18 spans two. An absolute sum of 2^24 a
+# row is exact in float32 and in float64.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits,count", [(4, 5), (10, 3), (18, 1)])
+@pytest.mark.parametrize("given_work", [False, True])
+def test_fwht_float_in_place(dtype, bits, count, given_work):
+    rows = [_input_with_abs_sum(1 << bits, 1 << 24, True, seed=bits + i)
+            for i in range(count)]
+    a = np.stack(rows).astype(dtype)
+    work = (np.empty(min(a.size, 1 << kernels._BLOCK_BITS), dtype)
+            if given_work else None)
+    kernels.fwht_inplace(a, work)
+    assert a.dtype == dtype
+    assert all(np.array_equal(got.astype(np.int64), butterfly_wht(row))
+               for got, row in zip(a, rows))
+
+
 def test_fwht_rejects_bad_input():
     with pytest.raises(ValueError):
         kernels.fwht_inplace(np.zeros(3, np.int32))
