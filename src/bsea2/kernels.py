@@ -40,7 +40,6 @@ _BLOCK_BITS = 17            # a 2^17 block and its two work buffers fit L2;
                             # the stage scorer's blocks take it too
 _PANEL = 1 << 12            # columns per product in the whole-array passes
 _FLOAT32_EXACT = 1 << 24    # every integer up to here is a float32
-_FWHT_DTYPES = (np.int32, np.float32, np.float64)
 
 _forms = {}                 # (tapmask, degree) -> read-only uint64 rows
 _basis = {}                 # (tapmask, degree) -> (n, read-only packed rows)
@@ -204,7 +203,8 @@ def fwht_inplace(a: np.ndarray, work=None) -> None:
     min(a.size, 2^_BLOCK_BITS) entries. The bits above a block take one
     pass over the whole array per factor, against one scratch array.
     """
-    if a.dtype not in _FWHT_DTYPES or a.ndim not in (1, 2):
+    if (a.dtype not in (np.int32, np.float32, np.float64)
+            or a.ndim not in (1, 2)):
         raise ValueError("fwht_inplace expects a 1-D or 2-D int32, float32 "
                          "or float64 array")
     m = a.shape[-1]

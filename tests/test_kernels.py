@@ -159,9 +159,9 @@ def test_fwht_2d_matches_each_row(bits, count, last, signed):
     assert all(np.array_equal(row, want) for row, want in zip(a, expected))
 
 
-# A float array keeps its dtype and is summed by no one: rows of 2^4 and
-# 2^10 fit one block, a row of 2^18 spans two. An absolute sum of 2^24 a
-# row is exact in float32 and in float64.
+# A float array is transformed in its own dtype with no abs-sum pass:
+# rows of 2^4 and 2^10 fit one block, a row of 2^18 spans two. An
+# absolute sum of 2^24 a row is exact in float32 and in float64.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bits,count", [(4, 5), (10, 3), (18, 1)])
 @pytest.mark.parametrize("given_work", [False, True])
