@@ -18,9 +18,11 @@ bits: one block when the stage has no more bits. Each block scatters
 every parent of a batch into one float table row and transforms the
 table in one call. The table and the buffers the transform and the top-k
 selection work in are made once per call and reused by every batch and
-block, so memory stays near 1 MB a worker whatever the stage's width,
-and blocks can run on a thread pool. The blocks' top-k lists are merged once, for
-all parents together, by score desc, then smallest fill.
+block, so memory stays near 1 MB whatever the stage's width. The blocks
+run in order on one thread; a thread pool over them was slower under
+the default multi-threaded BLAS (measured on 2 vCPUs). The blocks' top-k
+lists are merged once, for all parents together, by score desc, then
+smallest fill.
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -30,7 +32,6 @@ The cache also holds each (register, fill) sequence that validation
 needs, packed into uint64 words.
 """
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,84 +166,6 @@ def _scatter(table: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> None:
     np.add.at(table.reshape(-1), idx, signs.reshape(-1))
 
 
-class _StageBlocks:
-    """The block loop of one stage scoring, for batches of up to ``batch``
-    rows of data bits; every batch gives the top-k (row, fill, corr) of
-    each row, as _first_k gives them, over all joint fills of registers of
-    ``degrees`` (lowest bits first) whose every register part is non-zero.
-
-    The fills run in blocks of 2^_BLOCK_BITS over their high bits, one
-    block when the stage has no more bits. A block's high fill bits flip
-    the sign of each row's data bit by <A_t's high part, block number>, so
-    a block scatters every row into one table over the low bits and
-    transforms it in one call; block 0 flips nothing. The table is float32
-    while the sample has at most 2^24 bits, which keeps every score exact,
-    and float64 above that.
-
-    A worker takes every ``threads``-th block, on a thread pool if
-    ``threads`` > 1. The scatter indices, and per worker one workspace,
-    are made once and reused by every batch and block: the table, a buffer
-    of its size that the transform works in and _topk_rows partitions,
-    _topk_rows' mask and the signs. The blocks' lists are merged once by
-    _first_k; the list of a one-block stage is already in that order.
-    """
-
-    def __init__(self, rows: np.ndarray, degrees, batch: int, k: int,
-                 threads: int):
-        exponent = sum(degrees)
-        self.parts = [(sum(degrees[:i]), deg)
-                      for i, deg in enumerate(degrees)]
-        self.lo_bits = lo = min(exponent, _BLOCK_BITS)
-        self.rows_hi = rows >> np.uint64(lo)
-        # a table has at most max(_BATCH_CELLS, 2^_BLOCK_BITS) entries, so
-        # int32 indices do
-        rows_lo = (rows & np.uint64((1 << lo) - 1)).astype(np.int32)
-        self.idx = (rows_lo + (np.arange(batch, dtype=np.int32)
-                               << lo)[:, None]).ravel()
-        self.k = k
-        self.blocks = 1 << (exponent - lo)
-        self.workers = max(1, min(threads, self.blocks))
-        dtype = (np.float32 if rows.size <= kernels._FLOAT32_EXACT
-                 else np.float64)
-        self.spaces = [
-            (np.empty((batch, 1 << lo), dtype),
-             np.empty((batch, 1 << lo), dtype),
-             np.empty((batch, 1 << lo), bool),
-             np.empty((batch, rows.size), dtype))
-            for _ in range(self.workers)]
-
-    def topk(self, d: np.ndarray):
-        """Top-k (row, fill, corr) of each row of data bits ``d``."""
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                tops = [t for ts in pool.map(lambda w: self._run(d, w),
-                                             range(self.workers))
-                        for t in ts]
-        else:
-            tops = self._run(d, 0)
-        if len(tops) == 1:
-            return tops[0]
-        return _first_k(*map(np.concatenate, zip(*tops)), self.k)
-
-    def _run(self, d: np.ndarray, worker: int) -> list:
-        """The top-k lists of blocks worker, worker + workers, ..."""
-        table, part, mask, signs = (a[:len(d)] for a in self.spaces[worker])
-        idx = self.idx[:d.size]
-        tops = []
-        for hi in range(worker, self.blocks, self.workers):
-            flip = (d ^ kernels.parity_u64(self.rows_hi & np.uint64(hi))
-                    if hi else d)
-            np.copyto(signs, flip)
-            signs *= -2
-            signs += 1
-            _scatter(table, idx, signs)
-            kernels.fwht_inplace(table, part.reshape(-1))
-            base = hi << self.lo_bits
-            _exclude_zero_parts(table, base, self.parts)
-            tops.append(_topk_rows(table, base, self.k, part, mask))
-        return tops
-
-
 def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
                   knowns: list, kprime: int):
     """(joint rows A_t, c XOR s packed by bits.pack_words, consumed
@@ -299,8 +222,8 @@ _BATCH_CELLS = 1 << 17
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 kprime: int, k: int = DEFAULT_RETENTION,
-                budget: int = DEFAULT_BUDGET_EXPONENT,
-                threads: int = 1) -> ScoreBoard | list[ScoreBoard]:
+                budget: int = DEFAULT_BUDGET_EXPONENT
+                ) -> ScoreBoard | list[ScoreBoard]:
     """Score every joint fill of the stage's targets; retain the top k.
 
     ``known`` maps each register the mask consumes to its recovered fill
@@ -308,9 +231,20 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     dict, in order: the rows and the packed complemented ciphertext are
     built once. In each batch of _BATCH_CELLS cells, the packed sequences
     of the consumed registers' fills (kernels.packed_sequences) are XORed
-    into the parents' words, which are unpacked once and run through the
-    stage's block loop (_StageBlocks), whose buffers every batch reuses.
-    ``threads`` > 1 runs a batch's blocks on a thread pool.
+    into the parents' words, which are unpacked once.
+
+    A batch runs over the joint fills in blocks of 2^_BLOCK_BITS over
+    their high bits, one block when the stage has no more bits. A block's
+    high fill bits flip the sign of each parent's data bit by <A_t's high
+    part, block number>, so a block scatters every parent into one table
+    over the low bits and transforms it in one call; block 0 flips
+    nothing. The table is float32 while the sample has at most 2^24 bits,
+    which keeps every score exact, and float64 above that. The scatter
+    indices and one workspace are made once per call and reused by every
+    batch and block: the table, a buffer of its size that the transform
+    works in and _topk_rows partitions, _topk_rows' mask and the signs. A
+    batch's block lists are merged once by _first_k; the list of a
+    one-block stage is already in that order.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -324,9 +258,20 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     rows, d0, consumed = _stage_inputs(sample, stage, knowns, kprime)
     n = sample.bits.size
     degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
-    step = max(1, _BATCH_CELLS // max(n, 1 << min(stage.exponent,
-                                                  _BLOCK_BITS)))
-    blocks = _StageBlocks(rows, degrees, min(step, len(knowns)), k, threads)
+    parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
+    lo = min(stage.exponent, _BLOCK_BITS)
+    step = max(1, _BATCH_CELLS // max(n, 1 << lo))
+    width = min(step, len(knowns))
+    rows_hi = rows >> np.uint64(lo)
+    # a table has at most max(_BATCH_CELLS, 2^_BLOCK_BITS) entries, so
+    # int32 indices do
+    rows_lo = (rows & np.uint64((1 << lo) - 1)).astype(np.int32)
+    idx = (rows_lo + (np.arange(width, dtype=np.int32) << lo)[:, None]).ravel()
+    dtype = np.float32 if n <= kernels._FLOAT32_EXACT else np.float64
+    space = (np.empty((width, 1 << lo), dtype),
+             np.empty((width, 1 << lo), dtype),
+             np.empty((width, 1 << lo), bool),
+             np.empty((width, n), dtype))
     boards = []
     for c in range(0, len(knowns), step):
         batch = knowns[c:c + step]
@@ -335,7 +280,21 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             poly = sample.spec.polynomials[r]
             d ^= kernels.packed_sequences(poly.tapmask, poly.degree,
                                           [kn[r] for kn in batch], n)
-        row, fill, corr = blocks.topk(unpack_words(d, n))
+        d = unpack_words(d, n)
+        table, part, mask, signs = (a[:len(batch)] for a in space)
+        tops = []
+        for hi in range(1 << (stage.exponent - lo)):
+            flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
+            np.copyto(signs, flip)
+            signs *= -2
+            signs += 1
+            _scatter(table, idx[:d.size], signs)
+            kernels.fwht_inplace(table, part.reshape(-1))
+            base = hi << lo
+            _exclude_zero_parts(table, base, parts)
+            tops.append(_topk_rows(table, base, k, part, mask))
+        row, fill, corr = (tops[0] if len(tops) == 1 else
+                           _first_k(*map(np.concatenate, zip(*tops)), k))
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,
@@ -530,7 +489,6 @@ class RunResult:
 def run_plan(sample: CiphertextSample, plan: AttackPlan,
              k: int = DEFAULT_RETENTION,
              budget: int = DEFAULT_BUDGET_EXPONENT,
-             threads: int = 1,
              progress=None, *, cache: _RunCache | None = None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
@@ -589,8 +547,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         misses = [i for i, key in enumerate(keys) if key not in cache.boards]
         if misses:
             scored = score_stage(sample, stage, [parents[i] for i in misses],
-                                 kprime, k=k, budget=budget,
-                                 threads=threads)
+                                 kprime, k=k, budget=budget)
             for i, board in zip(misses, scored):
                 cache.boards[keys[i]] = np.array(board.entries,
                                                  dtype=np.int64
@@ -691,7 +648,6 @@ class ParallelResult:
 def run_parallel_instances(sample: CiphertextSample,
                            k: int = DEFAULT_RETENTION,
                            budget: int = DEFAULT_BUDGET_EXPONENT,
-                           threads: int = 1,
                            stop_on_success: bool = True,
                            progress=None) -> ParallelResult:
     """One cryptanalysis program per K', cheapest classes first.
@@ -720,7 +676,7 @@ def run_parallel_instances(sample: CiphertextSample,
             plan = report.plans[kp]
             try:
                 result = run_plan(sample, plan, k=k, budget=budget,
-                                  threads=threads, cache=cache)
+                                  cache=cache)
                 statuses[kp] = InstanceStatus(kp, row.exponent, "recovered",
                                               attempt, result.candidates[0])
                 transcripts[kp] = result.transcript

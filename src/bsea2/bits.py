@@ -3,6 +3,8 @@
 File convention everywhere: bits are packed MSB-first within each byte,
 i.e. bit number 1 of a stream is the most significant bit of byte 0.
 """
+import re
+
 import numpy as np
 
 
@@ -46,9 +48,16 @@ def hex_byte(value: int) -> str:
     return f"0x{value:02X}"
 
 
+_HEX = re.compile(r"(0[xX])?[0-9A-Fa-f]+")
+
+
 def parse_hex(text: str) -> int:
-    """Accept '0x93A0' or bare '93A0'."""
-    return int(text.strip(), 16)
+    """Accept '0x93A0' or bare '93A0'; anything but hex digits after an
+    optional 0x (a sign, '_', another digit set) raises ValueError."""
+    text = text.strip()
+    if not _HEX.fullmatch(text):
+        raise ValueError(f"not a hex number: {text!r}")
+    return int(text, 16)
 
 
 def fill_hex(fill: int, degree: int) -> str:

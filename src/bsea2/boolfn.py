@@ -6,7 +6,10 @@ index packs register outputs as x3 + (x2<<1) + (x1<<2) + (x0<<3): mask bit
 3 addresses R0, bit 2 R1, bit 1 R2, bit 0 R3.
 
 Spectra are exact signed integers; Parseval and table-matching tests rely
-on exactness, so nothing here goes through floats.
+on exactness. walsh_transform runs through kernels.fwht_inplace, whose
+int32 path transforms the +-1 table in float32: the table's absolute sum
+is 2^n <= 2^16, so every partial sum is an integer of magnitude at most
+2^16, inside float32's exact range of 2^24.
 """
 import numpy as np
 

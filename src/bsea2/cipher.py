@@ -11,13 +11,15 @@ key file. Bits fill R0 stages s_0.. first, then R1, R2, R3, and the final
 import functools
 import hashlib
 import json
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import boolfn, kernels
-from .errors import (DegenerateKey, InvalidSpec, UnreadableInput,
-                     WrongKeyLength)
+from .bits import parse_hex
+from .errors import (DegenerateKey, InvalidKey, InvalidSpec,
+                     UnreadableInput, WrongKeyLength)
 from .lfsr import (LfsrState, P0, P1, P2, P3, make_polynomial,
                    polynomial_from_list)
 
@@ -100,7 +102,7 @@ def spec_from_json_dict(data) -> InstanceSpec:
         polys, f0 = data["polynomials"], data["f0"]
         name = data.get("name", "custom")
         if isinstance(f0, str):
-            f0 = int(f0, 16)
+            f0 = parse_hex(f0)
         if not (isinstance(polys, list) and type(f0) is int
                 and isinstance(name, str)
                 and all(isinstance(p, list) and p
@@ -142,16 +144,14 @@ class SecretKey:
         if not 0 <= self.value < (1 << self.nbits):
             raise ValueError("key value wider than its declared bit length")
 
-    def bit(self, i: int) -> int:
-        """Key bit i, numbered from the most significant end."""
-        return (self.value >> (self.nbits - 1 - i)) & 1
-
     def to_hex(self) -> str:
         return f"{self.value:0{self.nbits // 4}X}"
 
     @classmethod
     def from_hex(cls, text: str, nbits: int) -> "SecretKey":
         text = text.strip()
+        if not all(c in string.hexdigits for c in text):
+            raise InvalidKey(f"a key is hex digits only, got {text!r}")
         if len(text) * 4 != nbits:
             raise WrongKeyLength(
                 f"expected {nbits // 4} hex characters, got {len(text)}")
@@ -164,22 +164,19 @@ def split_key(spec: InstanceSpec, key: SecretKey):
         raise WrongKeyLength(
             f"spec '{spec.name}' needs {spec.key_bits} key bits, "
             f"got {key.nbits}")
-    fills = []
-    for off, deg in zip(spec.register_offsets(), spec.degrees):
-        fills.append(sum(key.bit(off + i) << i for i in range(deg)))
-    kprime = key.value & 0xFF
-    return tuple(fills), kprime
+    # key bit off + i is fill bit i: each fill is its slice of the key's
+    # bit string, reversed
+    bits = f"{key.value:0{key.nbits}b}"
+    fills = tuple(int(bits[off:off + deg][::-1], 2)
+                  for off, deg in zip(spec.register_offsets(), spec.degrees))
+    return fills, key.value & 0xFF
 
 
 def assemble_key(spec: InstanceSpec, fills, kprime: int) -> SecretKey:
-    """Inverse of split_key."""
-    value = 0
-    nbits = spec.key_bits
-    for off, deg, fill in zip(spec.register_offsets(), spec.degrees, fills):
-        for i in range(deg):
-            value |= ((fill >> i) & 1) << (nbits - 1 - (off + i))
-    value |= kprime & 0xFF
-    return SecretKey(value, nbits)
+    """Inverse of split_key; a fill's bits above its degree are ignored."""
+    bits = "".join(f"{int(fill) & ((1 << deg) - 1):0{deg}b}"[::-1]
+                   for deg, fill in zip(spec.degrees, fills))
+    return SecretKey((int(bits, 2) << 8) | (kprime & 0xFF), spec.key_bits)
 
 
 def random_key(spec: InstanceSpec, rng, kprime: int | None = None) -> SecretKey:

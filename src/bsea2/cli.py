@@ -28,10 +28,8 @@ from .plaintext import (DEFAULT_MODEL, PlaintextModel, estimate_p0)
 def _spec_from_args(args) -> InstanceSpec:
     spec = load_spec(args.spec)
     f0 = getattr(args, "f0", None)
-    if f0 is not None:
-        word = parse_hex(f0)
-        if word != spec.f0:
-            spec = InstanceSpec(f"{spec.name}+f0", spec.polynomials, word)
+    if f0 is not None and f0 != spec.f0:
+        spec = InstanceSpec(f"{spec.name}+f0", spec.polynomials, f0)
     return spec
 
 
@@ -70,10 +68,11 @@ def _read_input(path: str) -> bytes:
 
 
 def _read_key(args, spec: InstanceSpec) -> SecretKey:
-    if args.key:
+    if args.key is not None:
         text = args.key
     else:
-        text = _read_input(args.key_file).decode().strip()
+        # latin-1 decodes any byte, so text that is not hex is InvalidKey
+        text = _read_input(args.key_file).decode("latin-1").strip()
     return SecretKey.from_hex(text, spec.key_bits)
 
 
@@ -161,18 +160,10 @@ def _cmd_encrypt(args) -> int:
 
 # ------------------------------------------------- spectrum / classify
 
-def _parse_kprime(text: str) -> int:
-    value = parse_hex(text)
-    if not 0 <= value <= 0xFF:
-        raise Bsea2Error(f"K' must be an 8-bit value, got {text}")
-    return value
-
-
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    kprime = _parse_kprime(args.kprime)
     model = PlaintextModel(p0=args.p0) if args.p0 is not None else DEFAULT_MODEL
-    report = classifier.spectrum_report(spec, kprime, model)
+    report = classifier.spectrum_report(spec, args.kprime, model)
     report["meta"] = _meta(args, spec)
     if args.format == "json":
         _emit_json(args, report)
@@ -207,7 +198,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = _spec_from_args(args)
-    kprime = _parse_kprime(args.kprime)
+    kprime = args.kprime
     report = classifier.partition_keys(spec)
     row = report.row_for(kprime)
     plan = report.plans[kprime]
@@ -298,12 +289,11 @@ def _cmd_attack(args) -> int:
         "meta": _meta(args, spec),
     }
     if args.kprime is not None:
-        kprime = _parse_kprime(args.kprime)
-        plan = classifier.plan_attack(spec, kprime)
+        plan = classifier.plan_attack(spec, args.kprime)
         try:
             result = attack.run_plan(
                 sample, plan, k=args.retention, budget=args.budget,
-                threads=args.threads, progress=progress)
+                progress=progress)
             payload["mode"] = "single"
             payload["transcript"] = result.transcript
             payload["recovered_key"] = result.candidates[0].key.to_hex()
@@ -315,7 +305,7 @@ def _cmd_attack(args) -> int:
     else:
         result = attack.run_parallel_instances(
             sample, k=args.retention, budget=args.budget,
-            threads=args.threads, stop_on_success=not args.exhaustive,
+            stop_on_success=not args.exhaustive,
             progress=progress)
         payload["mode"] = "all-256"
         payload["recovered_key"] = (result.best.key.to_hex()
@@ -441,6 +431,22 @@ def _probability(text: str) -> float:
     return value
 
 
+def _hex_below(bits: int):
+    """argparse type for --f0 and --kprime: hex digits with an optional
+    0x (no sign, no '_'), of a value below 2^bits."""
+    def parse(text: str) -> int:
+        try:
+            value = parse_hex(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid hex number: {text!r}") from None
+        if value >> bits:
+            raise argparse.ArgumentTypeError(
+                f"must fit in {bits} bits, got {text}")
+        return value
+    return parse
+
+
 def _add_spec_arg(p, default="default"):
     p.add_argument("--spec", default=default,
                    help="instance: default, mini, or a spec JSON file")
@@ -461,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="sample a key from an attack class")
     _add_spec_arg(p)
-    p.add_argument("--f0", help="override the spec's initial truth table")
+    p.add_argument("--f0", type=_hex_below(16),
+                   help="override the spec's initial truth table")
     p.add_argument("--class", dest="key_class", default="any",
                    help="class label from partition (default: any attackable)")
     p.add_argument("--seed", type=int, required=True)
@@ -488,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum",
                        help="masked table, Walsh spectra, usable masks, plan")
     _add_spec_arg(p)
-    p.add_argument("--f0", help="override the spec's initial truth table")
-    p.add_argument("--kprime", required=True)
+    p.add_argument("--f0", type=_hex_below(16),
+                   help="override the spec's initial truth table")
+    p.add_argument("--kprime", type=_hex_below(8), required=True)
     p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
@@ -498,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="attack class of one K'")
     _add_spec_arg(p)
-    p.add_argument("--f0")
-    p.add_argument("--kprime", required=True)
+    p.add_argument("--f0", type=_hex_below(16))
+    p.add_argument("--kprime", type=_hex_below(8), required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
@@ -507,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="classify all 256 K' values")
     _add_spec_arg(p)
-    p.add_argument("--f0")
+    p.add_argument("--f0", type=_hex_below(16))
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     p.add_argument("--out")
@@ -516,13 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run the ciphertext-only attack")
     _add_spec_arg(p)
-    p.add_argument("--f0")
+    p.add_argument("--f0", type=_hex_below(16))
     p.add_argument("--ciphertext", required=True)
     p.add_argument("--bits", type=_int_at_least(1), default=None,
                    help="bit-precise sample length (default: whole file)")
     p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--corpus", help="estimate p0 from this byte corpus")
-    p.add_argument("--kprime", default=None,
+    p.add_argument("--kprime", type=_hex_below(8), default=None,
                    help="attack a single K' instance (default: all 256)")
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the transcript (the attack itself is "
@@ -534,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int,
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_attack)

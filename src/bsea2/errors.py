@@ -18,6 +18,10 @@ class WrongKeyLength(Bsea2Error):
     """Secret key bit length does not match the instance spec."""
 
 
+class InvalidKey(Bsea2Error):
+    """Key text holds a character that is not a hex digit."""
+
+
 class DegenerateKey(Bsea2Error):
     """Some register fill extracted from the key is all-zero."""
 

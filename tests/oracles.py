@@ -4,13 +4,13 @@ Everything here is deliberately written the dumb way: per-element loops,
 no word tricks, no shared code with the kernels under test (the one
 vectorised oracle, butterfly_wht, is the textbook radix-2 butterfly). The
 chain of trust is: clock() is verified by hand-traced vectors;
-scalar_sequence and scalar_keystream compose clock(); stage scoring
-oracles re-encrypt per candidate.
+scalar_sequence and scalar_keystream compose clock(); the key layout is
+read bit by bit from the documented convention; stage scoring oracles
+re-encrypt per candidate.
 """
 import numpy as np
 
 from bsea2 import boolfn
-from bsea2.cipher import assemble_key, split_key
 from bsea2.classifier import mask_registers
 from bsea2.lfsr import LfsrState, clock
 
@@ -57,9 +57,48 @@ def butterfly_wht(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def oracle_split_key(spec, key):
+    """([fills], kprime) of a SecretKey, one key bit at a time.
+
+    Key bit p is numbered from the most significant end. Bits 0.. fill
+    R0's stages s_0, s_1, ... (fill bit i is stage s_i), then R1, R2 and
+    R3; the last 8 bits are K', most significant first.
+    """
+    bits = [(key.value >> (key.nbits - 1 - p)) & 1 for p in range(key.nbits)]
+    fills = []
+    p = 0
+    for deg in spec.degrees:
+        fill = 0
+        for i in range(deg):
+            fill |= bits[p] << i
+            p += 1
+        fills.append(fill)
+    kprime = 0
+    for _ in range(8):
+        kprime = (kprime << 1) | bits[p]
+        p += 1
+    return fills, kprime
+
+
+def oracle_assemble_key(spec, fills, kprime: int) -> int:
+    """The key value that oracle_split_key reads as (fills, kprime)."""
+    bits = []
+    for deg, fill in zip(spec.degrees, fills):
+        bits += [(fill >> i) & 1 for i in range(deg)]
+    bits += [(kprime >> (7 - j)) & 1 for j in range(8)]
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
+
+
 def scalar_keystream(spec, key, n: int) -> list:
     """Clock-by-clock keystream trace; no word-parallel shortcuts."""
-    fills, kprime = split_key(spec, key)
+    return _scalar_stream(spec, *oracle_split_key(spec, key), n)
+
+
+def _scalar_stream(spec, fills, kprime: int, n: int) -> list:
+    """scalar_keystream from register fills and K' instead of a key."""
     f = spec.f0 ^ (((kprime << 8) | kprime) & 0xFFFF)
     states = [LfsrState(p, fill)
               for p, fill in zip(spec.polynomials, fills)]
@@ -80,8 +119,7 @@ def oracle_validation_zeros(sample, fills, kprime: int) -> list:
     n = sample.bits.size
     out = []
     for row in fills:
-        key = assemble_key(sample.spec, [int(v) for v in row], kprime)
-        ks = scalar_keystream(sample.spec, key, n)
+        ks = _scalar_stream(sample.spec, [int(v) for v in row], kprime, n)
         out.append(sum(1 for t in range(n)
                        if int(sample.bits[t]) == ks[t]))
     return out

@@ -148,8 +148,7 @@ class TestScoreStage:
         one = score_stage(sample, stage, known, 0xBD, k=25)
         monkeypatch.setattr(attack, "_BLOCK_BITS", 6)
         blocked = score_stage(sample, stage, known, 0xBD, k=25)
-        threaded = score_stage(sample, stage, known, 0xBD, k=25, threads=4)
-        assert one.entries == blocked.entries == threaded.entries
+        assert one.entries == blocked.entries
 
     def test_default_block_size_equals_one_block(self, make_sample,
                                                  monkeypatch):
@@ -161,10 +160,9 @@ class TestScoreStage:
         stage = plan_attack(MINI_SPEC, 0x81).stages[0]
         assert stage.exponent == 22 and attack._BLOCK_BITS == 17
         blocked = score_stage(sample, stage, {}, 0x81)
-        threaded = score_stage(sample, stage, {}, 0x81, threads=2)
         monkeypatch.setattr(attack, "_BLOCK_BITS", 24)
         one = score_stage(sample, stage, {}, 0x81)
-        assert blocked.entries == threaded.entries == one.entries
+        assert blocked.entries == one.entries
         assert len(one.entries) == 10
 
     def test_float64_tables_match_oracle(self, make_sample, monkeypatch):
@@ -272,15 +270,13 @@ class TestScoreStage:
     # K' 0x02); p0 0.2 flips the complement bit s against p0 0.9. Seven
     # parents repeat fills of both registers; a batch of 2 x 160 cells
     # splits them into four batches. 2^6 blocks split R0 in two, so each
-    # block holds every row of its batch, on one thread or two.
+    # block holds every row of its batch.
     @pytest.mark.parametrize("p0", [0.9, 0.2])
-    @pytest.mark.parametrize("block_bits, threads", [
-        pytest.param(24, 1, id="24"), pytest.param(24, 2, id="24-threads2"),
-        pytest.param(6, 1, id="6"), pytest.param(6, 2, id="6-threads2")])
+    @pytest.mark.parametrize("block_bits", [24, 6])
     @pytest.mark.parametrize("parents, cells", [(1, None), (2, None),
                                                 (7, 2 * 160)])
     def test_batch_equals_single_calls_and_oracle(self, p0, block_bits,
-                                                  threads, parents, cells,
+                                                  parents, cells,
                                                   make_sample, monkeypatch):
         monkeypatch.setattr(attack, "_BLOCK_BITS", block_bits)
         if cells is not None:
@@ -293,8 +289,7 @@ class TestScoreStage:
         r2 = [fills[2], 5, 77]
         r3 = [fills[3], 1000]
         knowns = [{2: r2[i % 3], 3: r3[i % 2]} for i in range(parents)]
-        batch = score_stage(sample, stage, knowns, 0x02, k=20,
-                            threads=threads)
+        batch = score_stage(sample, stage, knowns, 0x02, k=20)
         assert len(batch) == parents
         for known, board in zip(knowns, batch):
             one = score_stage(sample, stage, known, 0x02, k=20)

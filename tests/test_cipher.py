@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bsea2.bits import bits_to_bytes, bytes_to_bits
 from bsea2.boolfn import apply_key_mask
@@ -10,9 +11,9 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           assemble_key, decrypt, encrypt, key_setup,
                           keystream, load_spec, random_key,
                           spec_from_json_dict, split_key)
-from bsea2.errors import DegenerateKey, WrongKeyLength
+from bsea2.errors import DegenerateKey, InvalidKey, WrongKeyLength
 from bsea2.lfsr import check_period
-from oracles import scalar_keystream
+from oracles import oracle_assemble_key, oracle_split_key, scalar_keystream
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_keystream.json").read_text())
@@ -82,6 +83,30 @@ class TestKeySetup:
                 key = random_key(spec, rng)
                 fills, kprime = split_key(spec, key)
                 assert assemble_key(spec, fills, kprime).value == key.value
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, MINI_SPEC],
+                             ids=["default", "mini"])
+    @given(data=st.data())
+    def test_key_layout_matches_oracle(self, spec, data):
+        # split_key against the oracle's bit-by-bit reading of any key,
+        # and assemble_key against its writing of any fills and K'
+        key = SecretKey(data.draw(st.integers(0, (1 << spec.key_bits) - 1)),
+                        spec.key_bits)
+        fills, kprime = split_key(spec, key)
+        assert (list(fills), kprime) == oracle_split_key(spec, key)
+        assert assemble_key(spec, fills, kprime) == key
+        fills = [data.draw(st.integers(0, (1 << deg) - 1))
+                 for deg in spec.degrees]
+        kprime = data.draw(st.integers(0, 0xFF))
+        key = assemble_key(spec, fills, kprime)
+        assert key.value == oracle_assemble_key(spec, fills, kprime)
+        assert split_key(spec, key) == (tuple(fills), kprime)
+
+    def test_non_hex_key_text_rejected(self):
+        for text in ("1_1111111111", "+11111111111", "0x1111111111",
+                     "11111111111g", "١" * 12):
+            with pytest.raises(InvalidKey):
+                SecretKey.from_hex(text, 48)
 
     def test_key_bit_layout(self):
         # key bit 0 is the MSB of the hex string and lands in R0 stage s_0

@@ -33,11 +33,6 @@ class TestSpectrum:
         assert "0x4CE6" in out
         assert "walsh(f) = (0, 0, 8, 8, 0, 0, 0, 0, -4, 4, -4, 4, 4, -4, -4, 4)" in out
 
-    def test_rejects_wide_kprime(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--kprime", "0x1D9")
-        assert code == 1
-        assert "Bsea2Error" in err
-
 
 class TestPartition:
     def test_csv_columns_mirror_reference_tables(self, capsys):
@@ -189,6 +184,32 @@ class TestAttackCommand:
         for st in data["transcript"]["stages"]:
             assert "retained" in st and "states_per_sec" in st
 
+    @pytest.mark.parametrize("mode", ["single", "all-256"])
+    def test_rerun_differs_only_in_stage_timings(self, capsys, tmp_path,
+                                                 mode):
+        # states_per_sec and eta_s are the report's only wall-clock fields
+        rng = np.random.default_rng(8)
+        key = random_key(MINI_SPEC, rng, kprime=0x78)
+        p = (rng.random(4096) >= 0.9).astype(np.uint8)
+        ct = tmp_path / "c.bin"
+        ct.write_bytes(bits_to_bytes(encrypt(key_setup(MINI_SPEC, key), p)))
+        argv = ["attack", "--spec", "mini", "--ciphertext", str(ct),
+                "--p0", "0.9", "--retention", "3"]
+        if mode == "single":
+            argv += ["--kprime", "0x78"]
+        reports = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv)
+            data = json.loads(out)
+            assert code == 0 and data["mode"] == mode
+            assert data["recovered_key"] == key.to_hex()
+            transcript = (data["transcript"] if mode == "single"
+                          else data["winner"]["transcript"])
+            for st in transcript["stages"]:
+                del st["states_per_sec"], st["eta_s"]
+            reports.append(data)
+        assert reports[0] == reports[1]
+
     def test_corpus_flag_estimates_p0(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.bin"
         corpus.write_bytes(b"\x00" * 64)  # p0 = 1.0
@@ -210,7 +231,6 @@ class TestAttackCommand:
 
 @pytest.mark.parametrize("flag, value", [
     ("--retention", "0"), ("--retention", "-1"), ("--retention", "ten"),
-    ("--threads", "0"), ("--threads", "-2"),
     ("--bits", "-8"), ("--bits", "0"), ("--bits", "1.5"),
 ])
 def test_attack_rejects_bad_size_at_parse_time(capsys, tmp_path, flag, value):
@@ -223,6 +243,18 @@ def test_attack_rejects_bad_size_at_parse_time(capsys, tmp_path, flag, value):
     assert exc.value.code == 2
     assert err.startswith("usage: ") and f"argument {flag}: " in err
     assert "Traceback" not in err
+
+
+def test_attack_has_no_threads_flag(capsys, tmp_path):
+    # stage scoring runs its blocks in order on one thread
+    ct = tmp_path / "c.bin"
+    ct.write_bytes(b"\x00" * 16)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--spec", "mini", "--ciphertext", str(ct),
+              "--kprime", "0x00", "--threads", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def _bad_input_cases():
@@ -238,6 +270,13 @@ def _bad_input_cases():
         (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
           "--p0", "-0.1"], "--p0"),
         (["spectrum", "--kprime", "0x00", "--p0", "1.5"], "--p0"),
+        # --kprime and --f0 are hex digits after an optional 0x, in range
+        (["spectrum", "--kprime", "zz"], "--kprime"),
+        (["spectrum", "--kprime", "0x1D9"], "--kprime"),
+        (["classify", "--kprime", "0x7_8"], "--kprime"),
+        (["spectrum", "--kprime", "0x00", "--f0", "zz"], "--f0"),
+        (["spectrum", "--kprime", "0x00", "--f0", "0x1FFFF"], "--f0"),
+        (["partition", "--f0", "-1"], "--f0"),
         (["passrates", "--spec", "mini", "--keys", "10", "--seed", "1"],
          "--keys"),
         (["passrates", "--spec", "mini", "--keys", "-5", "--seed", "1"],
@@ -254,6 +293,16 @@ def _bad_input_cases():
          "--nbits", "8", "--out", "{tmp}/ks.bin"],
         ["fips", "--in", "{tmp}/missing.bin"],
     ]
+    # key text that is not pure hex, given or read from a file
+    bad_keys = [
+        ["fips", "--key", "Z" * 32],
+        ["keystream", "--spec", "mini", "--key", "1_1111111111",
+         "--nbits", "8", "--out", "{tmp}/ks.bin"],
+        ["keystream", "--spec", "mini", "--key-file", "{tmp}/sign.key",
+         "--nbits", "8", "--out", "{tmp}/ks.bin"],
+        ["keystream", "--spec", "mini", "--key-file", "{tmp}/binary.key",
+         "--nbits", "8", "--out", "{tmp}/ks.bin"],
+    ]
     # readable files that are not a spec; each is written by the test
     invalid = [["partition", "--spec", "{tmp}/" + spec_file]
                for spec_file in BAD_SPECS]
@@ -267,6 +316,10 @@ def _bad_input_cases():
         (["fips", "--in", path], error) for path, error in samples]
     return ([(argv, 2, f"argument {flag}: ") for argv, flag in usage]
             + [(argv, 1, "error: UnreadableInput: ") for argv in domain]
+            + [(argv, 1, "error: InvalidKey: ") for argv in bad_keys]
+            # an empty --key is key text too, not a missing --key-file
+            + [(["keystream", "--spec", "mini", "--key", "", "--nbits", "8",
+                 "--out", "{tmp}/ks.bin"], 1, "error: WrongKeyLength: ")]
             + [(argv, 1, "error: InvalidSpec: ") for argv in invalid]
             + [(argv, 1, f"error: {error}: ") for argv, error in sample_argv])
 
@@ -277,6 +330,8 @@ BAD_SPECS = {
     "bad-f0.json": ('{"polynomials": [[7, 1, 0], [9, 4, 0], [11, 2, 0], '
                     '[13, 4, 3, 1, 0]], "f0": "zz"}'),
     "list.json": '[[7, 1, 0], [9, 4, 0]]',
+    "underscore-f0.json": ('{"polynomials": [[7, 1, 0], [9, 4, 0], '
+                           '[11, 2, 0], [13, 4, 3, 1, 0]], "f0": "0x93_A0"}'),
 }
 
 #: name -> (text of <name>.bin.meta.json, or None for a directory there,
@@ -314,6 +369,8 @@ def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
         else:
             meta.write_text(text)
     (tmp_path / "empty.bin").write_bytes(b"")
+    (tmp_path / "sign.key").write_text("+11111111111\n")
+    (tmp_path / "binary.key").write_bytes(b"\xff" * 12)
     try:
         got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     except SystemExit as exc:
