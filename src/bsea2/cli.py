@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (the structured error name goes to
 stderr), 2 usage error. All stochastic subcommands take an explicit --seed
-and reports are byte-identical across reruns with identical flags; an
+and reports are byte-identical across reruns with identical flags, except
+for the wall-clock states_per_sec and eta_s of each attack stage; an
 optional --stamp flag adds a wall-clock field to the metadata, which golden
 comparisons must exclude.
 """
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the spec's initial truth table")
     p.add_argument("--class", dest="key_class", default="any",
                    help="class label from partition (default: any attackable)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")
@@ -561,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arg(p)
     p.add_argument("--keys", type=_int_at_least(randomness.MIN_KEYS),
                    default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     p.add_argument("--out")

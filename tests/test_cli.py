@@ -281,6 +281,9 @@ def _bad_input_cases():
          "--keys"),
         (["passrates", "--spec", "mini", "--keys", "-5", "--seed", "1"],
          "--keys"),
+        (["passrates", "--spec", "mini", "--keys", "100", "--seed", "-1"],
+         "--seed"),
+        (["keygen", "--spec", "mini", "--seed", "-1"], "--seed"),
     ]
     domain = [
         ["partition", "--spec", "{tmp}/missing.json"],
