@@ -20,9 +20,11 @@ table in one call. The table and the buffers the transform and the top-k
 selection work in are made once per call and reused by every batch and
 block, so memory stays near 1 MB whatever the stage's width. The blocks
 run in order on one thread; a thread pool over them was slower under
-the default multi-threaded BLAS (measured on 2 vCPUs). The blocks' top-k
-lists are merged once, for all parents together, by score desc, then
-smallest fill.
+the default multi-threaded BLAS (measured on 2 vCPUs). Each parent's
+top-k list, by score desc, then smallest fill, is carried across the
+blocks with its k-th best score. Once every list is full, a block is
+selected by one strict comparison with that threshold instead of a
+partition; score_stage says why that is exact.
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -123,7 +125,9 @@ def _topk_rows(corr: np.ndarray, base: int, k: int, part: np.ndarray,
 
     ``part`` (corr's shape and dtype) and ``mask`` (its shape, bool) are
     work buffers. Entries at _EXCLUDED are left out, so a row may give
-    fewer than k.
+    fewer than k. score_stage calls it until every row's running list
+    holds k entries, in practice for a stage's first block only; later
+    blocks are selected against the running k-th score.
     """
     size = corr.shape[1]
     if size > k:
@@ -242,9 +246,19 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     which keeps every score exact, and float64 above that. The scatter
     indices and one workspace are made once per call and reused by every
     batch and block: the table, a buffer of its size that the transform
-    works in and _topk_rows partitions, _topk_rows' mask and the signs. A
-    batch's block lists are merged once by _first_k; the list of a
-    one-block stage is already in that order.
+    works in and _topk_rows partitions, the selection mask and the signs.
+
+    A batch carries one running top-k list for all its rows, in
+    _first_k's order, and ``kth``, each row's k-th best score in the
+    table's dtype. Until every row holds k entries a block goes through
+    _topk_rows and is merged in by _first_k. After that, a block's
+    survivors are the entries strictly above their row's ``kth``: one
+    comparison and no partition. Strict > is exact: blocks run in
+    ascending fill order, so a later entry that ties the k-th score has
+    the larger fill and loses _first_k's tie-break, and _EXCLUDED (-2^31)
+    lies below every reachable ``kth`` (at least -n), so excluded fills
+    never pass. A block with no survivors merges nothing; ``kth`` is
+    refreshed after each merge.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -282,7 +296,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                                           [kn[r] for kn in batch], n)
         d = unpack_words(d, n)
         table, part, mask, signs = (a[:len(batch)] for a in space)
-        tops = []
+        top = kth = None
         for hi in range(1 << (stage.exponent - lo)):
             flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
             np.copyto(signs, flip)
@@ -292,9 +306,20 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             kernels.fwht_inplace(table, part.reshape(-1))
             base = hi << lo
             _exclude_zero_parts(table, base, parts)
-            tops.append(_topk_rows(table, base, k, part, mask))
-        row, fill, corr = (tops[0] if len(tops) == 1 else
-                           _first_k(*map(np.concatenate, zip(*tops)), k))
+            if kth is None:
+                hits = _topk_rows(table, base, k, part, mask)
+            else:
+                np.greater(table, kth[:, None], out=mask)
+                hit = np.flatnonzero(mask)
+                if not hit.size:
+                    continue
+                r, i = np.divmod(hit, table.shape[1])
+                hits = r, i + base, table.reshape(-1)[hit].astype(np.int64)
+            top = (hits if top is None else
+                   _first_k(*map(np.concatenate, zip(top, hits)), k))
+            if top[0].size == k * len(batch):
+                kth = top[2][k - 1::k].astype(dtype)
+        row, fill, corr = top
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,

@@ -10,6 +10,7 @@ key file. Bits fill R0 stages s_0.. first, then R1, R2, R3, and the final
 """
 import functools
 import hashlib
+import itertools
 import json
 import string
 from dataclasses import dataclass
@@ -41,21 +42,20 @@ class InstanceSpec:
         if not 0 <= self.f0 <= 0xFFFF:
             raise ValueError("f0 must be a 16-bit truth table")
 
-    @property
+    # computed once per spec, in the instance dict, which the dataclass's
+    # equality and hash never read
+
+    @functools.cached_property
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self.polynomials)
 
-    @property
+    @functools.cached_property
     def key_bits(self) -> int:
         return sum(self.degrees) + 8
 
+    @functools.cached_property
     def register_offsets(self) -> tuple:
-        offs = []
-        pos = 0
-        for d in self.degrees:
-            offs.append(pos)
-            pos += d
-        return tuple(offs)
+        return tuple(itertools.accumulate(self.degrees[:-1], initial=0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +168,7 @@ def split_key(spec: InstanceSpec, key: SecretKey):
     # bit string, reversed
     bits = f"{key.value:0{key.nbits}b}"
     fills = tuple(int(bits[off:off + deg][::-1], 2)
-                  for off, deg in zip(spec.register_offsets(), spec.degrees))
+                  for off, deg in zip(spec.register_offsets, spec.degrees))
     return fills, key.value & 0xFF
 
 

@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not stop at the first successful tier")
     p.add_argument("--retention", type=_int_at_least(1),
                    default=attack.DEFAULT_RETENTION)
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_int_at_least(0),
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
     p.add_argument("--out")

@@ -298,6 +298,69 @@ class TestScoreStage:
             assert list(board.entries) == oracle_topk(
                 expected, 20, target_degrees(MINI_SPEC, stage))
 
+    # Blocks after the first are selected against the running k-th score.
+    # R3 alone has 2^13 fills: 128 blocks of 2^6, or one block of 2^24.
+
+    @staticmethod
+    def _blocked_and_one_block(sample, stage, known, kprime, k, monkeypatch):
+        boards = []
+        for bits in (6, 24):
+            monkeypatch.setattr(attack, "_BLOCK_BITS", bits)
+            boards.append(score_stage(sample, stage, known, kprime, k=k))
+        return boards
+
+    # one sample bit scores every fill 0 or 1, sixteen give 17 levels, so
+    # the k-th score ties in many blocks; at k = 100 the first two
+    # blocks go through the partition before the threshold is known
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_threshold_ties_across_blocks(self, n, k, monkeypatch):
+        rng = np.random.default_rng(61)
+        key = random_key(MINI_SPEC, rng, kprime=0x00)
+        sample = keystream_sample(MINI_SPEC, key, n)
+        stage = stage_for(MINI_SPEC, 0x00, 0b0001)
+        blocked, one = self._blocked_and_one_block(sample, stage, {}, 0x00,
+                                                   k, monkeypatch)
+        expected = oracle_all_scores(sample, stage, {}, 0x00)
+        assert list(blocked.entries) == oracle_topk(
+            expected, k, target_degrees(MINI_SPEC, stage))
+        assert blocked == one
+
+    def test_threshold_finds_best_fill_in_last_block(self, monkeypatch):
+        # mask 1001 with R0 known; R3's fill lies in the last 2^6 block
+        fills = [0x35, 0x101, 0x2AB, (1 << 13) - 5]
+        key = assemble_key(MINI_953F, fills, 0xBD)
+        sample = keystream_sample(MINI_953F, key, 256)
+        stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
+        known = {0: fills[0]}
+        blocked, one = self._blocked_and_one_block(sample, stage, known,
+                                                   0xBD, 10, monkeypatch)
+        assert blocked.entries[0][0] == fills[3]
+        expected = oracle_all_scores(sample, stage, known, 0xBD)
+        assert list(blocked.entries) == oracle_topk(
+            expected, 10, target_degrees(MINI_953F, stage))
+        assert blocked == one
+
+    @pytest.mark.parametrize("true_row", [0, 2, 4])
+    def test_threshold_is_per_row_in_a_batch(self, true_row, monkeypatch):
+        # five parents share one batch; each row keeps its own threshold
+        rng = np.random.default_rng(62)
+        key = random_key(MINI_953F, rng, kprime=0xBD)
+        fills, _ = split_key(MINI_953F, key)
+        sample = keystream_sample(MINI_953F, key, 128)
+        stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
+        r0 = [5, 77, 100, 3]
+        r0.insert(true_row, fills[0])
+        knowns = [{0: f} for f in r0]
+        blocked, one = self._blocked_and_one_block(sample, stage, knowns,
+                                                   0xBD, 12, monkeypatch)
+        assert blocked == one
+        assert blocked[true_row].entries[0][0] == fills[3]
+        for known, board in zip(knowns, blocked):
+            expected = oracle_all_scores(sample, stage, known, 0xBD)
+            assert list(board.entries) == oracle_topk(
+                expected, 12, target_degrees(MINI_953F, stage))
+
     def test_known_fill_above_2_pow_63(self):
         # a 64-stage register's fill must reach the sequence kernel
         # exactly, not through a float

@@ -43,6 +43,15 @@ class TestSpecs:
         assert again.f0 == MINI_SPEC.f0
         assert again.fingerprint() == MINI_SPEC.fingerprint()
 
+    def test_layout_is_cached_outside_equality_and_hash(self):
+        fresh = InstanceSpec("mini", MINI_SPEC.polynomials, MINI_SPEC.f0)
+        assert MINI_SPEC.register_offsets == (0, 7, 16, 27)
+        assert DEFAULT_SPEC.register_offsets == (0, 23, 52, 83)
+        assert MINI_SPEC.key_bits == 48
+        # MINI_SPEC has its layout cached, fresh not yet
+        assert fresh == MINI_SPEC and hash(fresh) == hash(MINI_SPEC)
+        assert fresh.degrees is fresh.degrees
+
     def test_load_named_specs(self):
         assert load_spec("default") is DEFAULT_SPEC
         assert load_spec("mini") is MINI_SPEC

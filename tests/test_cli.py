@@ -269,6 +269,8 @@ def _bad_input_cases():
           "--p0", "nan"], "--p0"),
         (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
           "--p0", "-0.1"], "--p0"),
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--budget", "-1"], "--budget"),
         (["spectrum", "--kprime", "0x00", "--p0", "1.5"], "--p0"),
         # --kprime and --f0 are hex digits after an optional 0x, in range
         (["spectrum", "--kprime", "zz"], "--kprime"),
