@@ -30,9 +30,16 @@ One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
 list is keyed on the mask, the targets, the consumed known fills and s;
 the instances of the all-256 search that share a stage score it once.
-The cache also holds each (register, fill) sequence that validation
-needs, packed into uint64 words.
+For the same reason the beam after a plan's first j stages depends only
+on their (mask, targets, s): each beam prefix is built once per search
+and kept until the last instance that reads it has taken it. Instances
+whose whole beams are equal differ only in the combiner table, so the
+first of them validates the beam for all: each chunk of word rows is
+gathered once and goes through the multiplexer tree of each K'. The
+cache also holds each (register, fill) sequence that validation needs,
+packed into uint64 words.
 """
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -334,8 +341,37 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
 _CACHE_WORDS = 1 << 20
 
 
+@dataclass(frozen=True)
+class _Beam:
+    """A beam after a plan's first stages. Candidate i holds register r's
+    fill ``columns[r][slots[i, r]]``; each column is sorted and distinct,
+    and is [0] until its register's stage. ``log`` has one (scorings,
+    retained) pair per stage run, the K'-free part of its stage log."""
+
+    columns: tuple
+    slots: np.ndarray
+    log: tuple
+
+
+_NO_BEAM = _Beam(columns=(np.zeros(1, dtype=np.int64),) * 4,
+                 slots=np.zeros((1, 4), dtype=np.intp), log=())
+
+
+@dataclass(frozen=True)
+class _Validated:
+    """A whole plan's outcome for one K', validated with a peer's beam:
+    the stage log's K'-free part, the beam's size, and the fill rows that
+    passed (in beam order) with their decrypted zero counts."""
+
+    log: tuple
+    size: int
+    fills: np.ndarray
+    zeros: np.ndarray
+
+
 class _RunCache:
-    """Stage top-k lists and packed register sequences of one search.
+    """What the instances of one search share: stage top-k lists, beam
+    prefixes, validations and packed register sequences.
 
     It belongs to one sample and one retention k: run_parallel_instances
     hands one to every run_plan, and a run_plan called alone builds its
@@ -348,6 +384,16 @@ class _RunCache:
     decrypted zero count that _judge passes, or None if it passes none.
     _judge's float test is monotone on each side of p0, so it passes
     exactly the counts from lo to hi.
+
+    With the sample and k, a plan's stage keys (stage_keys) fix its beam
+    after each stage, and K' enters only validation. Before a tier runs,
+    expect() notes its plans in K' order. A run then starts from the
+    deepest beam prefix an earlier run built (``beams``, a _Beam each),
+    and ``readers`` counts the runs still to read each prefix, which is
+    kept only while that count is above 0. Plans with equal stage keys
+    (``groups``) share their whole beam: the first of them validates it
+    for every K' of the group at once, and each other K' finds its
+    outcome in ``validated``, a _Validated each. No whole beam is kept.
     """
 
     def __init__(self, sample: CiphertextSample):
@@ -361,9 +407,62 @@ class _RunCache:
         self.boards = {}
         self.words = [self._no_words()] * 4
         self.rows = [{} for _ in range(4)]
+        self.beams = {}
+        self.readers = {}
+        self.groups = {}
+        self.validated = {}
 
     def _no_words(self) -> np.ndarray:
         return np.empty((0, self.ct.size), dtype=np.uint64)
+
+    def stage_keys(self, plan: AttackPlan) -> tuple:
+        """(mask, targets, s) of each stage, s score_stage's complement
+        bit; a prefix of them is the key of the beam after those stages."""
+        flip = self.sample.model.p0 < 0.5
+        return tuple((st.mask, st.targets, st.complement ^ flip)
+                     for st in plan.stages)
+
+    def expect(self, plans) -> None:
+        """Note the plans one tier runs, in the order it runs them.
+
+        Each plan joins the group of its stage keys. The first plan of a
+        group will read the deepest prefix of its keys that an earlier
+        plan built on the way to a longer beam, and counts as one of that
+        prefix's readers; the other plans of a group read their outcome.
+        """
+        built = set()
+        for plan in plans:
+            keys = self.stage_keys(plan)
+            group = self.groups.setdefault(keys, [])
+            group.append(plan.kprime)
+            if len(group) > 1:
+                continue
+            hit = next((keys[:j] for j in range(len(keys), 0, -1)
+                        if keys[:j] in built), None)
+            if hit is not None:
+                self.readers[hit] = self.readers.get(hit, 0) + 1
+            built.update(keys[:j] for j in range(1, len(keys)))
+
+    def start(self, kprime: int, keys: tuple):
+        """What a run of K' with these stage keys starts from: its
+        _Validated outcome, else the deepest kept _Beam prefix (released
+        once its last reader has it), else _NO_BEAM."""
+        done = self.validated.pop((kprime, keys), None)
+        if done is not None:
+            return done
+        for j in range(len(keys), 0, -1):
+            beam = self.beams.get(keys[:j])
+            if beam is not None:
+                self.readers[keys[:j]] -= 1
+                if not self.readers[keys[:j]]:
+                    del self.beams[keys[:j]], self.readers[keys[:j]]
+                return beam
+        return _NO_BEAM
+
+    def keep(self, prefix: tuple, beam: _Beam) -> None:
+        """Keep a beam prefix that a later run will read."""
+        if self.readers.get(prefix):
+            self.beams[prefix] = beam
 
     def register_words(self, r: int, fills: list):
         """(store, rows): store[rows[i]] is the packed output sequence of
@@ -441,64 +540,79 @@ def _judge(zeros: np.ndarray, n: int, p0: float):
 _VALIDATE_WORDS = 1 << 14
 
 
-def _validate_assignments(cache: _RunCache, fills: np.ndarray,
-                          kprime: int):
-    """(zeros, passed): each candidate's decrypted zero count, and whether
-    _judge passes it, in bit-sliced passes over prefixes of the words.
+def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
+                          kprimes) -> list:
+    """One (zeros, passed) per K' of ``kprimes``: each candidate's
+    decrypted zero count, and whether _judge passes it, in bit-sliced
+    passes over prefixes of the words.
 
-    ``fills`` holds one row of four register fills per candidate. The
-    sequences come packed from the run cache. A pass takes the candidates
-    still alive over the next words of the sample, in chunks of at most
-    _VALIDATE_WORDS words per register: each chunk gathers its four word
-    rows, combines them through the K'-masked table's multiplexer tree
-    (cipher.combine_words), XORs the ciphertext, masks the tail word's
-    padding bits and adds the ones to each candidate's count. After a pass
-    over ``seen`` bits a candidate with ``ones`` decrypted ones is ruled
-    out when ones > n - lo or seen - ones > hi (cache.band): its zero count
-    can no longer reach the band. The first prefix is the shortest on
-    which a candidate that decrypts to half zeros is ruled out; each later
-    one doubles, and a pass is never narrower than _VALIDATE_WORDS words
-    over the candidates alive, so a beam that fits one chunk runs in one
-    pass. The zeros are exact where passed and -1 elsewhere. With an empty
-    band nothing is packed or combined.
+    Candidate i holds register r's fill columns[r][slots[i, r]], each
+    column a sequence of distinct fills (as in a _Beam). The sequences
+    come packed from the run cache. A pass takes the candidates still
+    alive for some K' over the next words of the sample, in chunks of at
+    most _VALIDATE_WORDS words per register: each chunk gathers its four
+    word rows once, and for each K' the rows alive for it go through that
+    K'-masked table's multiplexer tree (cipher.combine_words); the result
+    is XORed with the ciphertext, the tail word's padding bits are masked
+    and the ones are added to each candidate's count for that K'. After a
+    pass over ``seen`` bits a candidate with ``ones`` decrypted ones is
+    ruled out for a K' when ones > n - lo or seen - ones > hi
+    (cache.band): its zero count can no longer reach the band. The first
+    prefix is the shortest on which a candidate that decrypts to half
+    zeros is ruled out; each later one doubles, and a pass is never
+    narrower than _VALIDATE_WORDS words over the candidates alive, so a
+    beam that fits one chunk runs in one pass. The zeros are exact where
+    passed and -1 elsewhere. With an empty band nothing is packed or
+    combined.
     """
     n = cache.sample.bits.size
-    zeros = np.full(len(fills), -1, dtype=np.int64)
-    passed = np.zeros(len(fills), dtype=bool)
+    size = len(slots)
+    zeros = np.full((len(kprimes), size), -1, dtype=np.int64)
+    passed = np.zeros((len(kprimes), size), dtype=bool)
     if cache.band is None:
-        return zeros, passed
+        return list(zip(zeros, passed))
     lo, hi = cache.band
-    f = boolfn.apply_key_mask(cache.sample.spec.f0, kprime)
+    tables = [boolfn.apply_key_mask(cache.sample.spec.f0, kp)
+              for kp in kprimes]
     ct = cache.ct
     tail = np.uint64((1 << (n - 64 * (ct.size - 1))) - 1)
-    seqs, slots = [], []
+    seqs, rows = [], []
     for r in range(4):
-        distinct, slot = np.unique(fills[:, r], return_inverse=True)
-        store, rows = cache.register_words(r, distinct.tolist())
+        store, index = cache.register_words(r, columns[r].tolist())
         seqs.append(store)
-        slots.append(rows[slot])
-    ones = np.zeros(len(fills), dtype=np.int64)
-    alive = np.arange(len(fills))
+        rows.append(index[slots[:, r]])
+    ones = np.zeros((len(kprimes), size), dtype=np.int64)
+    alive = [np.arange(size)] * len(kprimes)
     # half of seen bits are over n - lo, or over hi, from here on
     start, end = 0, -(-(2 * min(n - lo, hi) + 2) // 64)
-    while start < ct.size and alive.size:
-        end = min(ct.size, max(end, start + _VALIDATE_WORDS // alive.size))
+    while start < ct.size and (most := max(a.size for a in alive)):
+        end = min(ct.size, max(end, start + _VALIDATE_WORDS // most))
         step = max(1, _VALIDATE_WORDS // (end - start))
-        for c in range(0, alive.size, step):
-            idx = alive[c:c + step]
-            dec = combine_words(f, *(np.take(seq[:, start:end], slot[idx],
-                                             axis=0)
-                                     for seq, slot in zip(seqs, slots)))
-            dec ^= ct[start:end]
-            if end == ct.size:
-                dec[:, -1] &= tail
-            ones[idx] += np.bitwise_count(dec).sum(axis=1, dtype=np.int64)
+        # the K' whose candidates alive are the same share each gather
+        sets = {}
+        for i, a in enumerate(alive):
+            if a.size:
+                sets.setdefault(a.tobytes(), (a, []))[1].append(i)
+        for a, members in sets.values():
+            for c in range(0, a.size, step):
+                idx = a[c:c + step]
+                words = [np.take(seq[:, start:end], row[idx], axis=0)
+                         for seq, row in zip(seqs, rows)]
+                for i in members:
+                    dec = combine_words(tables[i], *words)
+                    dec ^= ct[start:end]
+                    if end == ct.size:
+                        dec[:, -1] &= tail
+                    ones[i, idx] += np.bitwise_count(dec).sum(
+                        axis=1, dtype=np.int64)
         seen = min(64 * end, n)
-        alive = alive[(ones[alive] <= n - lo) & (seen - ones[alive] <= hi)]
+        alive = [a[(count[a] <= n - lo) & (seen - count[a] <= hi)]
+                 for a, count in zip(alive, ones)]
         start, end = end, 2 * end
-    zeros[alive] = n - ones[alive]
-    passed[alive] = True
-    return zeros, passed
+    for z, ok, count, a in zip(zeros, passed, ones, alive):
+        z[a] = n - count[a]
+        ok[a] = True
+    return list(zip(zeros, passed))
 
 
 #: Most candidates a beam may hold; a larger one asks for a lower k.
@@ -517,19 +631,24 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
              progress=None, *, cache: _RunCache | None = None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
-    The beam is an integer array with one row of four register fills per
-    candidate (a register's column is 0 until its stage). Stage scoring is
-    memoized on the known fills the mask actually consumes: one scoring
-    per distinct row of those columns, in order of first occurrence, so
+    The beam is a _Beam: one row of four column slots per candidate, a
+    register's column being [0] until its stage. Stage scoring is memoized
+    on the known fills the mask actually consumes: one scoring per
+    distinct row of those columns, in order of first occurrence, so
     independent stages are scored once and the final beam is the cross
     product of per-stage top-k lists (k^stages candidates at most). Each
     parent row is repeated once per retained fill of its scoring and the
-    target columns are assigned. The final beam is validated in
-    bit-sliced passes that stop counting a candidate once it cannot pass
-    (_validate_assignments).
+    target columns are assigned (_grow). Before a stage the size the beam
+    will have after it, the product of min(k, possible fills) over the
+    stages so far, is checked against _MAX_CANDIDATES. The final beam is
+    validated in bit-sliced passes that stop counting a candidate once it
+    cannot pass (_validate_assignments).
 
     ``cache`` is the run cache of a search over several instances of the
-    same sample and k; without one the run builds its own.
+    same sample and k; without one the run builds its own. A run starts
+    from what the cache holds for its stage keys (_RunCache.start): the
+    stages a kept prefix or a peer's validation already ran are not run
+    again, and only their K'-dependent log fields and timings are new.
     """
     if cache is None:
         cache = _RunCache(sample)
@@ -542,55 +661,34 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
                 f"plan stage needs 2^{st.exponent} joint states, budget is "
                 f"2^{budget}; raise --budget or attack a smaller instance")
 
-    beam = np.zeros((1, 4), dtype=np.int64)
+    keys = cache.stage_keys(plan)
+    start = cache.start(kprime, keys)
+    log = list(start.log)
+    beam = start
     assigned = []
+    size = 1
     stage_log = []
     total_states = sum(1 << st.exponent for st in plan.stages)
     done_states = 0
     t_run = time.monotonic()
-    for stage in plan.stages:
+    for j, stage in enumerate(plan.stages):
         t_start = time.monotonic()
-        cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
-                if r in assigned]
-        if cols:
-            _, first, inverse = np.unique(beam[:, cols], axis=0,
-                                          return_index=True,
-                                          return_inverse=True)
-            order = np.argsort(first)       # scorings by first occurrence
-            parents = [{r: int(beam[j, r]) for r in cols}
-                       for j in first[order]]
-            pick = np.argsort(order)[inverse.ravel()]
-        else:
-            # nothing consumed: one scoring serves every parent
-            parents = [{}]
-            pick = np.zeros(len(beam), dtype=np.intp)
-        # the complement bit of score_stage's data bits, the board's only
-        # dependence on K'
-        s = stage.complement ^ (sample.model.p0 < 0.5)
-        keys = [(stage.mask, stage.targets, tuple(known.values()), s)
-                for known in parents]
-        misses = [i for i, key in enumerate(keys) if key not in cache.boards]
-        if misses:
-            scored = score_stage(sample, stage, [parents[i] for i in misses],
-                                 kprime, k=k, budget=budget)
-            for i, board in zip(misses, scored):
-                cache.boards[keys[i]] = np.array(board.entries,
-                                                 dtype=np.int64
-                                                 ).reshape(-1, 2)
-        boards = [cache.boards[key] for key in keys]
-        joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
-        size = len(beam) * joints.shape[1]
+        size *= min(k, math.prod((1 << spec.degrees[r]) - 1
+                                 for r in stage.targets))
         if size > _MAX_CANDIDATES:
             raise Bsea2Error(
                 f"beam grew to {size} candidates; lower the "
                 f"retention k (currently {k})")
-        children = joints[pick].ravel()
-        beam = np.repeat(beam, joints.shape[1], axis=0)
-        for r, col in split_joint_fill(spec, stage.targets, children).items():
-            beam[:, r] = col
+        if j == len(log):
+            columns, slots, entry = _grow(cache, stage, beam, assigned,
+                                          kprime, k, budget)
+            log.append(entry)
+            beam = _Beam(columns, slots, tuple(log))
+            cache.keep(keys[:j + 1], beam)
         assigned += sorted(stage.targets)
+        scorings, retained = log[j]
         elapsed = time.monotonic() - t_start
-        states = len(boards) * (1 << stage.exponent)
+        states = scorings * (1 << stage.exponent)
         done_states += 1 << stage.exponent
         rate = states / elapsed if elapsed > 0 else None
         run_elapsed = time.monotonic() - t_run
@@ -603,34 +701,45 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "exponent": stage.exponent,
             "chi": stage.chi,
             "complement": stage.complement,
-            "scorings": len(boards),
+            "scorings": scorings,
             "states_per_sec": round(rate) if rate else None,
             "eta_s": round(eta, 2) if eta is not None else None,
-            "retained": [
-                {"fill": fill_hex(fill, stage.exponent), "score": score}
-                for fill, score in boards[0].tolist()
-            ],
+            "retained": retained,
         })
         if progress is not None:
             progress(stage_log[-1])
 
-    zeros, passed = _validate_assignments(cache, beam, kprime)
-    winners = np.flatnonzero(passed)
-    z = _judge(zeros[winners], n, sample.model.p0)[0]
-    order = np.lexsort(tuple(beam[winners, r] for r in (3, 2, 1, 0)) + (z,))
+    if isinstance(start, _Validated):
+        fills, zeros = start.fills, start.zeros
+    else:
+        # the first K' of a group validates the beam for the whole group
+        group = [kprime] + [kp for kp in cache.groups.pop(keys, ())
+                            if kp != kprime]
+        results = _validate_assignments(cache, beam.columns, beam.slots,
+                                        group)
+        for kp, (zs, passed) in zip(group, results):
+            rows = np.stack([col[beam.slots[passed, r]]
+                             for r, col in enumerate(beam.columns)], axis=1)
+            if kp == kprime:
+                fills, zeros = rows, zs[passed]
+            else:
+                cache.validated[kp, keys] = _Validated(tuple(log), size,
+                                                       rows, zs[passed])
+    z = _judge(zeros, n, sample.model.p0)[0]
+    order = np.lexsort(tuple(fills[:, r] for r in (3, 2, 1, 0)) + (z,))
     candidates = []
-    for rank, (i, zi) in enumerate(zip(winners[order], z[order]), start=1):
-        fills = tuple(int(v) for v in beam[i])
+    for rank, i in enumerate(order, start=1):
+        row = tuple(int(v) for v in fills[i])
         candidates.append(RecoveredKey(
-            key=assemble_key(spec, fills, kprime), fills=fills,
+            key=assemble_key(spec, row, kprime), fills=row,
             kprime=kprime, rank=rank,
-            validation=Validation(zeros=int(zeros[i]), z_abs=float(zi),
+            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]),
                                   status="pass")))
     transcript = {
         "kprime": hex_byte(kprime),
         "plan": plan_to_dict(plan, spec.degrees),
         "stages": stage_log,
-        "beam_size": len(beam),
+        "beam_size": size,
         "validated": len(candidates),
         "candidates": [
             {
@@ -646,11 +755,64 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         ],
     }
     if not candidates:
-        err = EmptyBeam(f"none of {len(beam)} candidates passed validation "
+        err = EmptyBeam(f"none of {size} candidates passed validation "
                         f"for K' = {hex_byte(kprime)}")
         err.transcript = transcript
         raise err
     return RunResult(candidates=tuple(candidates), transcript=transcript)
+
+
+def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
+          kprime: int, k: int, budget: int):
+    """(columns, slots, (scorings, retained)) of the beam after ``stage``.
+
+    The parents are the distinct rows of the consumed columns already
+    ``assigned``; the boards of those the cache lacks are scored in one
+    score_stage call. A target's new column is the distinct values of its
+    part of the retained fills, so no column ever holds a fill twice.
+    """
+    sample = cache.sample
+    slots = beam.slots
+    cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
+            if r in assigned]
+    if cols:
+        # a parent's slots in mixed radix: one integer per distinct row
+        code = np.zeros(len(slots), dtype=np.int64)
+        for r in cols:
+            code = code * len(beam.columns[r]) + slots[:, r]
+        _, first, inverse = np.unique(code, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)       # scorings by first occurrence
+        parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
+                   for j in first[order]]
+        pick = np.argsort(order)[inverse.ravel()]
+    else:
+        # nothing consumed: one scoring serves every parent
+        parents = [{}]
+        pick = np.zeros(len(slots), dtype=np.intp)
+    # the complement bit of score_stage's data bits, the board's only
+    # dependence on K'
+    s = stage.complement ^ (sample.model.p0 < 0.5)
+    keys = [(stage.mask, stage.targets, tuple(known.values()), s)
+            for known in parents]
+    misses = [i for i, key in enumerate(keys) if key not in cache.boards]
+    if misses:
+        scored = score_stage(sample, stage, [parents[i] for i in misses],
+                             kprime, k=k, budget=budget)
+        for i, board in zip(misses, scored):
+            cache.boards[keys[i]] = np.array(board.entries, dtype=np.int64
+                                             ).reshape(-1, 2)
+    boards = [cache.boards[key] for key in keys]
+    joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
+    slots = np.repeat(slots, joints.shape[1], axis=0)
+    columns = list(beam.columns)
+    for r, part in split_joint_fill(sample.spec, stage.targets,
+                                    joints).items():
+        columns[r], slot = np.unique(part, return_inverse=True)
+        slots[:, r] = slot.reshape(part.shape)[pick].ravel()
+    retained = [{"fill": fill_hex(fill, stage.exponent), "score": score}
+                for fill, score in boards[0].tolist()]
+    return tuple(columns), slots, (len(boards), retained)
 
 
 @dataclass(frozen=True)
@@ -696,12 +858,12 @@ def run_parallel_instances(sample: CiphertextSample,
             for kp in row.kprimes:
                 statuses[kp] = InstanceStatus(kp, row.exponent, skip)
             continue
+        cache.expect([report.plans[kp] for kp in row.kprimes])
         for kp in row.kprimes:
             attempt += 1
-            plan = report.plans[kp]
             try:
-                result = run_plan(sample, plan, k=k, budget=budget,
-                                  cache=cache)
+                result = run_plan(sample, report.plans[kp], k=k,
+                                  budget=budget, cache=cache)
                 statuses[kp] = InstanceStatus(kp, row.exponent, "recovered",
                                               attempt, result.candidates[0])
                 transcripts[kp] = result.transcript

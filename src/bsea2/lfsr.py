@@ -7,10 +7,7 @@ stored fill is an integer with bit i = stage s_i.
 """
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidPolynomial, PeriodBoundExceeded
-from . import kernels
 
 #: check_period refuses degrees above this (exhaustive 2^L clocking).
 MAX_PERIOD_CHECK_DEGREE = 16
@@ -94,13 +91,6 @@ class LfsrState:
         return tuple((self.fill >> i) & 1 for i in range(self.spec.degree))
 
 
-def state_from_stages(spec: FeedbackPolynomial, stages) -> LfsrState:
-    bits = list(stages)
-    if len(bits) != spec.degree:
-        raise ValueError(f"expected {spec.degree} stages, got {len(bits)}")
-    return LfsrState(spec, sum(b << i for i, b in enumerate(bits)))
-
-
 def clock(state: LfsrState):
     """One step: returns (output bit, successor state)."""
     spec = state.spec
@@ -108,22 +98,6 @@ def clock(state: LfsrState):
     fb = (state.fill & spec.tapmask).bit_count() & 1
     new_fill = (state.fill >> 1) | (fb << (spec.degree - 1))
     return out, LfsrState(spec, new_fill)
-
-
-def generate_sequence(state: LfsrState, n: int) -> np.ndarray:
-    """First n output bits, bit-exact with n successive clock calls."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    seq, _ = kernels.lfsr_sequence(state.spec.tapmask, state.spec.degree,
-                                   state.fill, n)
-    return seq
-
-
-def advance(state: LfsrState, n: int) -> LfsrState:
-    """State after n clocks (sequence output discarded)."""
-    _, final = kernels.lfsr_sequence(state.spec.tapmask, state.spec.degree,
-                                     state.fill, n)
-    return LfsrState(state.spec, final)
 
 
 def check_period(spec: FeedbackPolynomial, bound: int = MAX_PERIOD_CHECK_DEGREE) -> int:

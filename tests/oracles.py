@@ -10,7 +10,7 @@ re-encrypt per candidate.
 """
 import numpy as np
 
-from bsea2 import boolfn
+from bsea2 import boolfn, kernels
 from bsea2.classifier import mask_registers
 from bsea2.lfsr import LfsrState, clock
 
@@ -27,6 +27,15 @@ def naive_walsh(word: int, n: int = 4) -> tuple:
             acc += -1 if (fx ^ ip) else 1
         out.append(acc)
     return tuple(out)
+
+
+def state_from_stages(poly, stages) -> LfsrState:
+    """The state of a register whose stages (s_0, ..., s_{L-1}) are
+    ``stages``: fill bit i is stage s_i."""
+    bits = list(stages)
+    if len(bits) != poly.degree:
+        raise ValueError(f"expected {poly.degree} stages, got {len(bits)}")
+    return LfsrState(poly, sum(b << i for i, b in enumerate(bits)))
 
 
 def scalar_sequence(poly, fill: int, n: int):
@@ -155,11 +164,13 @@ def oracle_candidate_score(sample, stage, known: dict, kprime: int,
 def oracle_all_scores(sample, stage, known: dict, kprime: int) -> np.ndarray:
     """Every candidate's score; feasible for small stages only.
 
-    Per-candidate sequences come from generate_sequence (itself checked
-    against clock() elsewhere); the scoring path under test never builds
-    per-candidate sequences at all.
+    Per-candidate sequences come from kernels.lfsr_sequence (itself
+    checked against clock() elsewhere); the scoring path under test never
+    builds per-candidate sequences at all.
     """
-    from bsea2.lfsr import generate_sequence
+    def sequence(r, fill):
+        poly = spec.polynomials[r]
+        return kernels.lfsr_sequence(poly.tapmask, poly.degree, fill, n)[0]
 
     spec = sample.spec
     f = boolfn.apply_key_mask(spec.f0, kprime)
@@ -169,10 +180,7 @@ def oracle_all_scores(sample, stage, known: dict, kprime: int) -> np.ndarray:
 
     base = sample.bits.astype(np.uint8) ^ np.uint8(1 if s else 0) ^ np.uint8(1)
     for r in sorted(mask_registers(stage.mask) - stage.targets):
-        seq = np.array(
-            generate_sequence(LfsrState(spec.polynomials[r], known[r]), n),
-            dtype=np.uint8)
-        base = base ^ seq
+        base = base ^ sequence(r, known[r])
 
     targets = sorted(stage.targets)
     scores = np.empty(1 << stage.exponent, dtype=np.int64)
@@ -183,8 +191,7 @@ def oracle_all_scores(sample, stage, known: dict, kprime: int) -> np.ndarray:
             deg = spec.degrees[r]
             fill = (joint >> off) & ((1 << deg) - 1)
             off += deg
-            seq = generate_sequence(LfsrState(spec.polynomials[r], fill), n)
-            acc = acc ^ seq
+            acc = acc ^ sequence(r, fill)
         scores[joint] = int(acc.sum())
     return scores
 

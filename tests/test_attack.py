@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
                           random_key, split_key)
 from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
                               plan_attack)
-from bsea2.errors import (EmptyBeam, MissingKnownRegister, StageTooLarge,
+from bsea2.errors import (Bsea2Error, EmptyBeam, MissingKnownRegister, StageTooLarge,
                           Unattackable)
 from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
@@ -456,10 +457,18 @@ def validation_beam(spec, key, rng, wrong):
     return np.array(rows, dtype=np.int64)
 
 
+def beam_columns(beam):
+    """(columns, slots) of a beam of fill rows, as run_plan keeps it: each
+    register's distinct fills, and every candidate's index into them."""
+    pairs = [np.unique(beam[:, r], return_inverse=True) for r in range(4)]
+    return ([col for col, _ in pairs],
+            np.stack([slot.ravel() for _, slot in pairs], axis=1))
+
+
 def batched_validations(sample, beam, kprime):
     """(zeros, z, passed) from the batch pass, z judged where passed."""
-    zeros, passed = attack._validate_assignments(attack._RunCache(sample),
-                                                 beam, kprime)
+    [(zeros, passed)] = attack._validate_assignments(
+        attack._RunCache(sample), *beam_columns(beam), [kprime])
     z = attack._judge(zeros, sample.bits.size, sample.model.p0)[0]
     return zeros, np.where(passed, z, np.nan), passed
 
@@ -546,6 +555,33 @@ class TestValidateAssignments:
         zeros, _, passed = batched_validations(sample, beam, kprime)
         assert_matches_oracle(sample, beam, kprime, zeros, passed)
 
+    @pytest.mark.parametrize("words", [None, 130])
+    def test_group_equals_one_kprime_at_a_time(self, words, make_sample,
+                                               monkeypatch):
+        # one call for several K' (a repeated one keeps its peer's alive
+        # set, so the two share every gather) against one call each and
+        # the scalar oracle; only the true K' passes the true key
+        if words is not None:
+            monkeypatch.setattr(attack, "_VALIDATE_WORDS", words)
+        rng = np.random.default_rng(95)
+        kprime = 0xE5
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 700, 0.9, rng)
+        beam = validation_beam(MINI_SPEC, key, rng, 12)
+        group = [0x5A, kprime, 0x00, 0x5A]
+        cache = attack._RunCache(sample)
+        together = attack._validate_assignments(cache, *beam_columns(beam),
+                                                group)
+        assert len(together) == len(group)
+        for kp, (zeros, passed) in zip(group, together):
+            zeros1, _, passed1 = batched_validations(sample, beam, kp)
+            assert zeros.tolist() == zeros1.tolist()
+            assert passed.tolist() == passed1.tolist()
+            assert passed[0] == (kp == kprime)
+        for kp in set(group):
+            zeros, passed = together[group.index(kp)]
+            assert_matches_oracle(sample, beam, kp, zeros, passed)
+
     # At 8 words a chunk holds one candidate, and the true key's copies
     # keep every pass narrow up to the tail word.
     @pytest.mark.parametrize("words", [None, 8])
@@ -572,7 +608,8 @@ class TestValidateAssignments:
                                           last)
             cache = attack._RunCache(sample)
             assert cache.band == band
-            zeros, passed = attack._validate_assignments(cache, beam, kprime)
+            [(zeros, passed)] = attack._validate_assignments(
+                cache, *beam_columns(beam), [kprime])
             for row, zr, ok in zip(beam, zeros, passed):
                 one = validate_key(sample,
                                    assemble_key(MINI_SPEC, row, kprime))
@@ -637,6 +674,27 @@ class TestRunPlan:
         plan = plan_attack(SPEC_953F, 0xBD)  # contains a 2^60 stage
         with pytest.raises(StageTooLarge):
             run_plan(sample, plan)
+
+    def test_oversized_beam_refused_before_scoring(self):
+        # K' 0x81 opens with a 2^22 stage; at k = 200,001 its beam would
+        # pass _MAX_CANDIDATES, which is known before the stage is scored
+        rng = np.random.default_rng(76)
+        sample = CiphertextSample(bits=rng.integers(0, 2, 512, dtype=np.uint8),
+                                  model=PlaintextModel(0.9), spec=MINI_SPEC)
+        plan = plan_attack(MINI_SPEC, 0x81)
+        assert plan.stages[0].exponent == 22
+        tracemalloc.start()
+        try:
+            t = time.perf_counter()
+            with pytest.raises(Bsea2Error,
+                               match="beam grew to 200001 candidates"):
+                run_plan(sample, plan, k=200_001)
+            elapsed = time.perf_counter() - t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
     def test_unattackable_errors_at_plan_time(self):
         spec = InstanceSpec("zf", MINI_SPEC.polynomials, 0x0000)
@@ -712,20 +770,18 @@ class TestRunParallelInstances:
                                                        "unattackable"}
 
 
-def standalone_search(sample, k, budget):
-    """run_parallel_instances's exhaustive schedule, with every instance
-    attacked by its own run_plan call (its own run cache)."""
+def standalone_search(sample, k, budget, stop_on_success=False):
+    """run_parallel_instances's schedule, with every instance attacked by
+    its own run_plan call (its own run cache)."""
     report = partition_keys(sample.spec)
-    statuses, transcripts, attempt = [], {}, 0
+    statuses, transcripts, attempt, done = [], {}, 0, False
     for row in report.rows:
+        skip = ("unattackable" if row.exponent is None
+                else "not_attempted" if done
+                else "skipped_budget" if row.exponent > budget else None)
         for kp in row.kprimes:
-            if row.exponent is None:
-                statuses.append(attack.InstanceStatus(kp, None,
-                                                      "unattackable"))
-                continue
-            if row.exponent > budget:
-                statuses.append(attack.InstanceStatus(kp, row.exponent,
-                                                      "skipped_budget"))
+            if skip:
+                statuses.append(attack.InstanceStatus(kp, row.exponent, skip))
                 continue
             attempt += 1
             try:
@@ -733,6 +789,7 @@ def standalone_search(sample, k, budget):
                                   budget=budget)
                 status, best = "recovered", result.candidates[0]
                 transcripts[kp] = result.transcript
+                done = stop_on_success
             except EmptyBeam as exc:
                 status, best = "empty_beam", None
                 transcripts[kp] = exc.transcript
@@ -748,9 +805,34 @@ def without_wall_clock(transcript):
     return dict(transcript, stages=stages)
 
 
+def defaults_sample(make_sample):
+    """The planted C0 key AA73740B7378 (K' 0x78) and a 4096-bit sample of
+    a Bernoulli(0.9) plaintext under it, numpy seed 5."""
+    rng = np.random.default_rng(5)
+    key = random_key(MINI_SPEC, rng, kprime=0x78)
+    return key, make_sample(MINI_SPEC, key, 4096, 0.9, rng)[0]
+
+
 class TestSharedRunCache:
-    """The all-256 search scores each shared stage once for all K'; it
-    must give what attacking every instance on its own gives."""
+    """The all-256 search scores each shared stage once, builds each beam
+    prefix once and validates each beam once for all K'; it must give
+    what attacking every instance on its own gives."""
+
+    @staticmethod
+    def assert_search_equals_standalone(sample, key, k, budget,
+                                        stop_on_success):
+        shared = run_parallel_instances(sample, k=k, budget=budget,
+                                        stop_on_success=stop_on_success)
+        statuses, transcripts = standalone_search(sample, k, budget,
+                                                  stop_on_success)
+        assert list(shared.statuses) == statuses
+        assert shared.transcripts.keys() == transcripts.keys()
+        for kp, transcript in transcripts.items():
+            assert (without_wall_clock(shared.transcripts[kp])
+                    == without_wall_clock(transcript)), hex(kp)
+        assert shared.best is not None and shared.best.key == key
+        recovered = [st for st in statuses if st.status == "recovered"]
+        assert [st.best for st in recovered] == [shared.best]
 
     # p0 0.2 flips the complement bit s of every stage against p0 0.9;
     # budget 22 leaves out the four C4 instances (2^29 stages) for speed.
@@ -773,17 +855,65 @@ class TestSharedRunCache:
         report = partition_keys(MINI_SPEC)
         key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
         sample, _ = make_sample(MINI_SPEC, key, 2048, p0, rng)
-        shared = run_parallel_instances(sample, k=3, budget=budget,
-                                        stop_on_success=False)
-        statuses, transcripts = standalone_search(sample, 3, budget)
-        assert list(shared.statuses) == statuses
-        assert shared.transcripts.keys() == transcripts.keys()
-        for kp, transcript in transcripts.items():
-            assert (without_wall_clock(shared.transcripts[kp])
-                    == without_wall_clock(transcript)), hex(kp)
-        assert shared.best is not None and shared.best.key == key
-        recovered = [st for st in statuses if st.status == "recovered"]
-        assert [st.best for st in recovered] == [shared.best]
+        self.assert_search_equals_standalone(sample, key, 3, budget, False)
+
+    def test_retention_10_search_equals_standalone_plans(self, make_sample):
+        # the CLI's retention and sample length, every tier up to C3:
+        # depth-3 prefixes of up to 10^3 candidates are kept and reused,
+        # and beams of 10^4 are validated for up to 5 K' at once
+        key, sample = defaults_sample(make_sample)
+        self.assert_search_equals_standalone(sample, key, 10, 22, False)
+
+    def test_stopped_search_equals_standalone_plans(self, make_sample):
+        # the planted K' is in C0, so every later tier is not_attempted
+        rng = np.random.default_rng(85)
+        report = partition_keys(MINI_SPEC)
+        key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[100])
+        sample, _ = make_sample(MINI_SPEC, key, 2048, 0.9, rng)
+        self.assert_search_equals_standalone(sample, key, 3,
+                                             DEFAULT_BUDGET_EXPONENT, True)
+
+    def test_work_counts_of_the_defaults_search(self, make_sample,
+                                                monkeypatch):
+        # one run_plan per attempted instance; the 52 score_stage calls
+        # this search made before beams were shared; one validation per
+        # distinct beam of the 192 C0 plans
+        calls = {}
+
+        def spy(name):
+            real = getattr(attack, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(attack, name, counted)
+        for name in ("run_plan", "score_stage", "_validate_assignments"):
+            spy(name)
+        key, sample = defaults_sample(make_sample)
+        result = run_parallel_instances(sample)
+        assert result.best.key == key
+        attempted = [st for st in result.statuses if st.attempt is not None]
+        assert calls["run_plan"] == len(attempted) == 192
+        assert calls["score_stage"] == 52
+        cache = attack._RunCache(sample)
+        plans = partition_keys(MINI_SPEC).plans
+        beams = {cache.stage_keys(plans[st.kprime]) for st in attempted}
+        assert calls["_validate_assignments"] == len(beams) == 104
+
+    def test_defaults_search_memory(self, make_sample):
+        # peak traced memory of the search at the CLI defaults: 16.3 MB
+        # before beams were shared, when every instance built and
+        # validated its own beam; keeping every prefix would add tens of MB
+        key, sample = defaults_sample(make_sample)
+        partition_keys(MINI_SPEC)
+        tracemalloc.start()
+        try:
+            result = run_parallel_instances(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best.key == key
+        assert peak < 20 << 20
 
 
 def test_split_joint_fill_round_trip():

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bsea2 import kernels
 from bsea2.errors import InvalidPolynomial, PeriodBoundExceeded
-from bsea2.lfsr import (LfsrState, P0, P1, P2, P3, advance, check_period,
-                        clock, generate_sequence, make_polynomial,
-                        polynomial_from_list, state_from_stages)
+from bsea2.lfsr import (LfsrState, P0, P1, P2, P3, check_period, clock,
+                        make_polynomial, polynomial_from_list)
+from oracles import state_from_stages
 
 TRINOMIAL3 = make_polynomial([1, 0], 3)
+
+
+def output_sequence(state, n):
+    """(first n output bits, fill after n clocks) from the sequence
+    kernel."""
+    return kernels.lfsr_sequence(state.spec.tapmask, state.spec.degree,
+                                 state.fill, n)
 
 
 class TestMakePolynomial:
@@ -76,11 +84,13 @@ class TestClock:
 
 
 class TestGenerateSequence:
+    """A register's output sequence, as kernels.lfsr_sequence makes it."""
+
     def test_empty(self):
-        assert generate_sequence(LfsrState(TRINOMIAL3, 1), 0).size == 0
+        assert output_sequence(LfsrState(TRINOMIAL3, 1), 0)[0].size == 0
 
     def test_one_period_is_balanced(self):
-        seq = generate_sequence(state_from_stages(TRINOMIAL3, (1, 0, 0)), 7)
+        seq, _ = output_sequence(state_from_stages(TRINOMIAL3, (1, 0, 0)), 7)
         assert int(seq.sum()) == 4
 
     @given(fill=st.integers(min_value=1, max_value=(1 << 13) - 1),
@@ -93,13 +103,14 @@ class TestGenerateSequence:
         for _ in range(n):
             bit, s = clock(s)
             expected.append(bit)
-        assert generate_sequence(state, n).tolist() == expected
-        assert advance(state, n).fill == s.fill
+        seq, fill = output_sequence(state, n)
+        assert seq.tolist() == expected
+        assert fill == s.fill
 
     def test_p0_sequence_has_full_period(self):
         # two periods of the degree-23 register: halves must agree
         period = (1 << 23) - 1
-        seq = generate_sequence(LfsrState(P0, 0x3F1), 2 * period)
+        seq, _ = output_sequence(LfsrState(P0, 0x3F1), 2 * period)
         assert np.array_equal(seq[:period], seq[period:])
         # and one period is balanced up to the missing zero state
         assert int(seq[:period].sum()) == 1 << 22
@@ -126,7 +137,7 @@ class TestCheckPeriod:
             period = check_period(poly)
             assert period == (1 << deg) - 1
             for fill in (1, 3, (1 << deg) - 1):
-                seq = generate_sequence(LfsrState(poly, fill), period)
+                seq, _ = output_sequence(LfsrState(poly, fill), period)
                 assert int(seq.sum()) == 1 << (deg - 1)
 
 
