@@ -662,9 +662,9 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
                 f"2^{budget}; raise --budget or attack a smaller instance")
 
     keys = cache.stage_keys(plan)
-    start = cache.start(kprime, keys)
-    log = list(start.log)
-    beam = start
+    memo = cache.start(kprime, keys)
+    log = list(memo.log)
+    beam = memo
     assigned = []
     size = 1
     stage_log = []
@@ -709,8 +709,8 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         if progress is not None:
             progress(stage_log[-1])
 
-    if isinstance(start, _Validated):
-        fills, zeros = start.fills, start.zeros
+    if isinstance(memo, _Validated):
+        fills, zeros = memo.fills, memo.zeros
     else:
         # the first K' of a group validates the beam for the whole group
         group = [kprime] + [kp for kp in cache.groups.pop(keys, ())

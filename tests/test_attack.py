@@ -12,8 +12,8 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
                           random_key, split_key)
 from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
                               plan_attack)
-from bsea2.errors import (Bsea2Error, EmptyBeam, MissingKnownRegister, StageTooLarge,
-                          Unattackable)
+from bsea2.errors import (Bsea2Error, EmptyBeam, MissingKnownRegister,
+                          StageTooLarge, Unattackable)
 from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
