@@ -288,6 +288,32 @@ def keystream(instance: CipherInstance, n: int) -> np.ndarray:
     return combine_outputs(instance.f, *seqs)
 
 
+def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
+    """First n keystream bits of each key, packed one key a row.
+
+    Row i is bits.pack_words(keystream(key_setup(spec, keys[i]), n)). Each
+    register's sequences for all the keys come from one
+    kernels.packed_sequences call, and combine_words runs once per
+    distinct K' over that K''s rows.
+    """
+    split = [split_key(spec, key) for key in keys]
+    fills = np.array([f for f, _ in split], dtype=np.uint64).reshape(-1, 4)
+    if not fills.all():
+        raise DegenerateKey("a key has an all-zero register fill")
+    words = [kernels.packed_sequences(p.tapmask, p.degree, fills[:, j], n)
+             for j, p in enumerate(spec.polynomials)]
+    groups = {}
+    for i, (_, kprime) in enumerate(split):
+        groups.setdefault(kprime, []).append(i)
+    out = np.empty_like(words[0])
+    for kprime, rows in groups.items():
+        out[rows] = combine_words(boolfn.apply_key_mask(spec.f0, kprime),
+                                  *(w[rows] for w in words))
+    if n % 64:
+        out[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    return out
+
+
 def encrypt(instance: CipherInstance, plaintext_bits: np.ndarray) -> np.ndarray:
     """c = p XOR keystream; decryption is the same operation."""
     bits = np.asarray(plaintext_bits, dtype=np.uint8)

@@ -69,3 +69,7 @@ class InvalidSidecar(Bsea2Error):
 
 class WrongLength(Bsea2Error):
     """Bit stream has the wrong length for the requested statistical test."""
+
+
+class InvalidBits(Bsea2Error):
+    """A bit stream holds a value other than 0 or 1."""

@@ -4,6 +4,17 @@ The four tests (monobit, poker, runs, long run) run over exactly 20,000
 bits. Thresholds are configuration data loaded from data/fips140_2.json,
 which cites the standard they were transcribed from; nothing here hard
 codes a bound.
+
+The battery runs on packed uint64 words (bits.pack_words), many streams
+at once. Monobit is a popcount. Poker is a byte histogram folded into
+the 16 nibble counts. Runs are counted bit-parallel, for the stream and
+for its complement: a run starts where a bit differs from the one
+before it, and the runs at least L bits long are the starts whose next
+L - 1 bits are equal to them, so the runs of length exactly L are the
+difference of two such counts. The longest run is the longest run of
+"the next bit is equal", plus one, found by doubling and binary
+descent. batch_pass_rates scores a chunk of keys at a time this way,
+from the packed keystreams of cipher.keystream_words.
 """
 import json
 from dataclasses import dataclass
@@ -13,9 +24,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cipher import InstanceSpec, key_setup, keystream, random_key, split_key
+from .bits import pack_words
+from .cipher import (InstanceSpec, key_setup, keystream, keystream_words,
+                     random_key, split_key)
 from .classifier import partition_keys
-from .errors import WrongLength
+from .errors import InvalidBits, WrongLength
 
 
 @lru_cache(maxsize=1)
@@ -48,61 +61,168 @@ class FipsResult:
         }
 
 
-def _run_lengths(stream: np.ndarray):
-    """Lengths and values of maximal runs in the stream."""
-    change = np.nonzero(np.diff(stream))[0]
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [stream.size]))
-    return ends - starts, stream[starts]
+#: Words of one key chunk's packed keystreams. A chunk's arrays, at 8 bytes
+#: a word, stay near 128 KB each, and the chunk's key count follows from the
+#: stream length, so memory grows with neither the key count nor the stream.
+_CHUNK_WORDS = 1 << 14
+
+# FIPS reads a nibble's first bit as its most significant; a packed byte
+# holds its first bit in bit 0
+_REVERSE4 = np.array([int(f"{v:04b}"[::-1], 2) for v in range(16)])
+
+
+def _valid(width: int, n: int) -> np.ndarray:
+    """A packed row of width words whose first n bits are 1."""
+    mask = np.zeros(width, dtype=np.uint64)
+    mask[:n // 64] = ~np.uint64(0)
+    if n % 64:
+        mask[n // 64] = np.uint64((1 << (n % 64)) - 1)
+    return mask
+
+
+def _ahead(x: np.ndarray, k: int) -> np.ndarray:
+    """Bit t of each row is bit t + k of x's row; bits past the end are 0."""
+    q, r = divmod(k, 64)
+    out = np.zeros_like(x)
+    w = x.shape[1] - q
+    if w > 0:
+        np.right_shift(x[:, q:], np.uint64(r), out=out[:, :w])
+        if r:
+            out[:, :w - 1] |= x[:, q + 1:] << np.uint64(64 - r)
+    return out
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
+
+
+def _runs_at_least(v: np.ndarray, longest: int) -> list:
+    """Per row, the runs of 1s in v at least 1, 2, ..., longest bits long.
+
+    A run starts where a 1 follows a 0 or the stream's start; it is at
+    least L long where the bits 1..L-1 after that start are 1 too.
+    """
+    before = v << np.uint64(1)
+    before[:, 1:] |= v[:, :-1] >> np.uint64(63)
+    start = v & ~before
+    counts = [_popcount(start)]
+    for length in range(1, longest):
+        start &= _ahead(v, length)
+        counts.append(_popcount(start))
+    return counts
+
+
+def _longest_ones(e: np.ndarray) -> np.ndarray:
+    """Per row, the length of the longest run of 1s in e.
+
+    b_L has bit t set where bits t..t+L-1 are all 1, and
+    b_{a+c} = b_c & (b_a shifted ahead by c). Doubling L finds the
+    highest power of two whose b is non-zero in some row; a binary
+    descent from there adds each lower power that keeps a row's b
+    non-zero. A 20,000-bit run takes 15 steps each way.
+    """
+    levels = []                     # levels[i] is b_{2^i}
+    b = e
+    while b.any():
+        levels.append(b)
+        b = b & _ahead(b, 1 << (len(levels) - 1))
+    length = np.zeros(e.shape[0], dtype=np.int64)
+    have = np.full_like(e, ~np.uint64(0))      # b_length, so b_0 first
+    for i in reversed(range(len(levels))):
+        longer = levels[i] & _ahead(have, 1 << i)
+        grew = longer.any(axis=1)
+        have[grew] = longer[grew]
+        length += grew.astype(np.int64) << i
+    return length
+
+
+def battery_words(words: np.ndarray, n: int) -> dict:
+    """The four FIPS 140-2 tests on packed streams, one stream a row.
+
+    ``words`` is (streams, ceil(n / 64)) uint64 in bits.pack_words layout,
+    with the unused tail bits 0; n is a multiple of 8. Per row, as arrays:
+    ``ones``; ``nibbles``, the 16 poker frequencies; ``poker``, its
+    statistic; ``runs``, (2, intervals) run counts of each bit value in
+    the configured intervals' order; ``max_run``; and ``pass``, the
+    monobit, poker, runs and long-run verdicts as (streams, 4) bool.
+    """
+    cfg = thresholds()
+    m, width = words.shape
+    ones = _popcount(words)
+
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    hist = np.stack([np.bincount(row, minlength=256)
+                     for row in raw[:, :n // 8]]).reshape(m, 16, 16)
+    # a byte's high nibble indexes axis 1, its low nibble axis 2
+    nibbles = (hist.sum(axis=1) + hist.sum(axis=2))[:, _REVERSE4]
+    segs = cfg["poker"]["segments"]
+    poker = 16.0 / segs * (nibbles ** 2).sum(axis=1).astype(np.float64) - segs
+
+    intervals = cfg["runs"]["intervals"]
+    spans = [(int(label.rstrip("+")), label.endswith("+"))
+             for label in intervals]
+    need = max(length + (not open_) for length, open_ in spans)
+    runs = np.empty((m, 2, len(spans)), dtype=np.int64)
+    for bit, v in enumerate((~words & _valid(width, n), words)):
+        at_least = _runs_at_least(v, need)
+        for j, (length, open_) in enumerate(spans):
+            runs[:, bit, j] = at_least[length - 1] - (
+                0 if open_ else at_least[length])
+    bounds = np.array(list(intervals.values()))
+    runs_pass = ((bounds[:, 0] <= runs) & (runs <= bounds[:, 1])).all(
+        axis=(1, 2))
+
+    # a run of either value is one bit longer than its run of "the
+    # next bit is equal"
+    same = ~(words ^ _ahead(words, 1)) & _valid(width, n - 1)
+    max_run = _longest_ones(same) + 1
+
+    mono, pk = cfg["monobit"], cfg["poker"]
+    verdicts = np.stack([
+        (mono["min_exclusive"] < ones) & (ones < mono["max_exclusive"]),
+        (pk["min_exclusive"] < poker) & (poker < pk["max_exclusive"]),
+        runs_pass,
+        max_run <= cfg["long_run"]["max_run"],
+    ], axis=1)
+    return {"ones": ones, "nibbles": nibbles, "poker": poker, "runs": runs,
+            "max_run": max_run, "pass": verdicts}
 
 
 def fips_battery(stream: np.ndarray) -> FipsResult:
-    """Apply the four FIPS 140-2 tests to a 20,000-bit stream."""
+    """Apply the four FIPS 140-2 tests to a 20,000-bit stream.
+
+    The stream is battery_words on its packed words, as a batch of one.
+    A value other than 0 or 1 raises InvalidBits.
+    """
     cfg = thresholds()
-    stream = np.asarray(stream, dtype=np.uint8)
+    stream = np.asarray(stream)
     if stream.size != cfg["stream_bits"]:
         raise WrongLength(
             f"battery needs exactly {cfg['stream_bits']} bits, "
             f"got {stream.size}")
-
-    ones = int(stream.sum())
-    mono_cfg = cfg["monobit"]
-    mono_pass = mono_cfg["min_exclusive"] < ones < mono_cfg["max_exclusive"]
-
-    poker_cfg = cfg["poker"]
-    nibbles = (stream.reshape(-1, 4) *
-               np.array([8, 4, 2, 1], dtype=np.uint8)).sum(axis=1)
-    freq = np.bincount(nibbles, minlength=16)
-    segs = poker_cfg["segments"]
-    poker_x = 16.0 / segs * float((freq.astype(np.int64) ** 2).sum()) - segs
-    poker_pass = (poker_cfg["min_exclusive"] < poker_x
-                  < poker_cfg["max_exclusive"])
-
-    lengths, values = _run_lengths(stream)
-    intervals = cfg["runs"]["intervals"]
-    counts = {}
-    runs_pass = True
-    for bit in (0, 1):
-        sel = lengths[values == bit]
-        clipped = np.minimum(sel, 6)
-        per_len = np.bincount(clipped, minlength=7)
-        row = {}
-        for label, (lo, hi) in intervals.items():
-            n = int(per_len[6] if label == "6+" else per_len[int(label)])
-            row[label] = n
-            if not lo <= n <= hi:
-                runs_pass = False
-        counts[str(bit)] = row
-
-    max_run = int(lengths.max()) if lengths.size else 0
-    long_pass = max_run <= cfg["long_run"]["max_run"]
-
+    if ((stream != 0) & (stream != 1)).any():
+        raise InvalidBits("battery needs a stream of 0 and 1 values only")
+    res = battery_words(pack_words(stream.reshape(1, -1)), stream.size)
+    monobit, poker, runs, long_run = (bool(v) for v in res["pass"][0])
+    counts = {str(bit): {label: int(res["runs"][0, bit, j])
+                         for j, label in enumerate(cfg["runs"]["intervals"])}
+              for bit in (0, 1)}
     return FipsResult(
-        monobit=(ones, mono_pass),
-        poker=(poker_x, poker_pass),
-        runs=(counts, runs_pass),
-        long_run=(max_run, long_pass),
+        monobit=(int(res["ones"][0]), monobit),
+        poker=(float(res["poker"][0]), poker),
+        runs=(counts, runs),
+        long_run=(int(res["max_run"][0]), long_run),
     )
+
+
+def pass_verdicts(spec: InstanceSpec, keys) -> np.ndarray:
+    """(len(keys), 4) bool: the battery's verdicts on each key's stream.
+
+    Columns are monobit, poker, runs and long run, as battery_words gives
+    them; the keystreams come from one cipher.keystream_words call.
+    """
+    n = thresholds()["stream_bits"]
+    return battery_words(keystream_words(spec, keys, n), n)["pass"]
 
 
 def keystream_for_key(spec: InstanceSpec, key, nbits: int) -> np.ndarray:
@@ -134,40 +254,39 @@ REFERENCE_FLAG_MARGIN = 0.20
 #: Fewest keys batch_pass_rates samples; fewer give no meaningful rate.
 MIN_KEYS = 100
 
+#: pass_verdicts' columns, the tallies batch_pass_rates keeps of them
+_TESTS = ("monobit", "poker", "runs", "long_run")
+
 
 def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int) -> dict:
     """FIPS pass rates over random keys, grouped by attack class.
 
-    Deterministic for a fixed seed; evaluation order is merged by key index
-    so any parallel schedule would produce the same report.
+    Deterministic for a fixed seed. Keys are drawn and scored a chunk at
+    a time, _CHUNK_WORDS words of packed keystream to a chunk, and each
+    chunk's verdicts are tallied in key order.
     """
     if n_keys < MIN_KEYS:
         raise ValueError(f"sample at least {MIN_KEYS} keys for a "
                          f"meaningful rate")
-    cfg = thresholds()
     rng = np.random.default_rng(seed)
     report = partition_keys(spec)
-
-    keys = [random_key(spec, rng) for _ in range(n_keys)]
+    step = max(1, _CHUNK_WORDS // -(-thresholds()["stream_bits"] // 64))
     rows = {}
     overall = {"n": 0, "monobit": 0, "poker": 0, "runs": 0, "long_run": 0,
                "all": 0}
 
-    for key in keys:
-        stream = keystream_for_key(spec, key, cfg["stream_bits"])
-        res = fips_battery(stream)
-        _, kprime = split_key(spec, key)
-        row = report.row_for(kprime)
-        cell = rows.setdefault(row.label, {
-            "exponent": row.exponent, "n": 0, "monobit": 0, "poker": 0,
-            "runs": 0, "long_run": 0, "all": 0})
-        for tally in (cell, overall):
-            tally["n"] += 1
-            tally["monobit"] += res.monobit[1]
-            tally["poker"] += res.poker[1]
-            tally["runs"] += res.runs[1]
-            tally["long_run"] += res.long_run[1]
-            tally["all"] += res.all_pass
+    for c in range(0, n_keys, step):
+        keys = [random_key(spec, rng) for _ in range(min(step, n_keys - c))]
+        for key, verdicts in zip(keys, pass_verdicts(spec, keys).tolist()):
+            row = report.row_for(split_key(spec, key)[1])
+            cell = rows.setdefault(row.label, {
+                "exponent": row.exponent, "n": 0, "monobit": 0, "poker": 0,
+                "runs": 0, "long_run": 0, "all": 0})
+            for tally in (cell, overall):
+                tally["n"] += 1
+                for name, ok in zip(_TESTS, verdicts):
+                    tally[name] += ok
+                tally["all"] += all(verdicts)
 
     def render(tally, label, exponent=None):
         n = tally["n"]

@@ -213,3 +213,34 @@ def oracle_topk(scores: np.ndarray, k: int, degrees):
     fills = [i for i in range(scores.size) if possible(i)]
     order = sorted(fills, key=lambda i: (-int(scores[i]), i))
     return [(i, int(scores[i])) for i in order[:k]]
+
+
+def oracle_fips_counts(bits) -> dict:
+    """What the FIPS 140-2 battery counts, read one bit at a time.
+
+    ``ones``; ``nibbles[v]``, the 4-bit segments of value v (the first
+    bit most significant); ``runs[b][L]``, the maximal runs of bit value b
+    that are L bits long; and ``longest``, the longest run of either value.
+    """
+    bits = [int(b) for b in bits]
+    ones = 0
+    for b in bits:
+        ones += b
+    nibbles = [0] * 16
+    for i in range(0, len(bits) - 3, 4):
+        v = 0
+        for b in bits[i:i + 4]:
+            v = (v << 1) | b
+        nibbles[v] += 1
+    runs = {0: {}, 1: {}}
+    longest = 0
+    i = 0
+    while i < len(bits):
+        j = i
+        while j < len(bits) and bits[j] == bits[i]:
+            j += 1
+        runs[bits[i]][j - i] = runs[bits[i]].get(j - i, 0) + 1
+        longest = max(longest, j - i)
+        i = j
+    return {"ones": ones, "nibbles": nibbles, "runs": runs,
+            "longest": longest}

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bsea2.bits import bits_to_bytes, bytes_to_bits
+from bsea2.bits import bits_to_bytes, bytes_to_bits, pack_words
 from bsea2.boolfn import apply_key_mask
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           assemble_key, decrypt, encrypt, key_setup,
-                          keystream, load_spec, random_key,
+                          keystream, keystream_words, load_spec, random_key,
                           spec_from_json_dict, split_key)
 from bsea2.errors import DegenerateKey, InvalidKey, WrongKeyLength
 from bsea2.lfsr import check_period
@@ -184,6 +184,26 @@ class TestKeystream:
         a = keystream(key_setup(MINI_SPEC, key1), 256)
         b = keystream(key_setup(pre, key2), 256)
         assert np.array_equal(a, b)
+
+
+class TestKeystreamWords:
+    @pytest.mark.parametrize("n", [1, 64, 130])
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, MINI_SPEC],
+                             ids=lambda s: s.name)
+    def test_rows_match_scalar_oracle(self, spec, n):
+        rng = np.random.default_rng(n)
+        keys = [random_key(spec, rng) for _ in range(3)]
+        # two keys of one K' take one combine_words call
+        keys.append(random_key(spec, rng, kprime=split_key(spec, keys[0])[1]))
+        got = keystream_words(spec, keys, n)
+        want = [pack_words(np.array(scalar_keystream(spec, key, n), np.uint8))
+                for key in keys]
+        assert np.array_equal(got, np.stack(want))   # tail bits 0 too
+
+    def test_degenerate_key_rejected(self):
+        key = assemble_key(MINI_SPEC, [5, 0, 17, 33], 0x12)
+        with pytest.raises(DegenerateKey):
+            keystream_words(MINI_SPEC, [key], 64)
 
 
 class TestEncrypt:

@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bsea2.cipher import DEFAULT_SPEC, MINI_SPEC, SecretKey, key_setup, keystream
-from bsea2.errors import WrongLength
-from bsea2.randomness import (batch_pass_rates, fips_battery, thresholds,
-                              wilson_interval)
+from bsea2.bits import pack_words
+from bsea2.boolfn import apply_key_mask, effective_spectrum
+from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, SecretKey, key_setup,
+                          keystream, random_key, split_key)
+from bsea2.classifier import partition_keys
+from bsea2.errors import InvalidBits, WrongLength
+from bsea2.randomness import (batch_pass_rates, battery_words, fips_battery,
+                              pass_verdicts, thresholds, wilson_interval)
+from oracles import oracle_fips_counts, scalar_keystream
 
 N = 20000
 
@@ -15,6 +23,75 @@ GOOD_KEY = "8287373D7F0C509D73683295BCBE5045"
 
 def battery(bits):
     return fips_battery(np.asarray(bits, dtype=np.uint8))
+
+
+def oracle_figures(bits):
+    """(ones, poker statistic, runs dict, longest run) as fips_battery
+    reports them, from the scalar oracle's counts."""
+    cfg = thresholds()
+    counts = oracle_fips_counts(bits)
+    segs = cfg["poker"]["segments"]
+    poker = 16.0 / segs * float(sum(f * f for f in counts["nibbles"])) - segs
+    runs = {}
+    for bit in (0, 1):
+        runs[str(bit)] = {}
+        for label in cfg["runs"]["intervals"]:
+            low = int(label.rstrip("+"))
+            high = N if label.endswith("+") else low
+            runs[str(bit)][label] = sum(
+                c for length, c in counts["runs"][bit].items()
+                if low <= length <= high)
+    return counts["ones"], poker, runs, counts["longest"]
+
+
+def oracle_verdicts(bits) -> list:
+    """[monobit, poker, runs, long run] verdicts from the oracle's counts."""
+    cfg = thresholds()
+    ones, poker, runs, longest = oracle_figures(bits)
+    mono, pk = cfg["monobit"], cfg["poker"]
+    return [
+        mono["min_exclusive"] < ones < mono["max_exclusive"],
+        pk["min_exclusive"] < poker < pk["max_exclusive"],
+        all(lo <= runs[bit][label] <= hi for bit in runs
+            for label, (lo, hi) in cfg["runs"]["intervals"].items()),
+        longest <= cfg["long_run"]["max_run"],
+    ]
+
+
+def assert_battery_matches_oracle(bits):
+    bits = np.asarray(bits, dtype=np.uint8)
+    ones, poker, runs, longest = oracle_figures(bits)
+    res = fips_battery(bits)
+    assert res.monobit[0] == ones
+    assert res.poker[0] == poker
+    assert res.runs[0] == runs
+    assert res.long_run[0] == longest
+    nibbles = battery_words(pack_words(bits[None]), N)["nibbles"][0]
+    assert nibbles.tolist() == oracle_fips_counts(bits)["nibbles"]
+    return res
+
+
+def with_run(length, start, value, seed=0):
+    """Random bits holding a maximal run of ``value`` at ``start``."""
+    bits = np.random.default_rng(seed).integers(0, 2, N).astype(np.uint8)
+    bits[start:start + length] = value
+    if start > 0:
+        bits[start - 1] = 1 - value
+    if start + length < N:
+        bits[start + length] = 1 - value
+    return bits
+
+
+@st.composite
+def streams(draw):
+    """Bits that change value with a drawn probability, so runs are short
+    or long, with one drawn run written over them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    change = rng.random(N) < draw(st.floats(0.002, 0.998))
+    bits = ((np.cumsum(change) + draw(st.integers(0, 1))) % 2).astype(np.uint8)
+    start = draw(st.integers(0, N - 1))
+    bits[start:start + draw(st.integers(0, 70))] = draw(st.integers(0, 1))
+    return bits
 
 
 class TestFipsBattery:
@@ -68,6 +145,63 @@ class TestFipsBattery:
         assert a.monobit[1] == b.monobit[1]
         assert a.runs[1] != b.runs[1] or a.long_run[1] != b.long_run[1]
 
+    @given(streams())
+    def test_counts_match_scalar_oracle(self, bits):
+        assert_battery_matches_oracle(bits)
+
+    @pytest.mark.parametrize("bits", [
+        np.zeros(N, np.uint8), np.ones(N, np.uint8),
+        np.tile(np.array([0, 1], np.uint8), N // 2),
+        np.tile(np.array([1, 0], np.uint8), N // 2),
+    ], ids=["zeros", "ones", "alternating01", "alternating10"])
+    def test_constant_and_alternating_match_oracle(self, bits):
+        assert_battery_matches_oracle(bits)
+
+    @pytest.mark.parametrize("boundary", [64, 128])
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_runs_across_word_boundaries_match_oracle(self, length,
+                                                      boundary):
+        # every placement that holds bit boundary - 1 or bit boundary
+        for start in range(boundary - length, boundary + 1):
+            for value in (0, 1):
+                bits = with_run(length, start, value)
+                res = assert_battery_matches_oracle(bits)
+                label = str(length) if length < 6 else "6+"
+                assert res.runs[0][str(value)][label] >= 1
+
+    @pytest.mark.parametrize("length", [25, 26])
+    @pytest.mark.parametrize("at_end", [False, True])
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_long_run_at_either_end_matches_oracle(self, length, at_end,
+                                                   value):
+        # the last word holds the stream's last 32 bits
+        bits = with_run(length, N - length if at_end else 0, value)
+        res = assert_battery_matches_oracle(bits)
+        assert res.long_run[0] >= length
+        assert res.long_run[1] == (res.long_run[0] <= 25)
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_one_stream_long_run(self, value):
+        res = assert_battery_matches_oracle(np.full(N, value, np.uint8))
+        assert res.long_run == (N, False)
+        assert res.runs[0][str(value)]["6+"] == 1
+        assert res.runs[0][str(1 - value)] == dict.fromkeys(
+            thresholds()["runs"]["intervals"], 0)
+
+    @pytest.mark.parametrize("bad", [2, 256, -1, 0.5])
+    def test_non_bit_values_rejected(self, bad):
+        bits = np.zeros(N, dtype=type(bad))
+        bits[123] = bad
+        with pytest.raises(InvalidBits):
+            fips_battery(bits)
+
+    def test_any_bit_dtype_accepted(self):
+        bits = np.random.default_rng(3).integers(0, 2, N)
+        a = fips_battery(bits.astype(np.uint8)).to_dict()
+        assert fips_battery(bits.astype(bool)).to_dict() == a
+        assert fips_battery(bits.astype(np.int64)).to_dict() == a
+        assert fips_battery(bits.tolist()).to_dict() == a
+
     def test_thresholds_cite_their_source(self):
         cfg = thresholds()
         assert "FIPS" in cfg["source"] and "140-2" in cfg["source"]
@@ -109,6 +243,60 @@ class TestBatchPassRates:
         assert a["reference_delta"] == pytest.approx(
             a["overall"]["all_pass_rate"] - 0.55)
         assert isinstance(a["reference_flagged"], bool)
+
+
+def balanced_kprimes(spec) -> set:
+    """The K' whose masked combiner g = f XOR x0 is balanced, chi_g(0) = 0."""
+    return {k for k in range(256)
+            if effective_spectrum(apply_key_mask(spec.f0, k))[0] == 0}
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, MINI_SPEC],
+                         ids=lambda s: s.name)
+def test_batched_verdicts_match_oracle(spec):
+    # one batch of keys: two share a K', balanced and unbalanced K' both
+    balanced = sorted(balanced_kprimes(spec))
+    unbalanced = sorted(set(range(256)) - set(balanced))
+    rng = np.random.default_rng(23)
+    kprimes = [balanced[0], unbalanced[5], balanced[40], balanced[0]]
+    keys = [random_key(spec, rng, kprime=k) for k in kprimes]
+    got = pass_verdicts(spec, keys)
+    assert got.shape == (4, 4)
+    for key, verdicts in zip(keys, got.tolist()):
+        assert verdicts == oracle_verdicts(scalar_keystream(spec, key, N))
+
+
+def test_batch_memory_is_bounded():
+    # peak traced memory of a 1000-key batch: 1.83 MB when each key was
+    # scored on its own; scoring every key in one pass would take tens
+    # of MB
+    partition_keys(DEFAULT_SPEC)
+    tracemalloc.start()
+    try:
+        data = batch_pass_rates(DEFAULT_SPEC, 1000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data["overall"]["n"] == 1000
+    assert peak < 4 << 20
+
+
+def test_unbalanced_combiner_never_passes_monobit():
+    # the pass rate is at most the balanced-K' share, 96/256 = 0.375,
+    # against the published 0.55 (ROADMAP item 15)
+    for spec in (DEFAULT_SPEC, MINI_SPEC):
+        assert len(balanced_kprimes(spec)) == 96
+    balanced = balanced_kprimes(DEFAULT_SPEC)
+    rng = np.random.default_rng(1017)      # the keys of the batch below
+    keys = [random_key(DEFAULT_SPEC, rng) for _ in range(1000)]
+    monobit = np.concatenate([pass_verdicts(DEFAULT_SPEC, keys[i:i + 100])
+                              for i in range(0, 1000, 100)])[:, 0]
+    is_balanced = np.array([split_key(DEFAULT_SPEC, key)[1] in balanced
+                            for key in keys])
+    assert not monobit[~is_balanced].any()
+    data = batch_pass_rates(DEFAULT_SPEC, 1000, seed=1017)
+    assert data["overall"]["monobit_rate"] == monobit.mean()
+    assert data["overall"]["all_pass_rate"] <= is_balanced.mean()
 
 
 def test_wilson_interval_basic():
