@@ -31,11 +31,11 @@ data bits depend on K' only through the complement bit s, so its top-k
 list is keyed on the mask, the targets, the consumed known fills and s;
 the instances of the all-256 search that share a stage score it once.
 For the same reason the beam after a plan's first j stages depends only
-on their (mask, targets, s): each beam prefix is built once per search
-and kept until the last instance that reads it has taken it. Instances
-whose whole beams are equal differ only in the combiner table, so the
-first of them validates the beam for all: each chunk of word rows is
-gathered once and goes through the multiplexer tree of each K'. The
+on their (mask, targets, s): each beam prefix is built once per class
+of the search (one exponent tier) and kept until the next class starts.
+Instances whose whole beams are equal differ only in the combiner table,
+so the first of them validates the beam for all: each chunk of word rows
+is gathered once and goes through the multiplexer tree of each K'. The
 cache also holds each (register, fill) sequence that validation needs,
 packed into uint64 words.
 """
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import boolfn, kernels
 from .bits import fill_hex, hex_byte, pack_words, unpack_words
-from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_words,
+from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_outputs,
                      key_setup, keystream)
 from .classifier import (AttackPlan, AttackStage, mask_registers,
                          partition_keys, plan_to_dict)
@@ -386,11 +386,10 @@ class _RunCache:
     exactly the counts from lo to hi.
 
     With the sample and k, a plan's stage keys (stage_keys) fix its beam
-    after each stage, and K' enters only validation. Before a tier runs,
-    expect() notes its plans in K' order. A run then starts from the
-    deepest beam prefix an earlier run built (``beams``, a _Beam each),
-    and ``readers`` counts the runs still to read each prefix, which is
-    kept only while that count is above 0. Plans with equal stage keys
+    after each stage, and K' enters only validation. A tier (one exponent
+    class) keeps every proper beam prefix its runs build in ``beams``, a
+    _Beam each, and a run starts from the deepest one kept; expect()
+    drops them when the next tier starts. Plans with equal stage keys
     (``groups``) share their whole beam: the first of them validates it
     for every K' of the group at once, and each other K' finds its
     outcome in ``validated``, a _Validated each. No whole beam is kept.
@@ -408,7 +407,6 @@ class _RunCache:
         self.words = [self._no_words()] * 4
         self.rows = [{} for _ in range(4)]
         self.beams = {}
-        self.readers = {}
         self.groups = {}
         self.validated = {}
 
@@ -423,46 +421,22 @@ class _RunCache:
                      for st in plan.stages)
 
     def expect(self, plans) -> None:
-        """Note the plans one tier runs, in the order it runs them.
-
-        Each plan joins the group of its stage keys. The first plan of a
-        group will read the deepest prefix of its keys that an earlier
-        plan built on the way to a longer beam, and counts as one of that
-        prefix's readers; the other plans of a group read their outcome.
-        """
-        built = set()
+        """Note the plans one tier runs: each joins the group of its stage
+        keys. The prefixes an earlier tier kept are dropped."""
+        self.beams.clear()
         for plan in plans:
-            keys = self.stage_keys(plan)
-            group = self.groups.setdefault(keys, [])
-            group.append(plan.kprime)
-            if len(group) > 1:
-                continue
-            hit = next((keys[:j] for j in range(len(keys), 0, -1)
-                        if keys[:j] in built), None)
-            if hit is not None:
-                self.readers[hit] = self.readers.get(hit, 0) + 1
-            built.update(keys[:j] for j in range(1, len(keys)))
+            self.groups.setdefault(self.stage_keys(plan), []).append(
+                plan.kprime)
 
     def start(self, kprime: int, keys: tuple):
         """What a run of K' with these stage keys starts from: its
-        _Validated outcome, else the deepest kept _Beam prefix (released
-        once its last reader has it), else _NO_BEAM."""
+        _Validated outcome, else the deepest kept _Beam prefix, else
+        _NO_BEAM."""
         done = self.validated.pop((kprime, keys), None)
         if done is not None:
             return done
-        for j in range(len(keys), 0, -1):
-            beam = self.beams.get(keys[:j])
-            if beam is not None:
-                self.readers[keys[:j]] -= 1
-                if not self.readers[keys[:j]]:
-                    del self.beams[keys[:j]], self.readers[keys[:j]]
-                return beam
-        return _NO_BEAM
-
-    def keep(self, prefix: tuple, beam: _Beam) -> None:
-        """Keep a beam prefix that a later run will read."""
-        if self.readers.get(prefix):
-            self.beams[prefix] = beam
+        return next((self.beams[keys[:j]] for j in range(len(keys), 0, -1)
+                     if keys[:j] in self.beams), _NO_BEAM)
 
     def register_words(self, r: int, fills: list):
         """(store, rows): store[rows[i]] is the packed output sequence of
@@ -552,7 +526,7 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
     alive for some K' over the next words of the sample, in chunks of at
     most _VALIDATE_WORDS words per register: each chunk gathers its four
     word rows once, and for each K' the rows alive for it go through that
-    K'-masked table's multiplexer tree (cipher.combine_words); the result
+    K'-masked table's multiplexer tree (cipher.combine_outputs); the result
     is XORed with the ciphertext, the tail word's padding bits are masked
     and the ones are added to each candidate's count for that K'. After a
     pass over ``seen`` bits a candidate with ``ones`` decrypted ones is
@@ -599,7 +573,7 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
                 words = [np.take(seq[:, start:end], row[idx], axis=0)
                          for seq, row in zip(seqs, rows)]
                 for i in members:
-                    dec = combine_words(tables[i], *words)
+                    dec = combine_outputs(tables[i], *words)
                     dec ^= ct[start:end]
                     if end == ct.size:
                         dec[:, -1] &= tail
@@ -684,7 +658,8 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
                                           kprime, k, budget)
             log.append(entry)
             beam = _Beam(columns, slots, tuple(log))
-            cache.keep(keys[:j + 1], beam)
+            if j + 1 < len(keys):
+                cache.beams[keys[:j + 1]] = beam
         assigned += sorted(stage.targets)
         scorings, retained = log[j]
         elapsed = time.monotonic() - t_start
@@ -775,21 +750,17 @@ def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
     slots = beam.slots
     cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
             if r in assigned]
-    if cols:
-        # a parent's slots in mixed radix: one integer per distinct row
-        code = np.zeros(len(slots), dtype=np.int64)
-        for r in cols:
-            code = code * len(beam.columns[r]) + slots[:, r]
-        _, first, inverse = np.unique(code, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)       # scorings by first occurrence
-        parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
-                   for j in first[order]]
-        pick = np.argsort(order)[inverse.ravel()]
-    else:
-        # nothing consumed: one scoring serves every parent
-        parents = [{}]
-        pick = np.zeros(len(slots), dtype=np.intp)
+    # a parent's slots in mixed radix: one integer per distinct row (all 0,
+    # so one parent {}, when nothing is consumed)
+    code = np.zeros(len(slots), dtype=np.int64)
+    for r in cols:
+        code = code * len(beam.columns[r]) + slots[:, r]
+    _, first, inverse = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)           # scorings by first occurrence
+    parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
+               for j in first[order]]
+    pick = np.argsort(order)[inverse.ravel()]
     # the complement bit of score_stage's data bits, the board's only
     # dependence on K'
     s = stage.complement ^ (sample.model.p0 < 0.5)

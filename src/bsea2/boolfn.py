@@ -6,10 +6,10 @@ index packs register outputs as x3 + (x2<<1) + (x1<<2) + (x0<<3): mask bit
 3 addresses R0, bit 2 R1, bit 1 R2, bit 0 R3.
 
 Spectra are exact signed integers; Parseval and table-matching tests rely
-on exactness. walsh_transform runs through kernels.fwht_inplace, whose
-int32 path transforms the +-1 table in float32: the table's absolute sum
-is 2^n <= 2^16, so every partial sum is an integer of magnitude at most
-2^16, inside float32's exact range of 2^24.
+on exactness. walsh_transform transforms the +-1 table in float32 through
+kernels.fwht_inplace: the table's absolute sum is 2^n <= 2^16, so every
+partial sum is an integer of magnitude at most 2^16, inside float32's
+exact range of 2^24.
 """
 import numpy as np
 
@@ -42,7 +42,7 @@ def walsh_transform(word: int, n: int = 4) -> tuple:
     table = np.unpackbits(
         np.frombuffer(word.to_bytes(nbytes, "little"), dtype=np.uint8),
         bitorder="little")[:size]
-    a = 1 - 2 * table.astype(np.int32)
+    a = 1 - 2 * table.astype(np.float32)
     kernels.fwht_inplace(a)
     return tuple(int(v) for v in a)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolfn, kernels
-from .bits import parse_hex
+from .bits import pack_words, parse_hex, unpack_words
 from .errors import (DegenerateKey, InvalidKey, InvalidSpec,
                      UnreadableInput, WrongKeyLength)
 from .lfsr import (LfsrState, P0, P1, P2, P3, make_polynomial,
@@ -218,13 +218,6 @@ def key_setup(spec: InstanceSpec, key: SecretKey) -> CipherInstance:
     return CipherInstance(spec, states, boolfn.apply_key_mask(spec.f0, kprime))
 
 
-def combine_outputs(f: int, x0, x1, x2, x3) -> np.ndarray:
-    """sigma = f(x3 + (x2<<1) + (x1<<2) + (x0<<3)) XOR x0, vectorized."""
-    idx = (x3 | (x2 << 1) | (x1 << 2) | (x0 << 3)).astype(np.uint8)
-    f_table = np.array([(f >> i) & 1 for i in range(16)], dtype=np.uint8)
-    return f_table[idx] ^ x0
-
-
 @functools.lru_cache(maxsize=None)
 def _mux_tree(table: int, bits: int):
     """Multiplexer tree of a 2^bits-entry table over the low index bits.
@@ -260,12 +253,15 @@ def _mux_eval(node, words) -> np.ndarray:
     return a
 
 
-def combine_words(f: int, w0, w1, w2, w3) -> np.ndarray:
-    """combine_outputs on bit-sliced uint64 words, one bit per position.
+def combine_outputs(f: int, w0, w1, w2, w3) -> np.ndarray:
+    """sigma = f(x3 + (x2<<1) + (x1<<2) + (x0<<3)) XOR x0 on bit-sliced
+    uint64 words: word array j holds register j's outputs x_j, one bit
+    per position (bits.pack_words).
 
-    sigma = f(idx) XOR x0 is itself a table over idx: f with its x0 = 1
-    half complemented. That table is evaluated as a multiplexer tree over
-    the four word arrays (see _mux_tree), built once per table.
+    sigma is itself a table over the index: f with its x0 = 1 half
+    complemented. That table is evaluated as a multiplexer tree over the
+    four word arrays (see _mux_tree), built once per table. Padding bits
+    of the result are arbitrary.
     """
     return _mux_eval(_mux_tree(f ^ 0xFF00, 4), (w0, w1, w2, w3))
 
@@ -274,18 +270,16 @@ def keystream(instance: CipherInstance, n: int) -> np.ndarray:
     """Next n keystream bits; advances the instance's stream position."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    seqs = []
+    words = []
     new_states = []
     for st in instance.states:
         spec = st.spec
         seq, final = kernels.lfsr_sequence(spec.tapmask, spec.degree,
                                            st.fill, n)
-        seqs.append(seq)
+        words.append(pack_words(seq))
         new_states.append(LfsrState(spec, final))
     instance.states = new_states
-    return combine_outputs(instance.f, *seqs)
+    return unpack_words(combine_outputs(instance.f, *words), n)
 
 
 def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
@@ -293,7 +287,7 @@ def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
 
     Row i is bits.pack_words(keystream(key_setup(spec, keys[i]), n)). Each
     register's sequences for all the keys come from one
-    kernels.packed_sequences call, and combine_words runs once per
+    kernels.packed_sequences call, and combine_outputs runs once per
     distinct K' over that K''s rows.
     """
     split = [split_key(spec, key) for key in keys]
@@ -307,8 +301,8 @@ def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
         groups.setdefault(kprime, []).append(i)
     out = np.empty_like(words[0])
     for kprime, rows in groups.items():
-        out[rows] = combine_words(boolfn.apply_key_mask(spec.f0, kprime),
-                                  *(w[rows] for w in words))
+        out[rows] = combine_outputs(boolfn.apply_key_mask(spec.f0, kprime),
+                                    *(w[rows] for w in words))
     if n % 64:
         out[:, -1] &= np.uint64((1 << (n % 64)) - 1)
     return out
@@ -317,8 +311,6 @@ def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
 def encrypt(instance: CipherInstance, plaintext_bits: np.ndarray) -> np.ndarray:
     """c = p XOR keystream; decryption is the same operation."""
     bits = np.asarray(plaintext_bits, dtype=np.uint8)
-    if bits.size == 0:
-        return bits.copy()
     return bits ^ keystream(instance, bits.size)
 
 

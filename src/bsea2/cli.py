@@ -334,10 +334,6 @@ def _cmd_attack(args) -> int:
 def _cmd_fips(args) -> int:
     spec = _spec_from_args(args)
     nbits = randomness.thresholds()["stream_bits"]
-    if not args.infile and not args.key and not args.key_file:
-        print("usage error: fips needs --in FILE or --key/--key-file",
-              file=sys.stderr)
-        return 2
     if args.infile:
         bits = _load_sample_bits(args.infile, None)
         if bits.size < nbits:
@@ -454,9 +450,11 @@ def _add_spec_arg(p, default="default"):
 
 
 def _add_key_args(p):
+    """--key and --key-file, exactly one of them; returns their group."""
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--key", help="key as hex characters")
     group.add_argument("--key-file", help="file holding the hex key")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ciphertext", required=True)
     p.add_argument("--bits", type=_int_at_least(1), default=None,
                    help="bit-precise sample length (default: whole file)")
-    p.add_argument("--p0", type=_probability, default=None)
-    p.add_argument("--corpus", help="estimate p0 from this byte corpus")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--p0", type=_probability, default=None)
+    model.add_argument("--corpus", help="estimate p0 from this byte corpus")
     p.add_argument("--kprime", type=_hex_below(8), default=None,
                    help="attack a single K' instance (default: all 256)")
     p.add_argument("--seed", type=int, default=None,
@@ -549,9 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fips", help="FIPS 140-2 battery over 20,000 bits")
     _add_spec_arg(p)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--key")
-    p.add_argument("--key-file")
+    _add_key_args(p).add_argument("--in", dest="infile",
+                                  help="file holding the stream's bits")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.add_argument("--stamp", action="store_true")

@@ -16,11 +16,12 @@ The transform splits H_{2^m} into Kronecker factors (Fino and Algazi
 1976) and applies each as a matrix product through NumPy's BLAS. H_k
 costs k multiply-adds per element for log2(k) index bits, so small
 factors do less work; below H_16 the products lose more to overhead
-than they save (measured). It runs in float32, which is exact while the
-input's absolute sum is at most 2^24, and in float64 above that. An
-int32 input is summed to pick one; the attack's stage scorer scatters
-into the float dtype itself, since a stage table's sum is at most its
-sample length, and so skips that pass.
+than they save (measured). It takes float32 or float64 only, and the
+caller picks the dtype that keeps the result exact: float32 is exact
+while a row's absolute sum is at most 2^24. The attack's stage scorer
+picks float32 while the sample has at most 2^24 bits, since a stage
+table's sum is at most its sample length; boolfn's +-1 tables of at most
+2^16 entries are always float32.
 """
 import functools
 
@@ -182,7 +183,7 @@ def _transform_bits(src, dst, bits: int, stride: int):
 
 
 def fwht_inplace(a: np.ndarray, work=None) -> None:
-    """Unnormalized Walsh-Hadamard transform of a numeric array, in place.
+    """Unnormalized Walsh-Hadamard transform of a float array, in place.
 
     a[u] becomes sum_x a[x] * (-1)^<x,u>. A 2-D array has each row (its
     last axis) transformed on its own. The transform length must be a power
@@ -190,23 +191,18 @@ def fwht_inplace(a: np.ndarray, work=None) -> None:
 
     A float32 or float64 array is transformed in its own dtype, with no
     check: the caller sees to it that the results are exact (in float32,
-    an absolute sum of at most 2^24 a row). An int32 array must have
-    results that fit int32; it runs in float32 when every row's absolute
-    sum is at most 2^24, which makes every row's results exact, and in
-    float64 otherwise.
+    an absolute sum of at most 2^24 a row).
 
     The array is taken as one flat run of rows. Its low _BLOCK_BITS index
     bits are transformed one cache-sized block at a time, alternating with
-    a work buffer; a block holds whole rows or a part of one. An int32
-    block is first copied into a float buffer. ``work`` may give the work
-    buffer for a float array: a 1-D array of its dtype with at least
+    a work buffer; a block holds whole rows or a part of one. ``work`` may
+    give the work buffer: a 1-D array of the array's dtype with at least
     min(a.size, 2^_BLOCK_BITS) entries. The bits above a block take one
     pass over the whole array per factor, against one scratch array.
     """
-    if (a.dtype not in (np.int32, np.float32, np.float64)
-            or a.ndim not in (1, 2)):
-        raise ValueError("fwht_inplace expects a 1-D or 2-D int32, float32 "
-                         "or float64 array")
+    if a.dtype not in (np.float32, np.float64) or a.ndim not in (1, 2):
+        raise ValueError("fwht_inplace expects a 1-D or 2-D float32 or "
+                         "float64 array")
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")
@@ -217,33 +213,18 @@ def fwht_inplace(a: np.ndarray, work=None) -> None:
     flat = a.reshape(-1)
     block = min(flat.size, 1 << _BLOCK_BITS)
     seg = min(m, block)             # the row bits a block transforms
-    if a.dtype != np.int32:
-        out = flat
-    else:
-        sums = np.concatenate([
-            np.abs(flat[i:i + block].reshape(-1, seg)).sum(axis=1,
-                                                           dtype=np.int64)
-            for i in range(0, flat.size, block)])
-        if sums.reshape(-1, m // seg).sum(axis=1).max() <= _FLOAT32_EXACT:
-            out = flat.view(np.float32)  # each block is read before written
-        else:
-            out = np.empty(flat.size, dtype=np.float64)
     if work is None:
-        work = np.empty(block, out.dtype)
-    copy = None if out is flat else np.empty(block, out.dtype)
+        work = np.empty(block, a.dtype)
     low = seg.bit_length() - 1
     for i in range(0, flat.size, block):
         size = min(block, flat.size - i)
-        src = flat[i:i + size]
-        if copy is not None:
-            copy[:size] = src
-            src = copy[:size]
-        out[i:i + size] = _transform_bits(src, work[:size], low, 1)
+        flat[i:i + size] = _transform_bits(flat[i:i + size], work[:size],
+                                           low, 1)
     if m > seg:
-        out = _transform_bits(out, np.empty(flat.size, out.dtype),
+        out = _transform_bits(flat, np.empty(flat.size, a.dtype),
                               m.bit_length() - 1 - low, seg)
-    if out is not flat:
-        flat[...] = out
+        if out is not flat:
+            flat[...] = out
 
 
 def parity_u64(v: np.ndarray) -> np.ndarray:

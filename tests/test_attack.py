@@ -876,8 +876,10 @@ class TestSharedRunCache:
     def test_work_counts_of_the_defaults_search(self, make_sample,
                                                 monkeypatch):
         # one run_plan per attempted instance; the 52 score_stage calls
-        # this search made before beams were shared; one validation per
-        # distinct beam of the 192 C0 plans
+        # this search made before beams were shared; 160 beam prefixes,
+        # each built once and read from the cache after that (768 if every
+        # instance built its own four); one validation per distinct beam
+        # of the 192 C0 plans
         calls = {}
 
         def spy(name):
@@ -887,7 +889,8 @@ class TestSharedRunCache:
                 calls[name] = calls.get(name, 0) + 1
                 return real(*args, **kwargs)
             monkeypatch.setattr(attack, name, counted)
-        for name in ("run_plan", "score_stage", "_validate_assignments"):
+        for name in ("run_plan", "score_stage", "_grow",
+                     "_validate_assignments"):
             spy(name)
         key, sample = defaults_sample(make_sample)
         result = run_parallel_instances(sample)
@@ -895,6 +898,7 @@ class TestSharedRunCache:
         attempted = [st for st in result.statuses if st.attempt is not None]
         assert calls["run_plan"] == len(attempted) == 192
         assert calls["score_stage"] == 52
+        assert calls["_grow"] == 160
         cache = attack._RunCache(sample)
         plans = partition_keys(MINI_SPEC).plans
         beams = {cache.stage_keys(plans[st.kprime]) for st in attempted}
@@ -903,7 +907,8 @@ class TestSharedRunCache:
     def test_defaults_search_memory(self, make_sample):
         # peak traced memory of the search at the CLI defaults: 16.3 MB
         # before beams were shared, when every instance built and
-        # validated its own beam; keeping every prefix would add tens of MB
+        # validated its own beam; 14.7 MB with each class keeping every
+        # proper beam prefix it builds until the next class starts
         key, sample = defaults_sample(make_sample)
         partition_keys(MINI_SPEC)
         tracemalloc.start()

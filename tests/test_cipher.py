@@ -193,7 +193,7 @@ class TestKeystreamWords:
     def test_rows_match_scalar_oracle(self, spec, n):
         rng = np.random.default_rng(n)
         keys = [random_key(spec, rng) for _ in range(3)]
-        # two keys of one K' take one combine_words call
+        # two keys of one K' take one combine_outputs call
         keys.append(random_key(spec, rng, kprime=split_key(spec, keys[0])[1]))
         got = keystream_words(spec, keys, n)
         want = [pack_words(np.array(scalar_keystream(spec, key, n), np.uint8))

@@ -286,6 +286,14 @@ def _bad_input_cases():
         (["passrates", "--spec", "mini", "--keys", "100", "--seed", "-1"],
          "--seed"),
         (["keygen", "--spec", "mini", "--seed", "-1"], "--seed"),
+        # fips reads exactly one input, attack one p0 source
+        (["fips", "--in", "{tmp}/c.bin", "--key", "00"], "--key"),
+        (["fips", "--key", "1" * 32, "--key-file", "{tmp}/missing.key"],
+         "--key-file"),
+        (["fips", "--in", "{tmp}/c.bin", "--key-file", "{tmp}/sign.key"],
+         "--key-file"),
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--corpus", "{tmp}/c.bin", "--p0", "0.9"], "--p0"),
     ]
     domain = [
         ["partition", "--spec", "{tmp}/missing.json"],
@@ -417,8 +425,9 @@ class TestFips:
         assert "WrongLength" in err
 
     def test_needs_input_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "fips")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "fips")
+        assert exc.value.code == 2
 
 
 class TestPassrates:

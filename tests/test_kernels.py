@@ -107,14 +107,22 @@ def _naive_wht(a):
     return out
 
 
+def _exact_dtype(a):
+    """The dtype a caller picks for a's transform: float32 while every
+    row's absolute sum is at most 2^24, float64 above it."""
+    sums = np.abs(a.astype(np.int64)).sum(axis=-1)
+    return np.float32 if sums.max() <= kernels._FLOAT32_EXACT else np.float64
+
+
 @pytest.mark.parametrize("size", [1, 2, 8, 64, 256])
 def test_fwht_numpy_matches_naive(size):
     rng = np.random.default_rng(size)
     a = rng.integers(-50, 50, size).astype(np.int32)
     expected = _naive_wht(a)
-    b = a.copy()
+    b = a.astype(_exact_dtype(a))
     kernels.fwht_inplace(b)
-    assert np.array_equal(b, expected)
+    assert b.dtype == np.float32
+    assert np.array_equal(b.astype(np.int64), expected)
 
 
 def _input_with_abs_sum(size, total, signed, seed):
@@ -128,7 +136,7 @@ def _input_with_abs_sum(size, total, signed, seed):
 
 # float32 is exact up to an absolute sum of 2^24. At 2^24 + 1 with all
 # entries positive, coefficient 0 is odd and above 2^24, which float32
-# cannot hold, so that case passes only if float64 runs.
+# cannot hold, so the caller picks float64 there.
 @pytest.mark.parametrize("bits", [16, 17, 18, 19, 20])
 @pytest.mark.parametrize("total,signed", [
     (3 << 22, True), (1 << 24, True), ((1 << 24) + 1, False)],
@@ -136,15 +144,19 @@ def _input_with_abs_sum(size, total, signed, seed):
 def test_fwht_matches_butterfly(bits, total, signed):
     a = _input_with_abs_sum(1 << bits, total, signed, seed=bits)
     expected = butterfly_wht(a)
-    kernels.fwht_inplace(a)
-    assert a.dtype == np.int32
-    assert np.array_equal(a, expected)
+    dtype = np.float64 if total > 1 << 24 else np.float32
+    assert _exact_dtype(a) == dtype
+    b = a.astype(dtype)
+    kernels.fwht_inplace(b)
+    assert b.dtype == dtype
+    assert np.array_equal(b.astype(np.int64), expected)
 
 
 # Rows of 2^4 (many to a block), 2^10 (the last block partial) and 2^18
 # (a row over two blocks). Every row has an absolute sum of 2^24, so
 # float32 is exact for each although the array's sum is far above 2^24;
-# an all-positive last row of 2^24 + 1 makes the whole array float64.
+# an all-positive last row of 2^24 + 1 makes the caller pick float64 for
+# the whole array.
 @pytest.mark.parametrize("bits,count", [(4, 5), (10, 200), (18, 3)])
 @pytest.mark.parametrize("last,signed", [
     (1 << 24, True), ((1 << 24) + 1, False)], ids=["at-2^24", "above-2^24"])
@@ -154,9 +166,13 @@ def test_fwht_2d_matches_each_row(bits, count, last, signed):
                                       signed, seed=bits + i)
                   for i in range(count)])
     expected = [butterfly_wht(row) for row in a]
-    kernels.fwht_inplace(a)
-    assert a.dtype == np.int32 and a.shape == (count, 1 << bits)
-    assert all(np.array_equal(row, want) for row, want in zip(a, expected))
+    dtype = np.float64 if last > 1 << 24 else np.float32
+    assert _exact_dtype(a) == dtype
+    b = a.astype(dtype)
+    kernels.fwht_inplace(b)
+    assert b.dtype == dtype and b.shape == (count, 1 << bits)
+    assert all(np.array_equal(row.astype(np.int64), want)
+               for row, want in zip(b, expected))
 
 
 # A float array is transformed in its own dtype with no abs-sum pass:
@@ -178,18 +194,21 @@ def test_fwht_float_in_place(dtype, bits, count, given_work):
 
 
 def test_fwht_rejects_bad_input():
+    # an integer dtype, then bad shapes and layouts of a float one
     with pytest.raises(ValueError):
-        kernels.fwht_inplace(np.zeros(3, np.int32))
+        kernels.fwht_inplace(np.zeros(4, np.int32))
     with pytest.raises(ValueError):
         kernels.fwht_inplace(np.zeros(4, np.int64))
     with pytest.raises(ValueError):
-        kernels.fwht_inplace(np.zeros(8, np.int32)[::2])
+        kernels.fwht_inplace(np.zeros(3, np.float32))
     with pytest.raises(ValueError):
-        kernels.fwht_inplace(np.zeros((2, 3), np.int32))
+        kernels.fwht_inplace(np.zeros(8, np.float32)[::2])
     with pytest.raises(ValueError):
-        kernels.fwht_inplace(np.zeros((4, 4), np.int32)[:, ::2])
+        kernels.fwht_inplace(np.zeros((2, 3), np.float32))
     with pytest.raises(ValueError):
-        kernels.fwht_inplace(np.zeros((2, 2, 2), np.int32))
+        kernels.fwht_inplace(np.zeros((4, 4), np.float32)[:, ::2])
+    with pytest.raises(ValueError):
+        kernels.fwht_inplace(np.zeros((2, 2, 2), np.float32))
 
 
 def test_parity_u64():
