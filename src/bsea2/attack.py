@@ -40,7 +40,6 @@ cache also holds each (register, fill) sequence that validation needs,
 packed into uint64 words.
 """
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +79,6 @@ class ScoreBoard:
     entries: tuple          # ((joint fill, score Z), ...) best first
     k: int
     n_candidates: int
-    n_bits: int
 
     def fills(self) -> tuple:
         return tuple(f for f, _ in self.entries)
@@ -330,7 +328,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,
-                              n_candidates=1 << stage.exponent, n_bits=n)
+                              n_candidates=1 << stage.exponent)
                    for a, b in zip(bounds[:-1], bounds[1:])]
     return boards if isinstance(known, list) else boards[0]
 
@@ -622,7 +620,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     same sample and k; without one the run builds its own. A run starts
     from what the cache holds for its stage keys (_RunCache.start): the
     stages a kept prefix or a peer's validation already ran are not run
-    again, and only their K'-dependent log fields and timings are new.
+    again, and only their K'-dependent log fields are new.
     """
     if cache is None:
         cache = _RunCache(sample)
@@ -642,11 +640,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     assigned = []
     size = 1
     stage_log = []
-    total_states = sum(1 << st.exponent for st in plan.stages)
-    done_states = 0
-    t_run = time.monotonic()
     for j, stage in enumerate(plan.stages):
-        t_start = time.monotonic()
         size *= min(k, math.prod((1 << spec.degrees[r]) - 1
                                  for r in stage.targets))
         if size > _MAX_CANDIDATES:
@@ -662,13 +656,6 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
                 cache.beams[keys[:j + 1]] = beam
         assigned += sorted(stage.targets)
         scorings, retained = log[j]
-        elapsed = time.monotonic() - t_start
-        states = scorings * (1 << stage.exponent)
-        done_states += 1 << stage.exponent
-        rate = states / elapsed if elapsed > 0 else None
-        run_elapsed = time.monotonic() - t_run
-        eta = (run_elapsed / done_states * (total_states - done_states)
-               if done_states else None)
         stage_log.append({
             "mask": stage.mask,
             "targets": sorted(stage.targets),
@@ -677,8 +664,6 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "chi": stage.chi,
             "complement": stage.complement,
             "scorings": scorings,
-            "states_per_sec": round(rate) if rate else None,
-            "eta_s": round(eta, 2) if eta is not None else None,
             "retained": retained,
         })
         if progress is not None:

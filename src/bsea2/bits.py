@@ -27,9 +27,12 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     """
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1,
                          bitorder="little")
-    if packed.shape[-1] % 8:
-        pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
-        packed = np.pad(packed, pad)
+    nbytes = packed.shape[-1]
+    if nbytes % 8:
+        words = np.zeros(packed.shape[:-1] + (nbytes + -nbytes % 8,),
+                         dtype=np.uint8)
+        words[..., :nbytes] = packed
+        packed = words
     return packed.view("<u8")
 
 

@@ -263,7 +263,7 @@ def combine_outputs(f: int, w0, w1, w2, w3) -> np.ndarray:
     four word arrays (see _mux_tree), built once per table. Padding bits
     of the result are arbitrary.
     """
-    return _mux_eval(_mux_tree(f ^ 0xFF00, 4), (w0, w1, w2, w3))
+    return _mux_eval(_mux_tree(f ^ boolfn.X0_PATTERN, 4), (w0, w1, w2, w3))
 
 
 def keystream(instance: CipherInstance, n: int) -> np.ndarray:

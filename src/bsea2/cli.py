@@ -2,10 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (the structured error name goes to
 stderr), 2 usage error. All stochastic subcommands take an explicit --seed
-and reports are byte-identical across reruns with identical flags, except
-for the wall-clock states_per_sec and eta_s of each attack stage; an
-optional --stamp flag adds a wall-clock field to the metadata, which golden
-comparisons must exclude.
+and reports are byte-identical across reruns with identical flags: no
+report carries a wall-clock figure.
 """
 import argparse
 import csv
@@ -13,7 +11,6 @@ import io
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -34,13 +31,10 @@ def _spec_from_args(args) -> InstanceSpec:
     return spec
 
 
-def _meta(args, spec: InstanceSpec) -> dict:
-    meta = {"tool_version": __version__,
+def _meta(spec: InstanceSpec) -> dict:
+    return {"tool_version": __version__,
             "spec": spec.to_json_dict(),
             "spec_fingerprint": spec.fingerprint()}
-    if getattr(args, "stamp", False):
-        meta["created"] = datetime.now(timezone.utc).isoformat()
-    return meta
 
 
 def _emit(args, text: str) -> None:
@@ -125,7 +119,7 @@ def _cmd_keygen(args) -> int:
             "class": row.label,
             "exponent": row.exponent,
             "seed": args.seed,
-            "meta": _meta(args, spec),
+            "meta": _meta(spec),
         })
     else:
         _emit(args, key.to_hex())
@@ -165,7 +159,7 @@ def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     model = PlaintextModel(p0=args.p0) if args.p0 is not None else DEFAULT_MODEL
     report = classifier.spectrum_report(spec, args.kprime, model)
-    report["meta"] = _meta(args, spec)
+    report["meta"] = _meta(spec)
     if args.format == "json":
         _emit_json(args, report)
         return 0
@@ -209,7 +203,7 @@ def _cmd_classify(args) -> int:
         "exponent": row.exponent,
         "plan": (classifier.plan_to_dict(plan, spec.degrees)
                  if plan is not None else None),
-        "meta": _meta(args, spec),
+        "meta": _meta(spec),
     }
     if args.format == "json":
         _emit_json(args, payload)
@@ -226,7 +220,7 @@ def _cmd_partition(args) -> int:
     spec = _spec_from_args(args)
     report = classifier.partition_keys(spec)
     payload = classifier.report_to_json_dict(report, spec)
-    payload["meta"] = _meta(args, spec)
+    payload["meta"] = _meta(spec)
     if args.format == "json":
         _emit_json(args, payload)
         return 0
@@ -273,10 +267,8 @@ def _cmd_attack(args) -> int:
 
     def progress(info):
         if isinstance(info, dict):
-            eta = f", eta {info['eta_s']}s" if info.get("eta_s") else ""
             print(f"  stage mask {info['mask']:04b} 2^{info['exponent']} "
-                  f"{info['states_per_sec'] or '?'} states/s{eta}",
-                  file=sys.stderr)
+                  f"{info['scorings']} scorings", file=sys.stderr)
         else:
             print(f"  K' {hex_byte(info.kprime)}: {info.status}",
                   file=sys.stderr)
@@ -287,7 +279,7 @@ def _cmd_attack(args) -> int:
         "retention_k": args.retention,
         "budget_exponent": args.budget,
         "seed": args.seed,
-        "meta": _meta(args, spec),
+        "meta": _meta(spec),
     }
     if args.kprime is not None:
         plan = classifier.plan_attack(spec, args.kprime)
@@ -345,7 +337,7 @@ def _cmd_fips(args) -> int:
         bits = keystream(key_setup(spec, key), nbits)
     res = randomness.fips_battery(bits)
     payload = res.to_dict()
-    payload["meta"] = _meta(args, spec)
+    payload["meta"] = _meta(spec)
     if args.format == "json":
         _emit_json(args, payload)
     else:
@@ -366,7 +358,7 @@ def _cmd_fips(args) -> int:
 def _cmd_passrates(args) -> int:
     spec = _spec_from_args(args)
     data = randomness.batch_pass_rates(spec, args.keys, args.seed)
-    data["meta"] = _meta(args, spec)
+    data["meta"] = _meta(spec)
     if args.format == "json":
         _emit_json(args, data)
         return 0
@@ -473,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("keystream", help="write raw keystream bits")
@@ -500,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=_probability, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("classify", help="attack class of one K'")
@@ -509,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kprime", type=_hex_below(8), required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("partition", help="classify all 256 K' values")
@@ -518,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("attack", help="run the ciphertext-only attack")
@@ -543,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("fips", help="FIPS 140-2 battery over 20,000 bits")
@@ -552,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="file holding the stream's bits")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_fips)
 
     p = sub.add_parser("passrates",
@@ -564,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     p.add_argument("--out")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=_cmd_passrates)
 
     return ap

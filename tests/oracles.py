@@ -101,6 +101,16 @@ def oracle_assemble_key(spec, fills, kprime: int) -> int:
     return value
 
 
+def oracle_pack_words(bits) -> list:
+    """Little-endian 64-bit words of a 1-D bit sequence, one bit at a
+    time: bit t is bit t % 64 of word t // 64, and a partial last word
+    is 0 above the sequence."""
+    words = [0] * ((len(bits) + 63) // 64)
+    for t, bit in enumerate(bits):
+        words[t // 64] |= int(bit) << (t % 64)
+    return words
+
+
 def scalar_keystream(spec, key, n: int) -> list:
     """Clock-by-clock keystream trace; no word-parallel shortcuts."""
     return _scalar_stream(spec, *oracle_split_key(spec, key), n)

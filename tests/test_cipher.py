@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bsea2.bits import bits_to_bytes, bytes_to_bits, pack_words
+from bsea2.bits import (bits_to_bytes, bytes_to_bits, pack_words,
+                        unpack_words)
 from bsea2.boolfn import apply_key_mask
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           assemble_key, decrypt, encrypt, key_setup,
@@ -13,8 +14,8 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           spec_from_json_dict, split_key)
 from bsea2.errors import DegenerateKey, InvalidKey, WrongKeyLength
 from bsea2.lfsr import check_period
-from oracles import (oracle_assemble_key, oracle_split_key, scalar_keystream,
-                     scalar_sequence)
+from oracles import (oracle_assemble_key, oracle_pack_words, oracle_split_key,
+                     scalar_keystream, scalar_sequence)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_keystream.json").read_text())
@@ -235,3 +236,20 @@ def test_bit_packing_msb_first():
     assert bits_to_bytes(bits) == b"\x80\x01"
     # partial byte zero-pads on the right
     assert bits_to_bytes(np.array([1, 1, 1], np.uint8)) == b"\xe0"
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_pack_words_matches_bit_oracle(rows):
+    # every tail length of the first three words, and two long streams
+    rng = np.random.default_rng(11)
+    for n in [*range(131), 6000, 20000]:
+        shape = (n,) if rows is None else (rows, n)
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
+        words = pack_words(bits)
+        assert words.dtype == np.dtype("<u8")
+        assert words.shape == shape[:-1] + ((n + 63) // 64,), n
+        assert np.atleast_2d(words).tolist() == [
+            oracle_pack_words(row) for row in np.atleast_2d(bits)], n
+        if n % 64:
+            assert not (words[..., -1] >> np.uint64(n % 64)).any(), n
+        assert np.array_equal(unpack_words(words, n), bits), n
