@@ -715,10 +715,8 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         ],
     }
     if not candidates:
-        err = EmptyBeam(f"none of {size} candidates passed validation "
-                        f"for K' = {hex_byte(kprime)}")
-        err.transcript = transcript
-        raise err
+        raise EmptyBeam(f"none of {size} candidates passed validation "
+                        f"for K' = {hex_byte(kprime)}", transcript)
     return RunResult(candidates=tuple(candidates), transcript=transcript)
 
 

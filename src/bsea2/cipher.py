@@ -21,8 +21,7 @@ from . import boolfn, kernels
 from .bits import pack_words, parse_hex, unpack_words
 from .errors import (DegenerateKey, InvalidKey, InvalidSpec,
                      UnreadableInput, WrongKeyLength)
-from .lfsr import (LfsrState, P0, P1, P2, P3, make_polynomial,
-                   polynomial_from_list)
+from .lfsr import P0, P1, P2, P3, make_polynomial, polynomial_from_list
 
 
 @dataclass(frozen=True)
@@ -145,17 +144,24 @@ class SecretKey:
             raise ValueError("key value wider than its declared bit length")
 
     def to_hex(self) -> str:
-        return f"{self.value:0{self.nbits // 4}X}"
+        """ceil(nbits / 4) hex digits; the pad bits of the first are 0."""
+        return f"{self.value:0{-(-self.nbits // 4)}X}"
 
     @classmethod
     def from_hex(cls, text: str, nbits: int) -> "SecretKey":
         text = text.strip()
         if not all(c in string.hexdigits for c in text):
             raise InvalidKey(f"a key is hex digits only, got {text!r}")
-        if len(text) * 4 != nbits:
+        digits = -(-nbits // 4)
+        if len(text) != digits:
             raise WrongKeyLength(
-                f"expected {nbits // 4} hex characters, got {len(text)}")
-        return cls(int(text, 16), nbits)
+                f"expected {digits} hex characters, got {len(text)}")
+        value = int(text, 16)
+        if value >> nbits:
+            raise InvalidKey(f"key {text} is wider than {nbits} bits: its "
+                             f"first digit's top {4 * digits - nbits} "
+                             f"bit(s) must be 0")
+        return cls(value, nbits)
 
 
 def split_key(spec: InstanceSpec, key: SecretKey):
@@ -185,26 +191,21 @@ def random_key(spec: InstanceSpec, rng, kprime: int | None = None) -> SecretKey:
     for deg in spec.degrees:
         fill = 0
         while fill == 0:
-            fill = int(rng.integers(0, 1 << deg))
+            fill = int(rng.integers(0, 1 << deg, dtype=np.uint64))
         fills.append(fill)
     if kprime is None:
         kprime = int(rng.integers(0, 256))
     return assemble_key(spec, fills, kprime)
 
 
+@dataclass(frozen=True)
 class CipherInstance:
-    """A keyed cipher with a mutable stream position.
+    """A keyed cipher: the four register fills and the masked combiner
+    table. The keystream is a function of these alone."""
 
-    Not shareable across threads mid-stream; create one per stream.
-    """
-
-    def __init__(self, spec: InstanceSpec, states, f: int):
-        self.spec = spec
-        self.states = list(states)
-        self.f = f
-
-    def keystream(self, n: int) -> np.ndarray:
-        return keystream(self, n)
+    spec: InstanceSpec
+    fills: tuple
+    f: int
 
 
 def key_setup(spec: InstanceSpec, key: SecretKey) -> CipherInstance:
@@ -213,9 +214,7 @@ def key_setup(spec: InstanceSpec, key: SecretKey) -> CipherInstance:
     for j, fill in enumerate(fills):
         if fill == 0:
             raise DegenerateKey(f"register R{j} fill is all-zero")
-    states = [LfsrState(p, fill)
-              for p, fill in zip(spec.polynomials, fills)]
-    return CipherInstance(spec, states, boolfn.apply_key_mask(spec.f0, kprime))
+    return CipherInstance(spec, fills, boolfn.apply_key_mask(spec.f0, kprime))
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,18 +266,11 @@ def combine_outputs(f: int, w0, w1, w2, w3) -> np.ndarray:
 
 
 def keystream(instance: CipherInstance, n: int) -> np.ndarray:
-    """Next n keystream bits; advances the instance's stream position."""
+    """The first n keystream bits of the instance."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    words = []
-    new_states = []
-    for st in instance.states:
-        spec = st.spec
-        seq, final = kernels.lfsr_sequence(spec.tapmask, spec.degree,
-                                           st.fill, n)
-        words.append(pack_words(seq))
-        new_states.append(LfsrState(spec, final))
-    instance.states = new_states
+    words = [pack_words(kernels.lfsr_sequence(p.tapmask, p.degree, fill, n)[0])
+             for p, fill in zip(instance.spec.polynomials, instance.fills)]
     return unpack_words(combine_outputs(instance.f, *words), n)
 
 
@@ -309,7 +301,8 @@ def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
 
 
 def encrypt(instance: CipherInstance, plaintext_bits: np.ndarray) -> np.ndarray:
-    """c = p XOR keystream; decryption is the same operation."""
+    """c = p XOR the keystream's first len(p) bits; decryption is the
+    same operation."""
     bits = np.asarray(plaintext_bits, dtype=np.uint8)
     return bits ^ keystream(instance, bits.size)
 

@@ -19,7 +19,7 @@ from .bits import bits_to_bytes, bytes_to_bits, hex_byte, hex_word, parse_hex
 from .cipher import (InstanceSpec, SecretKey, encrypt, key_setup, keystream,
                      load_spec, random_key)
 from .errors import (Bsea2Error, InvalidSidecar, UnreadableInput,
-                     WrongLength)
+                     UnwritableOutput, WrongLength)
 from .plaintext import (DEFAULT_MODEL, PlaintextModel, estimate_p0)
 
 
@@ -37,15 +37,26 @@ def _meta(spec: InstanceSpec) -> dict:
             "spec_fingerprint": spec.fingerprint()}
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``; a file that cannot be written is a
+    domain error (UnwritableOutput), not a traceback."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: "
+                               f"{exc.strerror}") from None
+
+
 def _emit(args, text: str) -> None:
+    """A report to --out or else to stdout, ending in a newline either way."""
+    if not text.endswith("\n"):
+        text += "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text.encode())
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -102,6 +113,9 @@ def _cmd_keygen(args) -> int:
     report = classifier.partition_keys(spec)
     if args.key_class == "any":
         kprimes = classifier.attackable_kprimes(spec)
+        if not kprimes:
+            raise Bsea2Error("spec has no attackable K'; name a class "
+                             "from partition with --class")
     else:
         rows = {row.label: row for row in report.rows}
         if args.key_class not in rows:
@@ -132,11 +146,10 @@ def _cmd_keystream(args) -> int:
     spec = _spec_from_args(args)
     key = _read_key(args, spec)
     bits = keystream(key_setup(spec, key), args.nbits)
-    with open(args.out, "wb") as fh:
-        fh.write(bits_to_bytes(bits))
+    _write(args.out, bits_to_bytes(bits))
     if args.nbits % 8:
-        with open(args.out + ".meta.json", "w") as fh:
-            json.dump({"bits": args.nbits}, fh)
+        _write(args.out + ".meta.json",
+               json.dumps({"bits": args.nbits}).encode())
     print(f"wrote {args.nbits} keystream bits to {args.out}",
           file=sys.stderr)
     return 0
@@ -147,8 +160,7 @@ def _cmd_encrypt(args) -> int:
     key = _read_key(args, spec)
     data = _read_input(args.infile)
     out_bits = encrypt(key_setup(spec, key), bytes_to_bits(data))
-    with open(args.out, "wb") as fh:
-        fh.write(bits_to_bytes(out_bits))
+    _write(args.out, bits_to_bytes(out_bits))
     print(f"processed {len(data)} bytes -> {args.out}", file=sys.stderr)
     return 0
 
@@ -281,18 +293,18 @@ def _cmd_attack(args) -> int:
         "seed": args.seed,
         "meta": _meta(spec),
     }
+    failure = None      # EmptyBeam's error line, printed after the report
     if args.kprime is not None:
         plan = classifier.plan_attack(spec, args.kprime)
+        payload["mode"] = "single"
         try:
             result = attack.run_plan(
                 sample, plan, k=args.retention, budget=args.budget,
                 progress=progress)
-            payload["mode"] = "single"
             payload["transcript"] = result.transcript
             payload["recovered_key"] = result.candidates[0].key.to_hex()
         except attack.EmptyBeam as exc:
-            print(f"error: EmptyBeam: {exc}", file=sys.stderr)
-            payload["mode"] = "single"
+            failure = f"error: EmptyBeam: {exc}"
             payload["transcript"] = exc.transcript
             payload["recovered_key"] = None
     else:
@@ -318,6 +330,8 @@ def _cmd_attack(args) -> int:
             for st in result.statuses
         ]
     _emit_json(args, payload)
+    if failure is not None:
+        print(failure, file=sys.stderr)
     return 0 if payload["recovered_key"] else 1
 
 

@@ -10,16 +10,13 @@ class InvalidPolynomial(Bsea2Error):
     """Feedback polynomial violates a structural requirement."""
 
 
-class PeriodBoundExceeded(Bsea2Error):
-    """check_period refused a degree above the exhaustive-check bound."""
-
-
 class WrongKeyLength(Bsea2Error):
     """Secret key bit length does not match the instance spec."""
 
 
 class InvalidKey(Bsea2Error):
-    """Key text holds a character that is not a hex digit."""
+    """Key text holds a character that is not a hex digit, or sets a pad
+    bit above the key's length."""
 
 
 class DegenerateKey(Bsea2Error):
@@ -52,11 +49,20 @@ class MissingKnownRegister(Bsea2Error):
 
 
 class EmptyBeam(Bsea2Error):
-    """No attack candidate survived key validation."""
+    """No attack candidate survived key validation; ``transcript`` is the
+    failed run's transcript."""
+
+    def __init__(self, message: str, transcript: dict):
+        super().__init__(message)
+        self.transcript = transcript
 
 
 class UnreadableInput(Bsea2Error):
     """An input file could not be opened or read."""
+
+
+class UnwritableOutput(Bsea2Error):
+    """An output file could not be created or written."""
 
 
 class InvalidSpec(Bsea2Error):

@@ -3,14 +3,12 @@
 A register of degree L holds stages (s_0, ..., s_{L-1}). Each clock emits
 x = s_0, shifts every stage down by one, and inserts the feedback bit
 s_{t+L} = XOR of s_{t+i} over the polynomial's nonzero exponents i. The
-stored fill is an integer with bit i = stage s_i.
+stored fill is an integer with bit i = stage s_i. The output sequences
+themselves come from kernels.lfsr_sequence and kernels.packed_sequences.
 """
 from dataclasses import dataclass
 
-from .errors import InvalidPolynomial, PeriodBoundExceeded
-
-#: check_period refuses degrees above this (exhaustive 2^L clocking).
-MAX_PERIOD_CHECK_DEGREE = 16
+from .errors import InvalidPolynomial
 
 #: Fills and linear forms are uint64 words.
 MAX_DEGREE = 64
@@ -68,54 +66,3 @@ P2 = make_polynomial([30, 27, 25, 24, 23, 22, 21, 20, 16, 15, 13, 12, 11, 10,
                       9, 8, 4, 3, 1, 0], 31)
 P3 = make_polynomial([34, 33, 32, 30, 29, 26, 24, 20, 19, 18, 17, 16, 13, 11,
                       8, 7, 6, 4, 2, 0], 37)
-
-
-@dataclass(frozen=True)
-class LfsrState:
-    """Immutable register state; clocking returns a new state."""
-
-    spec: FeedbackPolynomial
-    fill: int
-
-    def __post_init__(self):
-        if not 0 <= self.fill < (1 << self.spec.degree):
-            raise ValueError(f"fill does not fit in {self.spec.degree} stages")
-
-    @property
-    def degenerate(self) -> bool:
-        """All-zero fill: the register will emit zeros forever."""
-        return self.fill == 0
-
-    def stages(self) -> tuple:
-        """(s_0, ..., s_{L-1}) view of the fill."""
-        return tuple((self.fill >> i) & 1 for i in range(self.spec.degree))
-
-
-def clock(state: LfsrState):
-    """One step: returns (output bit, successor state)."""
-    spec = state.spec
-    out = state.fill & 1
-    fb = (state.fill & spec.tapmask).bit_count() & 1
-    new_fill = (state.fill >> 1) | (fb << (spec.degree - 1))
-    return out, LfsrState(spec, new_fill)
-
-
-def check_period(spec: FeedbackPolynomial, bound: int = MAX_PERIOD_CHECK_DEGREE) -> int:
-    """Sequence period from fill (1, 0, ..., 0); 2^L - 1 iff primitive.
-
-    Refuses degrees above ``bound``: the check clocks exhaustively, and
-    2^37 steps is far beyond desk budget. The production polynomials are
-    accepted as primitive without this check.
-    """
-    if spec.degree > bound:
-        raise PeriodBoundExceeded(
-            f"degree {spec.degree} exceeds exhaustive-check bound {bound}")
-    start = LfsrState(spec, 1)
-    _, state = clock(start)
-    steps = 1
-    while state.fill != start.fill:
-        _, state = clock(state)
-        steps += 1
-        if steps > (1 << spec.degree):
-            raise AssertionError("period exceeded state count; broken recurrence")
-    return steps

@@ -6,7 +6,6 @@ as p' = p*p0 + (1-p)*(1-p0), where p0 = P[plaintext bit = 0].
 """
 import math
 from dataclasses import dataclass
-from importlib import resources
 from statistics import NormalDist
 
 import numpy as np
@@ -40,11 +39,6 @@ def estimate_p0(corpus: bytes, source: str = "corpus") -> PlaintextModel:
     bits = np.unpackbits(np.frombuffer(corpus, dtype=np.uint8))
     p0 = 1.0 - float(bits.mean())
     return PlaintextModel(p0=p0, source=source, sample_size=bits.size)
-
-
-def sample_corpus_bytes() -> bytes:
-    """The ASCII sample corpus shipped with the package (for tests/demos)."""
-    return resources.files("bsea2").joinpath("data/sample_corpus.txt").read_bytes()
 
 
 def combine_bias(p: float, p0: float) -> float:

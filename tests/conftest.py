@@ -30,7 +30,7 @@ def biased_bits(rng, n, p0):
 
 
 def encrypt_fresh(spec, key, plaintext_bits):
-    """Encrypt with a fresh instance (stream position reset)."""
+    """Encrypt under a fresh key setup."""
     return encrypt(key_setup(spec, key), plaintext_bits)
 
 

@@ -8,11 +8,73 @@ scalar_sequence and scalar_keystream compose clock(); the key layout is
 read bit by bit from the documented convention; stage scoring oracles
 re-encrypt per candidate.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from bsea2 import boolfn, kernels
 from bsea2.classifier import mask_registers
-from bsea2.lfsr import LfsrState, clock
+
+#: check_period refuses degrees above this (exhaustive 2^L clocking).
+MAX_PERIOD_CHECK_DEGREE = 16
+
+
+class PeriodBoundExceeded(Exception):
+    """check_period refused a degree above the exhaustive-check bound."""
+
+
+@dataclass(frozen=True)
+class LfsrState:
+    """Register state in the Fibonacci convention of bsea2.lfsr: fill bit
+    i is stage s_i. Immutable; clocking returns a new state."""
+
+    spec: object            # a bsea2.lfsr.FeedbackPolynomial
+    fill: int
+
+    def __post_init__(self):
+        if not 0 <= self.fill < (1 << self.spec.degree):
+            raise ValueError(f"fill does not fit in {self.spec.degree} stages")
+
+    @property
+    def degenerate(self) -> bool:
+        """All-zero fill: the register will emit zeros forever."""
+        return self.fill == 0
+
+    def stages(self) -> tuple:
+        """(s_0, ..., s_{L-1}) view of the fill."""
+        return tuple((self.fill >> i) & 1 for i in range(self.spec.degree))
+
+
+def clock(state: LfsrState):
+    """One step: returns (output bit, successor state). The output is s_0;
+    every stage shifts down by one and s_{L-1} becomes the parity of the
+    stages at the polynomial's nonzero exponents."""
+    spec = state.spec
+    out = state.fill & 1
+    fb = (state.fill & spec.tapmask).bit_count() & 1
+    new_fill = (state.fill >> 1) | (fb << (spec.degree - 1))
+    return out, LfsrState(spec, new_fill)
+
+
+def check_period(spec, bound: int = MAX_PERIOD_CHECK_DEGREE) -> int:
+    """Sequence period from fill (1, 0, ..., 0); 2^L - 1 iff primitive.
+
+    Refuses degrees above ``bound``: the check clocks exhaustively, and
+    2^37 steps is far beyond desk budget. The production polynomials are
+    accepted as primitive without this check.
+    """
+    if spec.degree > bound:
+        raise PeriodBoundExceeded(
+            f"degree {spec.degree} exceeds exhaustive-check bound {bound}")
+    start = LfsrState(spec, 1)
+    _, state = clock(start)
+    steps = 1
+    while state.fill != start.fill:
+        _, state = clock(state)
+        steps += 1
+        if steps > (1 << spec.degree):
+            raise AssertionError("period exceeded state count; broken recurrence")
+    return steps
 
 
 def naive_walsh(word: int, n: int = 4) -> tuple:

@@ -1,5 +1,7 @@
+import gc
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -757,6 +759,30 @@ class TestRunParallelInstances:
                                 "skipped_budget")
                    for s in result.statuses)
         assert any(s.status == "empty_beam" for s in result.statuses)
+
+    def test_failed_instances_leave_no_garbage(self):
+        # an EmptyBeam kept in a run_plan frame local, whose traceback
+        # holds that frame, is a reference cycle: the failed run's frame
+        # and beam arrays then live until the cyclic collector runs
+        rng = np.random.default_rng(82)
+        bits = rng.integers(0, 2, 768).astype(np.uint8)
+        sample = CiphertextSample(bits=bits, model=PlaintextModel(0.95),
+                                  spec=MINI_SPEC)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = run_parallel_instances(sample, k=3, budget=16)
+            gc.collect()
+            left = [o for o in gc.garbage
+                    if isinstance(o, EmptyBeam)
+                    or (isinstance(o, types.FrameType)
+                        and o.f_code.co_name == "run_plan")]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert sum(s.status == "empty_beam" for s in result.statuses) > 1
+        assert left == []
 
     def test_budget_filter_reports_skipped(self, make_sample):
         rng = np.random.default_rng(83)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           keystream, keystream_words, load_spec, random_key,
                           spec_from_json_dict, split_key)
 from bsea2.errors import DegenerateKey, InvalidKey, WrongKeyLength
-from bsea2.lfsr import check_period
-from oracles import (oracle_assemble_key, oracle_pack_words, oracle_split_key,
-                     scalar_keystream, scalar_sequence)
+from bsea2.lfsr import make_polynomial
+from oracles import (check_period, oracle_assemble_key, oracle_pack_words,
+                     oracle_split_key, scalar_keystream, scalar_sequence)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_keystream.json").read_text())
@@ -68,8 +69,8 @@ class TestKeySetup:
         key = SecretKey.from_hex("F" * 32, 128)
         inst = key_setup(DEFAULT_SPEC, key)
         assert inst.f == 0x93A0 ^ 0xFFFF == 0x6C5F
-        for st, deg in zip(inst.states, DEFAULT_SPEC.degrees):
-            assert st.fill == (1 << deg) - 1
+        assert inst.fills == tuple((1 << deg) - 1
+                                   for deg in DEFAULT_SPEC.degrees)
 
     def test_degenerate_register_rejected(self):
         # bits 0..22 all zero => R0 fill zero
@@ -119,6 +120,30 @@ class TestKeySetup:
             with pytest.raises(InvalidKey):
                 SecretKey.from_hex(text, 48)
 
+    def test_key_of_a_length_not_a_multiple_of_4(self):
+        # 33 key bits take 9 hex digits; the first one's top 3 bits are 0
+        key = SecretKey((1 << 33) - 1, 33)
+        assert key.to_hex() == "1FFFFFFFF"
+        assert SecretKey.from_hex("1FFFFFFFF", 33) == key
+        assert SecretKey.from_hex("000000001", 33) == SecretKey(1, 33)
+        with pytest.raises(InvalidKey):
+            SecretKey.from_hex("2FFFFFFFF", 33)
+        with pytest.raises(WrongKeyLength):
+            SecretKey.from_hex("FFFFFFFF", 33)
+
+    def test_random_key_draws(self):
+        # a degree-64 fill is drawn over all 64 bits; default and mini
+        # keys are the draws of earlier versions
+        wide = InstanceSpec("wide", (make_polynomial([4, 3, 1, 0], 64),
+                                     *MINI_SPEC.polynomials[1:]), 0x93A0)
+        fills = [split_key(wide, random_key(wide, np.random.default_rng(s)))
+                 [0][0] for s in range(8)]
+        assert max(fills) >> 63 == 1
+        assert (random_key(DEFAULT_SPEC, np.random.default_rng(1)).to_hex()
+                == "4E893CFBD60C1CC2A950706F25E724F3")
+        assert (random_key(MINI_SPEC, np.random.default_rng(1)).to_hex()
+                == "3CC1506ACF08")
+
     def test_key_bit_layout(self):
         # key bit 0 is the MSB of the hex string and lands in R0 stage s_0
         key = SecretKey.from_hex("8" + "0" * 30 + "1", 128)
@@ -152,12 +177,17 @@ class TestKeystream:
                 got = keystream(key_setup(spec, key), n)
                 assert got.tolist() == scalar_keystream(spec, key, n)
 
-    def test_streaming_equals_one_shot(self):
+    def test_instance_keeps_no_stream_position(self):
+        # every call on one instance starts at the first bit, and a
+        # shorter stream is a prefix of a longer one
         key = SecretKey.from_hex(GOLDEN["key"], 128)
         inst = key_setup(DEFAULT_SPEC, key)
-        a = np.concatenate([inst.keystream(13), inst.keystream(51)])
-        b = keystream(key_setup(DEFAULT_SPEC, key), 64)
-        assert np.array_equal(a, b)
+        before = dataclasses.astuple(inst)
+        assert "".join(map(str, keystream(inst, 13))) == GOLDEN["bits"][:13]
+        assert "".join(map(str, keystream(inst, 64))) == GOLDEN["bits"]
+        assert dataclasses.astuple(inst) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.fills = (1, 1, 1, 1)
 
     def test_determinism(self):
         key = SecretKey.from_hex(GOLDEN["key"], 128)

@@ -210,6 +210,7 @@ class TestAttackCommand:
 REPORTS = {
     "keygen": ["keygen", "--spec", "mini", "--seed", "7", "--class", "C0",
                "--format", "json"],
+    "keygen-text": ["keygen", "--spec", "mini", "--seed", "7"],
     "spectrum": ["spectrum", "--f0", "0x953F", "--kprime", "0xD9",
                  "--format", "json"],
     "classify": ["classify", "--kprime", "0x2C", "--format", "json"],
@@ -341,6 +342,25 @@ def _bad_input_cases():
         (["attack", "--spec", "mini", "--ciphertext", path, "--kprime",
           "0x78"], error) for path, error in samples] + [
         (["fips", "--in", path], error) for path, error in samples]
+    # an --out that cannot be written; {tmp}/directory.bin can be, but
+    # its sidecar's path is a directory
+    out = "{tmp}/missing/out"
+    unwritable = [
+        ["keygen", "--spec", "mini", "--seed", "1", "--out", out],
+        ["spectrum", "--kprime", "0x00", "--out", out],
+        ["classify", "--kprime", "0x00", "--out", out],
+        ["partition", "--out", out],
+        ["passrates", "--spec", "mini", "--keys", "100", "--seed", "1",
+         "--out", out],
+        ["fips", "--key", "1" * 32, "--out", out],
+        ["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+         "--kprime", "0x78", "--out", out],
+        ["keystream", "--spec", "mini", *key, "--nbits", "8", "--out", out],
+        ["keystream", "--spec", "mini", *key, "--nbits", "9",
+         "--out", "{tmp}/directory.bin"],
+        ["encrypt", "--spec", "mini", *key, "--in", "{tmp}/c.bin",
+         "--out", out],
+    ]
     # --stamp, the wall-clock metadata field of earlier versions
     stamp = [["keygen", "--seed", "1"], ["spectrum", "--kprime", "0x00"],
              ["classify", "--kprime", "0x00"], ["partition"],
@@ -351,6 +371,7 @@ def _bad_input_cases():
             + [([*argv, "--stamp"], 2, "unrecognized arguments: --stamp")
                for argv in stamp]
             + [(argv, 1, "error: UnreadableInput: ") for argv in domain]
+            + [(argv, 1, "error: UnwritableOutput: ") for argv in unwritable]
             + [(argv, 1, "error: InvalidKey: ") for argv in bad_keys]
             # an empty --key is key text too, not a missing --key-file
             + [(["keystream", "--spec", "mini", "--key", "", "--nbits", "8",
@@ -414,6 +435,8 @@ def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
     assert got == code
     assert name in err
     assert "Traceback" not in err
+    if code == 1:
+        assert err.count("error: ") == 1
     if code == 2:
         assert err.startswith("usage: ")
     assert not (tmp_path / "ks.bin").exists()

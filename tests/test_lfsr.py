@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsea2 import kernels
-from bsea2.errors import InvalidPolynomial, PeriodBoundExceeded
-from bsea2.lfsr import (LfsrState, P0, P1, P2, P3, check_period, clock,
-                        make_polynomial, polynomial_from_list)
-from oracles import state_from_stages
+from bsea2.errors import InvalidPolynomial
+from bsea2.lfsr import P0, P1, P2, P3, make_polynomial, polynomial_from_list
+from oracles import (LfsrState, PeriodBoundExceeded, check_period, clock,
+                     state_from_stages)
 
 TRINOMIAL3 = make_polynomial([1, 0], 3)
 

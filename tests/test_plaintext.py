@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bsea2.errors import EmptyCorpus, UnbiasedModel
 from bsea2.plaintext import (PlaintextModel, combine_bias, estimate_p0,
-                             required_sample_length, sample_corpus_bytes)
+                             required_sample_length)
+
+SAMPLE_CORPUS = Path(__file__).parent / "data" / "sample_corpus.txt"
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -21,7 +25,8 @@ class TestEstimateP0:
             estimate_p0(b"")
 
     def test_shipped_corpus_near_conservative_value(self):
-        model = estimate_p0(sample_corpus_bytes(), "shipped")
+        # the ASCII sample corpus that ships with the tests
+        model = estimate_p0(SAMPLE_CORPUS.read_bytes(), "sample")
         assert model.sample_size >= 1_000_000
         assert abs(model.p0 - 0.55) <= 0.03
         # frozen measurement; regenerating the corpus must not drift it
