@@ -13,18 +13,19 @@ Z = (N + corr)/2. This is bit-exact with per-candidate re-encryption (the
 scalar oracle in the tests) while touching each candidate O(1) times.
 The parents of a stage differ only in known_t, so all of them are scored
 in one call. Every stage runs one loop over blocks of 2^17 fills
-(_BLOCK_BITS, the transform's L2-sized block), numbered by the high fill
-bits: one block when the stage has no more bits. Each block scatters
-every parent of a batch into one float table row and transforms the
-table in one call. The table and the buffers the transform and the top-k
-selection work in are made once per call and reused by every batch and
-block, so memory stays near 1 MB whatever the stage's width. The blocks
-run in order on one thread; a thread pool over them was slower under
-the default multi-threaded BLAS (measured on 2 vCPUs). Each parent's
-top-k list, by score desc, then smallest fill, is carried across the
-blocks with its k-th best score. Once every list is full, a block is
-selected by one strict comparison with that threshold instead of a
-partition; score_stage says why that is exact.
+(_BLOCK_BITS, the L2-sized block; the transform does no blocking of its
+own), numbered by the high fill bits: one block when the stage has no
+more bits. Each block scatters every parent of a batch into one float
+table row and transforms the table in one call. The table and the
+buffers the transform and the top-k selection work in are made once per
+call and reused by every batch and block, so memory stays near 1 MB
+whatever the stage's width. The blocks run in order on one thread; a
+thread pool over them was slower under the default multi-threaded BLAS
+(measured on 2 vCPUs). Each parent's top-k list, by score desc, then
+smallest fill, is carried across the blocks with its k-th best score.
+Once every list is full, a block is selected by one strict comparison
+with that threshold instead of a partition; score_stage says why that is
+exact.
 
 One search (one sample, one retention k) shares a run cache. A stage's
 data bits depend on K' only through the complement bit s, so its top-k
@@ -77,7 +78,6 @@ class ScoreBoard:
 
     stage: AttackStage
     entries: tuple          # ((joint fill, score Z), ...) best first
-    k: int
     n_candidates: int
 
     def fills(self) -> tuple:
@@ -215,11 +215,12 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
     return rows, d0, consumed
 
 
-#: Fill bits of one block of a stage scoring: the transform's cache block,
-#: so a one-row table and its work buffers fit L2 (512 KB a row in
-#: float32). A wider stage runs 2^(exponent - 17) blocks, numbered by the
-#: high fill bits.
-_BLOCK_BITS = kernels._BLOCK_BITS
+#: Fill bits of one block of a stage scoring: a one-row table and the
+#: transform's work buffer, 512 KB each in float32, fit L2. A wider stage
+#: runs 2^(exponent - 17) blocks, numbered by the high fill bits. The
+#: transform does no blocking of its own, so no batch's table may have
+#: more than 2^_BLOCK_BITS entries (see _BATCH_CELLS).
+_BLOCK_BITS = 17
 
 #: Cells (parents x sample bits, or parents x table entries) that one
 #: batch of a stage scoring holds, so memory grows with neither the beam
@@ -327,7 +328,7 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
         row, fill, corr = top
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
-        boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]), k=k,
+        boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]),
                               n_candidates=1 << stage.exponent)
                    for a, b in zip(bounds[:-1], bounds[1:])]
     return boards if isinstance(known, list) else boards[0]

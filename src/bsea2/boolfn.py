@@ -7,9 +7,9 @@ index packs register outputs as x3 + (x2<<1) + (x1<<2) + (x0<<3): mask bit
 
 Spectra are exact signed integers; Parseval and table-matching tests rely
 on exactness. walsh_transform transforms the +-1 table in float32 through
-kernels.fwht_inplace: the table's absolute sum is 2^n <= 2^16, so every
-partial sum is an integer of magnitude at most 2^16, inside float32's
-exact range of 2^24.
+kernels.fwht_inplace: the table's absolute sum is 16, so every partial
+sum is an integer of magnitude at most 16, inside float32's exact range
+of 2^24.
 """
 import numpy as np
 
@@ -22,10 +22,6 @@ R0_INDEX_BIT = 3
 X0_PATTERN = 0xFF00
 
 
-def table_size(n: int) -> int:
-    return 1 << n
-
-
 def apply_key_mask(f0: int, kprime: int) -> int:
     """Key-setup table modification: f0 XOR ((kprime << 8) | kprime)."""
     if not 0 <= kprime <= 0xFF:
@@ -33,15 +29,11 @@ def apply_key_mask(f0: int, kprime: int) -> int:
     return f0 ^ (((kprime << 8) | kprime) & 0xFFFF)
 
 
-def walsh_transform(word: int, n: int = 4) -> tuple:
-    """Spectrum (chi(0), ..., chi(2^n - 1)); chi(u) = sum (-1)^(f(x)^<x,u>)."""
-    if n > 16:
-        raise ValueError("n must be at most 16")
-    size = table_size(n)
-    nbytes = (size + 7) // 8
+def walsh_transform(word: int) -> tuple:
+    """Spectrum (chi(0), ..., chi(15)); chi(u) = sum (-1)^(f(x)^<x,u>)."""
     table = np.unpackbits(
-        np.frombuffer(word.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little")[:size]
+        np.frombuffer(word.to_bytes(2, "little"), dtype=np.uint8),
+        bitorder="little")
     a = 1 - 2 * table.astype(np.float32)
     kernels.fwht_inplace(a)
     return tuple(int(v) for v in a)
@@ -58,13 +50,10 @@ def effective_spectrum(word: int) -> tuple:
 
     Since x0 sits at index bit 3, chi_g(u) = chi_f(u ^ 0b1000).
     """
-    base = walsh_transform(word, 4)
+    base = walsh_transform(word)
     return tuple(base[u ^ (1 << R0_INDEX_BIT)] for u in range(16))
 
 
-def is_bent(word: int, n: int = 4) -> bool:
-    """True iff every spectrum value has absolute value 2^(n/2)."""
-    if n % 2:
-        raise ValueError("bent functions need an even number of inputs")
-    target = 1 << (n // 2)
-    return all(abs(v) == target for v in walsh_transform(word, n))
+def is_bent(word: int) -> bool:
+    """True iff every spectrum value has absolute value 2^(4/2) = 4."""
+    return all(abs(v) == 4 for v in walsh_transform(word))

@@ -200,7 +200,8 @@ def _diff_vs_reference(f0: int, by_exponent: dict):
 
 
 @lru_cache(maxsize=8)
-def _partition_cached(spec: InstanceSpec) -> KeyClassReport:
+def partition_keys(spec: InstanceSpec) -> KeyClassReport:
+    """Classify all 256 K' values of the instance into attack classes."""
     by_exponent = {}
     plans = {}
     for kprime in range(256):
@@ -233,11 +234,6 @@ def _partition_cached(spec: InstanceSpec) -> KeyClassReport:
         plans=plans,
         diff_vs_paper=_diff_vs_reference(spec.f0, by_exponent),
     )
-
-
-def partition_keys(spec: InstanceSpec) -> KeyClassReport:
-    """Classify all 256 K' values of the instance into attack classes."""
-    return _partition_cached(spec)
 
 
 def attackable_kprimes(spec: InstanceSpec) -> tuple:

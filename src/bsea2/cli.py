@@ -18,8 +18,8 @@ from . import __version__, attack, classifier, randomness
 from .bits import bits_to_bytes, bytes_to_bits, hex_byte, hex_word, parse_hex
 from .cipher import (InstanceSpec, SecretKey, encrypt, key_setup, keystream,
                      load_spec, random_key)
-from .errors import (Bsea2Error, InvalidSidecar, UnreadableInput,
-                     UnwritableOutput, WrongLength)
+from .errors import (Bsea2Error, InvalidSidecar, UnknownKeyClass,
+                     UnreadableInput, UnwritableOutput, WrongLength)
 from .plaintext import (DEFAULT_MODEL, PlaintextModel, estimate_p0)
 
 
@@ -46,6 +46,19 @@ def _write(path: str, data: bytes) -> None:
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: "
                                f"{exc.strerror}") from None
+
+
+def _check_out(path: str) -> None:
+    """Refuse an output path that names a directory, or whose directory
+    is missing, before any work is done (UnwritableOutput). Other failures
+    to write surface in _write."""
+    if os.path.isdir(path):
+        problem = "Is a directory"
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        problem = "No such file or directory"
+    else:
+        return
+    raise UnwritableOutput(f"cannot write {path}: {problem}")
 
 
 def _emit(args, text: str) -> None:
@@ -114,12 +127,12 @@ def _cmd_keygen(args) -> int:
     if args.key_class == "any":
         kprimes = classifier.attackable_kprimes(spec)
         if not kprimes:
-            raise Bsea2Error("spec has no attackable K'; name a class "
-                             "from partition with --class")
+            raise UnknownKeyClass("spec has no attackable K'; name a "
+                                  "class from partition with --class")
     else:
         rows = {row.label: row for row in report.rows}
         if args.key_class not in rows:
-            raise Bsea2Error(
+            raise UnknownKeyClass(
                 f"spec has no class {args.key_class}; available: "
                 f"{', '.join(rows)}")
         kprimes = rows[args.key_class].kprimes
@@ -270,9 +283,9 @@ def _cmd_attack(args) -> int:
     spec = _spec_from_args(args)
     bits = _load_sample_bits(args.ciphertext, args.bits)
     if args.corpus:
-        model = estimate_p0(_read_input(args.corpus), source=args.corpus)
+        model = estimate_p0(_read_input(args.corpus))
     elif args.p0 is not None:
-        model = PlaintextModel(p0=args.p0, source="cli")
+        model = PlaintextModel(p0=args.p0)
     else:
         model = DEFAULT_MODEL
     sample = attack.CiphertextSample(bits=bits, model=model, spec=spec)
@@ -290,7 +303,6 @@ def _cmd_attack(args) -> int:
         "p0": model.p0,
         "retention_k": args.retention,
         "budget_exponent": args.budget,
-        "seed": args.seed,
         "meta": _meta(spec),
     }
     failure = None      # EmptyBeam's error line, printed after the report
@@ -450,8 +462,8 @@ def _hex_below(bits: int):
     return parse
 
 
-def _add_spec_arg(p, default="default"):
-    p.add_argument("--spec", default=default,
+def _add_spec_arg(p):
+    p.add_argument("--spec", default="default",
                    help="instance: default, mini, or a spec JSON file")
 
 
@@ -534,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--corpus", help="estimate p0 from this byte corpus")
     p.add_argument("--kprime", type=_hex_below(8), default=None,
                    help="attack a single K' instance (default: all 256)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the transcript (the attack itself is "
-                        "deterministic)")
     p.add_argument("--exhaustive", action="store_true",
                    help="do not stop at the first successful tier")
     p.add_argument("--retention", type=_int_at_least(1),
@@ -572,6 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except Bsea2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

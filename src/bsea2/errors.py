@@ -27,8 +27,9 @@ class EmptyCorpus(Bsea2Error):
     """Plaintext corpus contained no bytes."""
 
 
-class UnbiasedModel(Bsea2Error):
-    """p' = 0.5 carries no signal; sample-length estimate undefined."""
+class UnknownKeyClass(Bsea2Error):
+    """keygen was asked for a key class the spec does not have: a label
+    partition does not list, or "any" on a spec with no attackable K'."""
 
 
 class Unattackable(Bsea2Error):

@@ -37,9 +37,7 @@ HAVE_CORE = False
 CHUNK = 1 << 14
 
 _FACTOR_BITS = 4            # the largest Hadamard factor is H_16
-_BLOCK_BITS = 17            # a 2^17 block and its two work buffers fit L2;
-                            # the stage scorer's blocks take it too
-_PANEL = 1 << 12            # columns per product in the whole-array passes
+_PANEL = 1 << 12            # columns per product above the first factor
 _FLOAT32_EXACT = 1 << 24    # every integer up to here is a float32
 
 _forms = {}                 # (tapmask, degree) -> read-only uint64 rows
@@ -156,16 +154,17 @@ def _hadamard(bits: int, dtype) -> np.ndarray:
     return h
 
 
-def _transform_bits(src, dst, bits: int, stride: int):
-    """Transform ``bits`` index bits from ``stride`` up, one factor per
-    product, alternating between the two buffers; returns the one that
-    holds the result.
+def _transform_bits(src, dst, bits: int):
+    """Transform the low ``bits`` index bits, one factor per product,
+    alternating between the two buffers; returns the one that holds the
+    result.
 
     The bits are split as evenly as can be into the fewest groups of at
-    most _FACTOR_BITS. At stride 1 a factor H_k is the product
-    (rows, k) @ H_k; above it, H_k times (k, panel) column panels.
+    most _FACTOR_BITS. The first factor H_k is the product
+    (rows, k) @ H_k; each later one is H_k times (k, panel) column panels.
     """
     count = -(-bits // _FACTOR_BITS)
+    stride = 1
     for i in range(count):
         b = bits // count + (i < bits % count)
         k = 1 << b
@@ -193,12 +192,12 @@ def fwht_inplace(a: np.ndarray, work=None) -> None:
     check: the caller sees to it that the results are exact (in float32,
     an absolute sum of at most 2^24 a row).
 
-    The array is taken as one flat run of rows. Its low _BLOCK_BITS index
-    bits are transformed one cache-sized block at a time, alternating with
-    a work buffer; a block holds whole rows or a part of one. ``work`` may
-    give the work buffer: a 1-D array of the array's dtype with at least
-    min(a.size, 2^_BLOCK_BITS) entries. The bits above a block take one
-    pass over the whole array per factor, against one scratch array.
+    The array is taken as one flat run of rows, and each factor is one
+    pass over all of it, alternating with a work buffer. ``work`` may give
+    that buffer: a 1-D array of the array's dtype with a.size entries. The
+    caller sizes the array to the cache: the attack's stage tables are
+    blocked by the scorer (attack._BLOCK_BITS), and boolfn's tables have
+    16 entries.
     """
     if a.dtype not in (np.float32, np.float64) or a.ndim not in (1, 2):
         raise ValueError("fwht_inplace expects a 1-D or 2-D float32 or "
@@ -211,20 +210,9 @@ def fwht_inplace(a: np.ndarray, work=None) -> None:
     if m < 2 or a.size == 0:
         return
     flat = a.reshape(-1)
-    block = min(flat.size, 1 << _BLOCK_BITS)
-    seg = min(m, block)             # the row bits a block transforms
     if work is None:
-        work = np.empty(block, a.dtype)
-    low = seg.bit_length() - 1
-    for i in range(0, flat.size, block):
-        size = min(block, flat.size - i)
-        flat[i:i + size] = _transform_bits(flat[i:i + size], work[:size],
-                                           low, 1)
-    if m > seg:
-        out = _transform_bits(flat, np.empty(flat.size, a.dtype),
-                              m.bit_length() - 1 - low, seg)
-        if out is not flat:
-            flat[...] = out
+        work = np.empty(flat.size, a.dtype)
+    flat[...] = _transform_bits(flat, work, m.bit_length() - 1)
 
 
 def parity_u64(v: np.ndarray) -> np.ndarray:

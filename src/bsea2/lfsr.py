@@ -29,12 +29,6 @@ class FeedbackPolynomial:
         """Serialized form: sorted descending, degree included as largest."""
         return [self.degree] + sorted(self.exponents, reverse=True)
 
-    def __str__(self) -> str:
-        terms = [f"x^{self.degree}"]
-        for e in sorted(self.exponents, reverse=True):
-            terms.append("1" if e == 0 else ("x" if e == 1 else f"x^{e}"))
-        return " + ".join(terms)
-
 
 def make_polynomial(exponents, degree: int) -> FeedbackPolynomial:
     """Validate and build a feedback polynomial from its nonzero exponents."""

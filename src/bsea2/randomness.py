@@ -229,11 +229,11 @@ def keystream_for_key(spec: InstanceSpec, key, nbits: int) -> np.ndarray:
     return keystream(key_setup(spec, key), nbits)
 
 
-def wilson_interval(successes: int, n: int, level: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return (0.0, 1.0)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.975)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -210,6 +210,43 @@ class TestScoreStage:
         assert board.entries[0][0] == fills[0]
         assert peak < 8 << 20
 
+    def test_transform_never_gets_more_than_a_block(self, make_sample,
+                                                    monkeypatch):
+        # kernels.fwht_inplace does no blocking of its own, so the scorer
+        # must keep every table within 2^_BLOCK_BITS entries: raising
+        # _BATCH_CELLS above the block would fail here
+        sizes = []
+        fwht = kernels.fwht_inplace
+
+        def spy(a, *args):
+            sizes.append(a.size)
+            fwht(a, *args)
+        monkeypatch.setattr(kernels, "fwht_inplace", spy)
+        block = 1 << attack._BLOCK_BITS
+        # the all-256 search at the CLI defaults
+        key, sample = defaults_sample(make_sample)
+        assert run_parallel_instances(sample).best.key == key
+        assert 0 < max(sizes) <= block
+        # the full-size R0 stage, 2^23 fills x 6000 bits: 64 blocks
+        sizes.clear()
+        rng = np.random.default_rng(35)
+        key = random_key(SPEC_953F, rng, kprime=0xBD)
+        fills, _ = split_key(SPEC_953F, key)
+        sample = keystream_sample(SPEC_953F, key, 6000)
+        stage = next(st for st in plan_attack(SPEC_953F, 0xBD).stages
+                     if st.targets == frozenset({0}))
+        score_stage(sample, stage, {r: fills[r] for r in stage.known}, 0xBD)
+        # (the 16-entry spectra come from boolfn)
+        assert [n for n in sizes if n > 16] == [block] * 64
+        # a 2^13 stage on more than 2^17 bits: a batch holds one parent
+        sizes.clear()
+        key = random_key(MINI_953F, rng, kprime=0xBD)
+        sample = keystream_sample(MINI_953F, key, block + 1000)
+        stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
+        assert stage.exponent == 13
+        score_stage(sample, stage, [{0: f} for f in (1, 2, 3)], 0xBD)
+        assert [n for n in sizes if n > 16] == [1 << 13] * 3
+
     def test_zero_fill_is_never_ranked(self):
         # on this sample fill 0 used to rank first in stage 1001 (R3,
         # scoring as R0's own relation) and second in stage 0110 (R2)

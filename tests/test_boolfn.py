@@ -103,11 +103,6 @@ class TestWalshTransform:
             spec = walsh_transform(int(word))
             assert all(v % 2 == 0 and abs(v) <= 16 for v in spec)
 
-    def test_n3_table(self):
-        # majority(x0,x1,x2) packed LSB-first = 0xE8
-        assert walsh_transform(0xE8, n=3) == naive_walsh(0xE8, n=3)
-
-
 class TestCorrelationProbability:
     def test_strong_mask_of_masked_table(self):
         spec = walsh_transform(0x4CE6)
@@ -152,7 +147,3 @@ class TestIsBent:
 
     def test_masked_table_is_not(self):
         assert not is_bent(0x4CE6)
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            is_bent(0xE8, n=3)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bsea2 import attack, randomness
 from bsea2.cli import main
 from bsea2.cipher import MINI_SPEC, key_setup, encrypt, random_key
 from bsea2.bits import bits_to_bytes
@@ -85,7 +86,7 @@ class TestKeygen:
         code, _, err = run_cli(capsys, "keygen", "--spec", "mini",
                                "--seed", "1", "--class", "C9")
         assert code == 1
-        assert "Bsea2Error" in err
+        assert "error: UnknownKeyClass: " in err
 
 
 class TestEncryptDecrypt:
@@ -346,6 +347,7 @@ def _bad_input_cases():
     # its sidecar's path is a directory
     out = "{tmp}/missing/out"
     unwritable = [
+        ["partition", "--out", "{tmp}"],
         ["keygen", "--spec", "mini", "--seed", "1", "--out", out],
         ["spectrum", "--kprime", "0x00", "--out", out],
         ["classify", "--kprime", "0x00", "--out", out],
@@ -370,6 +372,9 @@ def _bad_input_cases():
     return ([(argv, 2, f"argument {flag}: ") for argv, flag in usage]
             + [([*argv, "--stamp"], 2, "unrecognized arguments: --stamp")
                for argv in stamp]
+            # attack --seed, recorded but unused by earlier versions
+            + [(["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+                 "--seed", "1"], 2, "unrecognized arguments: --seed")]
             + [(argv, 1, "error: UnreadableInput: ") for argv in domain]
             + [(argv, 1, "error: UnwritableOutput: ") for argv in unwritable]
             + [(argv, 1, "error: InvalidKey: ") for argv in bad_keys]
@@ -441,6 +446,31 @@ def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
         assert err.startswith("usage: ")
     assert not (tmp_path / "ks.bin").exists()
     assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin", "--p0",
+     "0.9"],
+    ["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin", "--p0",
+     "0.9", "--kprime", "0x78"],
+    ["passrates", "--spec", "mini", "--keys", "100", "--seed", "1"],
+], ids=["all-256", "single", "passrates"])
+@pytest.mark.parametrize("out", ["{tmp}/missing/out", "{tmp}"],
+                         ids=["missing-dir", "a-dir"])
+def test_unwritable_out_refused_before_any_work(capsys, tmp_path,
+                                                monkeypatch, argv, out):
+    calls = []
+    for module, name in ((attack, "run_parallel_instances"),
+                         (attack, "run_plan"),
+                         (randomness, "batch_pass_rates")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, **kw: calls.append(name))
+    (tmp_path / "c.bin").write_bytes(b"\x00" * 16)
+    code = main([a.replace("{tmp}", str(tmp_path))
+                 for a in [*argv, "--out", out]])
+    assert code == 1
+    assert "error: UnwritableOutput: " in capsys.readouterr().err
+    assert calls == []
 
 
 class TestFips:

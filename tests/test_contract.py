@@ -2,8 +2,9 @@
 
 Every run exits 0 (success), 1 (domain error) or 2 (usage error). A
 domain error is one ``error: <name>: ...`` line on stderr, where <name>
-is a Bsea2Error subclass, and never a traceback. Every key that
-``keygen`` prints for a spec is a key of that spec.
+is a named Bsea2Error subclass (never the base class itself), and never
+a traceback. Every key that ``keygen`` prints for a spec is a key of
+that spec.
 """
 import contextlib
 import io
@@ -54,6 +55,7 @@ def check_contract(code, out, err, report_on_exit_1=False):
              if line.startswith("error: ")]
     for name in names:
         assert issubclass(getattr(errors, name, type), errors.Bsea2Error), err
+        assert name != "Bsea2Error", err
     if code == 0:
         assert names == [], err
     elif code == 1 and report_on_exit_1 and out:

@@ -152,8 +152,8 @@ def test_fwht_matches_butterfly(bits, total, signed):
     assert np.array_equal(b.astype(np.int64), expected)
 
 
-# Rows of 2^4 (many to a block), 2^10 (the last block partial) and 2^18
-# (a row over two blocks). Every row has an absolute sum of 2^24, so
+# Rows of 2^4 and 2^10 (many to an array) and 2^18 (wider than any table
+# the stage scorer makes). Every row has an absolute sum of 2^24, so
 # float32 is exact for each although the array's sum is far above 2^24;
 # an all-positive last row of 2^24 + 1 makes the caller pick float64 for
 # the whole array.
@@ -176,7 +176,7 @@ def test_fwht_2d_matches_each_row(bits, count, last, signed):
 
 
 # A float array is transformed in its own dtype with no abs-sum pass:
-# rows of 2^4 and 2^10 fit one block, a row of 2^18 spans two. An
+# rows of 2^4 and 2^10, and one row of 2^18. An
 # absolute sum of 2^24 a row is exact in float32 and in float64.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bits,count", [(4, 5), (10, 3), (18, 1)])
@@ -185,8 +185,7 @@ def test_fwht_float_in_place(dtype, bits, count, given_work):
     rows = [_input_with_abs_sum(1 << bits, 1 << 24, True, seed=bits + i)
             for i in range(count)]
     a = np.stack(rows).astype(dtype)
-    work = (np.empty(min(a.size, 1 << kernels._BLOCK_BITS), dtype)
-            if given_work else None)
+    work = np.empty(a.size, dtype) if given_work else None
     kernels.fwht_inplace(a, work)
     assert a.dtype == dtype
     assert all(np.array_equal(got.astype(np.int64), butterfly_wht(row))

@@ -147,6 +147,3 @@ def test_state_validates_fill_width():
     with pytest.raises(ValueError):
         state_from_stages(TRINOMIAL3, (1, 0))
 
-
-def test_polynomial_str():
-    assert str(TRINOMIAL3) == "x^3 + x + 1"
