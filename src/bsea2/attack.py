@@ -51,8 +51,8 @@ from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_outputs,
                      key_setup, keystream)
 from .classifier import (AttackPlan, AttackStage, mask_registers,
                          partition_keys, plan_to_dict)
-from .errors import (Bsea2Error, EmptyBeam, MissingKnownRegister,
-                     StageTooLarge)
+from .errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
+                     MissingKnownRegister, StageTooLarge)
 from .plaintext import PlaintextModel
 
 DEFAULT_RETENTION = 10
@@ -645,7 +645,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         size *= min(k, math.prod((1 << spec.degrees[r]) - 1
                                  for r in stage.targets))
         if size > _MAX_CANDIDATES:
-            raise Bsea2Error(
+            raise BeamTooLarge(
                 f"beam grew to {size} candidates; lower the "
                 f"retention k (currently {k})")
         if j == len(log):
@@ -774,8 +774,8 @@ def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
 class InstanceStatus:
     kprime: int
     exponent: int | None
-    status: str            # recovered | empty_beam | unattackable |
-    #                        skipped_budget | not_attempted
+    status: str            # recovered | empty_beam | beam_too_large |
+    #                        unattackable | skipped_budget | not_attempted
     attempt: int | None = None
     best: RecoveredKey | None = None
 
@@ -827,6 +827,9 @@ def run_parallel_instances(sample: CiphertextSample,
                 statuses[kp] = InstanceStatus(kp, row.exponent, "empty_beam",
                                               attempt)
                 transcripts[kp] = exc.transcript
+            except BeamTooLarge:
+                statuses[kp] = InstanceStatus(kp, row.exponent,
+                                              "beam_too_large", attempt)
             if progress is not None:
                 progress(statuses[kp])
     # a stopped search has hits in its last tier only

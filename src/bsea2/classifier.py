@@ -10,8 +10,13 @@ remaining ones. Stage cost is 2^(sum of target register lengths) and a
 K' class is the max stage exponent of its cheapest schedule.
 
 The planner enumerates all stage partitions and orderings of the four
-registers exhaustively (15 partitions, <= 24 orderings each), so the
-optimum is by exhaustion rather than heuristic. chi_g(0) != 0 never helps
+registers exhaustively (15 partitions, <= 24 orderings each, 75 ordered
+partitions in all), so the optimum is by exhaustion rather than
+heuristic. That search reads only the register degrees and the support,
+the set of masks u != 0 with chi_g(u) != 0, so it runs once per distinct
+(degrees, support) in a process (_schedule's memo); each K' then reads
+its stages' chi and its distinguisher flag from its own spectrum. The
+256 K' of f0 0x93A0 have 25 distinct supports. chi_g(0) != 0 never helps
 recovery (it biases the keystream without referencing state) and is
 surfaced as a distinguisher flag instead.
 """
@@ -76,14 +81,22 @@ def _set_partitions(items):
         yield part + [{first}]
 
 
-def _plan_from_spectrum(spec: InstanceSpec, kprime: int, gspec) -> AttackPlan:
-    degrees = spec.degrees
+@lru_cache(maxsize=None)
+def _schedule(degrees: tuple, support: tuple) -> tuple:
+    """(uncovered, blocks, masks, max exponent, log2 cost) of the cheapest
+    schedule for registers of ``degrees`` whose usable masks (u != 0,
+    ascending) are ``support``. When some register appears in no usable
+    mask, ``uncovered`` holds those registers and the rest is None.
+
+    Nothing else of a K' enters the schedule, so the 256 K' of a spec
+    run this search once per distinct support.
+    """
     # (mask, its registers) of every usable mask, ascending
-    usable = [(u, mask_registers(u)) for u in range(1, 16) if gspec[u] != 0]
+    usable = [(u, mask_registers(u)) for u in support]
     covered = frozenset().union(*(regs for _, regs in usable))
     missing = frozenset(range(N_REGISTERS)) - covered
     if missing:
-        raise Unattackable(missing)
+        return missing, None, None, None, None
 
     best_key = None
     best_order = None
@@ -110,9 +123,20 @@ def _plan_from_spectrum(spec: InstanceSpec, kprime: int, gspec) -> AttackPlan:
                     best_order = order
     # covered == all registers guarantees at least the greedy ordering exists
     assert best_order is not None
+    return missing, best_order, best_key[3], best_key[0], best_key[1]
+
+
+def _plan_from_spectrum(spec: InstanceSpec, kprime: int, gspec) -> AttackPlan:
+    """The plan of one K': its support's schedule, with each stage's chi
+    and the distinguisher flag read from its own spectrum."""
+    degrees = spec.degrees
+    uncovered, order, masks, max_exponent, sum_cost = _schedule(
+        degrees, tuple(u for u in range(1, 16) if gspec[u] != 0))
+    if uncovered:
+        raise Unattackable(uncovered)
     stages = []
     known = frozenset()
-    for block, mask in zip(best_order, best_key[3]):
+    for block, mask in zip(order, masks):
         stages.append(AttackStage(
             targets=block,
             mask=mask,
@@ -124,8 +148,8 @@ def _plan_from_spectrum(spec: InstanceSpec, kprime: int, gspec) -> AttackPlan:
     return AttackPlan(
         kprime=kprime,
         stages=tuple(stages),
-        max_exponent=best_key[0],
-        sum_cost=best_key[1],
+        max_exponent=max_exponent,
+        sum_cost=sum_cost,
         distinguisher=gspec[0] != 0,
     )
 

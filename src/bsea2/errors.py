@@ -49,6 +49,11 @@ class MissingKnownRegister(Bsea2Error):
     """Stage mask consumes a register that was not recovered earlier."""
 
 
+class BeamTooLarge(Bsea2Error):
+    """The beam would outgrow the candidate limit at some stage; a lower
+    retention k keeps it smaller."""
+
+
 class EmptyBeam(Bsea2Error):
     """No attack candidate survived key validation; ``transcript`` is the
     failed run's transcript."""

@@ -8,12 +8,15 @@ scalar_sequence and scalar_keystream compose clock(); the key layout is
 read bit by bit from the documented convention; stage scoring oracles
 re-encrypt per candidate.
 """
+import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from bsea2 import boolfn, kernels
-from bsea2.classifier import mask_registers
+from bsea2.classifier import AttackPlan, AttackStage, mask_registers
+from bsea2.errors import Unattackable
 
 #: check_period refuses degrees above this (exhaustive 2^L clocking).
 MAX_PERIOD_CHECK_DEGREE = 16
@@ -316,3 +319,77 @@ def oracle_fips_counts(bits) -> dict:
         i = j
     return {"ones": ones, "nibbles": nibbles, "runs": runs,
             "longest": longest}
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | {first}] + part[i + 1:]
+        yield part + [{first}]
+
+
+def oracle_plan(spec, kprime: int) -> AttackPlan:
+    """The cheapest plan of one K' by a fresh exhaustive search: every
+    stage partition and ordering of the four registers, each stage's
+    first usable mask whose unknown registers are exactly its block.
+
+    Minimizes the max stage exponent, then the log2 total cost, then the
+    number of stages, then the mask sequence; raises Unattackable when
+    some register appears in no usable mask. Nothing is cached or shared
+    between K'.
+    """
+    degrees = spec.degrees
+    gspec = boolfn.effective_spectrum(boolfn.apply_key_mask(spec.f0, kprime))
+    # (mask, its registers) of every usable mask, ascending
+    usable = [(u, mask_registers(u)) for u in range(1, 16) if gspec[u] != 0]
+    covered = frozenset().union(*(regs for _, regs in usable))
+    missing = frozenset(range(4)) - covered
+    if missing:
+        raise Unattackable(missing)
+
+    best_key = None
+    best_order = None
+    for part in _set_partitions(list(range(4))):
+        blocks = [frozenset(b) for b in part]
+        for order in permutations(blocks):
+            known = frozenset()
+            masks = []
+            for block in order:
+                mask = next((u for u, regs in usable if regs - known == block),
+                            None)
+                if mask is None:
+                    break
+                masks.append(mask)
+                known |= block
+            else:
+                exps = [sum(degrees[r] for r in block) for block in order]
+                key = (max(exps),
+                       math.log2(sum(2 ** e for e in exps)),
+                       len(order),
+                       tuple(masks))
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_order = order
+    assert best_order is not None
+    stages = []
+    known = frozenset()
+    for block, mask in zip(best_order, best_key[3]):
+        stages.append(AttackStage(
+            targets=block,
+            mask=mask,
+            exponent=sum(degrees[r] for r in block),
+            known=known,
+            chi=gspec[mask],
+        ))
+        known |= block
+    return AttackPlan(
+        kprime=kprime,
+        stages=tuple(stages),
+        max_exponent=best_key[0],
+        sum_cost=best_key[1],
+        distinguisher=gspec[0] != 0,
+    )

@@ -14,8 +14,8 @@ from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
                           random_key, split_key)
 from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
                               plan_attack)
-from bsea2.errors import (Bsea2Error, EmptyBeam, MissingKnownRegister,
-                          StageTooLarge, Unattackable)
+from bsea2.errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
+                          MissingKnownRegister, StageTooLarge, Unattackable)
 from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
@@ -725,7 +725,7 @@ class TestRunPlan:
         tracemalloc.start()
         try:
             t = time.perf_counter()
-            with pytest.raises(Bsea2Error,
+            with pytest.raises(BeamTooLarge,
                                match="beam grew to 200001 candidates"):
                 run_plan(sample, plan, k=200_001)
             elapsed = time.perf_counter() - t
@@ -821,6 +821,27 @@ class TestRunParallelInstances:
         assert sum(s.status == "empty_beam" for s in result.statuses) > 1
         assert left == []
 
+    def test_oversized_beams_are_reported_and_passed_over(self):
+        # at retention 30 every C0 plan (four stages) would hold 30^4
+        # candidates, past _MAX_CANDIDATES; each such instance is recorded
+        # with its attempt and no transcript, and the C1 tier (three
+        # stages) still recovers the planted key
+        rng = np.random.default_rng(84)
+        report = partition_keys(MINI_SPEC)
+        c0, c1 = report.rows[0].kprimes, report.rows[1].kprimes
+        key = random_key(MINI_SPEC, rng, kprime=c1[0])
+        sample = CiphertextSample(
+            bits=encrypt_fresh(MINI_SPEC, key,
+                               (rng.random(512) >= 0.9).astype(np.uint8)),
+            model=PlaintextModel(0.9), spec=MINI_SPEC)
+        result = run_parallel_instances(sample, k=30, budget=16)
+        by_k = {s.kprime: s for s in result.statuses}
+        assert {by_k[kp].status for kp in c0} == {"beam_too_large"}
+        assert sorted(by_k[kp].attempt for kp in c0) == list(range(1, 193))
+        assert not set(c0) & set(result.transcripts)
+        assert by_k[c1[0]].status == "recovered"
+        assert result.best.key.value == key.value
+
     def test_budget_filter_reports_skipped(self, make_sample):
         rng = np.random.default_rng(83)
         report = partition_keys(MINI_SPEC)
@@ -856,6 +877,8 @@ def standalone_search(sample, k, budget, stop_on_success=False):
             except EmptyBeam as exc:
                 status, best = "empty_beam", None
                 transcripts[kp] = exc.transcript
+            except BeamTooLarge:
+                status, best = "beam_too_large", None
             statuses.append(attack.InstanceStatus(kp, row.exponent, status,
                                                   attempt, best))
     return sorted(statuses, key=lambda st: st.kprime), transcripts

@@ -1,14 +1,17 @@
+import random
 from itertools import permutations
 
 import pytest
 
 from bsea2 import boolfn
 from bsea2.cipher import DEFAULT_SPEC, MINI_SPEC, InstanceSpec
-from bsea2.classifier import (REFERENCE_PARTITIONS, attackable_kprimes,
-                              mask_registers, partition_keys, plan_attack,
+from bsea2.classifier import (REFERENCE_PARTITIONS, _schedule,
+                              attackable_kprimes, mask_registers,
+                              partition_keys, plan_attack,
                               report_to_json_dict, spectrum_report)
 from bsea2.errors import Unattackable
 from bsea2.lfsr import make_polynomial
+from oracles import oracle_plan
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 SPEC_ZERO = InstanceSpec("degenerate", DEFAULT_SPEC.polynomials, 0x0000)
@@ -167,6 +170,52 @@ class TestPlanAttack:
                 assert degsets(ours, perm_spec) == degsets(base, DEFAULT_SPEC)
 
 
+def _seeded_spec(seed):
+    """A spec of four distinct random degrees from 1 to 64 and a random
+    f0; the planner reads only the degrees, not the taps."""
+    rng = random.Random(seed)
+    degrees = rng.sample(range(1, 65), 4)
+    return InstanceSpec(f"seeded-{seed}",
+                        tuple(make_polynomial([0], d) for d in degrees),
+                        rng.randrange(1 << 16))
+
+
+def _outcome(planner, spec, kprime):
+    try:
+        return planner(spec, kprime)
+    except Unattackable as exc:
+        return ("Unattackable", exc.uncovered)
+
+
+class TestPlanOracle:
+    @pytest.mark.parametrize("spec", [
+        DEFAULT_SPEC, SPEC_953F, MINI_SPEC,
+        *(_seeded_spec(seed) for seed in range(6)),
+    ], ids=lambda spec: spec.name)
+    def test_every_kprime_matches_the_exhaustive_oracle(self, spec):
+        # whole plans: stages, masks, chi, the sum_cost float and the
+        # distinguisher flag, or the same uncovered registers
+        for kprime in range(256):
+            assert (_outcome(plan_attack, spec, kprime)
+                    == _outcome(oracle_plan, spec, kprime)), hex(kprime)
+
+    @pytest.mark.parametrize("base", [MINI_SPEC, DEFAULT_SPEC],
+                             ids=lambda spec: spec.name)
+    def test_schedule_search_runs_once_per_support(self, base):
+        # 0x93A0's 256 K' have 25 distinct usable-mask supports (7 of
+        # them unattackable); a memo key that picked up K' would search
+        # far more often
+        supports = set()
+        for kprime in range(256):
+            g = boolfn.effective_spectrum(boolfn.apply_key_mask(0x93A0,
+                                                                kprime))
+            supports.add(tuple(u for u in range(1, 16) if g[u] != 0))
+        assert len(supports) == 25
+        _schedule.cache_clear()
+        partition_keys(InstanceSpec("fresh", base.polynomials, 0x93A0))
+        assert _schedule.cache_info().misses == 25
+
+
 def _permute_gspec(gspec, perm):
     """Spectrum with mask bits relabeled: permuted register j holds the
     polynomial of base register perm[j], so permuted mask bit (3-j) refers
@@ -231,6 +280,36 @@ class TestPartition:
         full = partition_keys(DEFAULT_SPEC)
         for row_m, row_f in zip(mini.rows, full.rows):
             assert row_m.kprimes == row_f.kprimes
+
+
+def _class_counts(spec):
+    return {row.exponent: row.count for row in partition_keys(spec).rows}
+
+
+class TestCosets:
+    """The partition reads f0 only through its coset under the K' mask
+    (K' << 8) | K', so the 256 tables 0x00XX stand for all 65,536."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partition_is_constant_on_a_coset(self, seed):
+        rng = random.Random(seed)
+        f0 = rng.randrange(1 << 16)
+        base = _class_counts(InstanceSpec("coset", MINI_SPEC.polynomials, f0))
+        for kprime in rng.sample(range(1, 256), 3):
+            shifted = f0 ^ ((kprime << 8) | kprime)
+            assert _class_counts(InstanceSpec(
+                "coset", MINI_SPEC.polynomials, shifted)) == base
+
+    def test_no_table_gives_the_published_classes(self):
+        # the published 0x93A0 table has exponents {37, 52, 54, 68} and
+        # 152 keys in C0 (0x953F's: 144); no f0 on the default spec does
+        for f0 in range(256):
+            rows = partition_keys(InstanceSpec(
+                "coset", DEFAULT_SPEC.polynomials, f0)).rows
+            exponents = {row.exponent for row in rows} - {None}
+            assert exponents != {37, 52, 54, 68}, hex(f0)
+            c0 = rows[0].count if rows[0].exponent is not None else 0
+            assert c0 in {0, 128, 192, 200, 216, 224, 240, 256}, hex(f0)
 
 
 class TestSpectrumReport:

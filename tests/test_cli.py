@@ -205,6 +205,39 @@ class TestAttackCommand:
         assert data["p0"] == 1.0
         assert data["recovered_key"] == key.to_hex()
 
+    def test_oversized_beam_is_a_named_error(self, capsys, tmp_path):
+        # 512 bits under a planted C1 key; at retention 30 a C0 plan's
+        # beam would hold 30^4 candidates, past the 200,000 limit
+        rng = np.random.default_rng(9)
+        report = partition_keys(MINI_SPEC)
+        c0, c1 = report.rows[0].kprimes, report.rows[1].kprimes
+        key = random_key(MINI_SPEC, rng, kprime=c1[0])
+        p = (rng.random(512) >= 0.9).astype(np.uint8)
+        ct = tmp_path / "c.bin"
+        ct.write_bytes(bits_to_bytes(encrypt(key_setup(MINI_SPEC, key), p)))
+        argv = ["attack", "--spec", "mini", "--ciphertext", str(ct),
+                "--p0", "0.9", "--retention", "30", "--budget", "16"]
+
+        code, out, err = run_cli(capsys, *argv, "--kprime", hex(c0[0]))
+        assert code == 1 and out == ""
+        # the three stages that fit are logged, then the one error line
+        assert err.splitlines()[3:] == [
+            "error: BeamTooLarge: beam grew to 810000 candidates; lower "
+            "the retention k (currently 30)"]
+
+        # all-256: each C0 instance is reported and the search goes on
+        code, out, err = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0
+        assert data["recovered_key"] == key.to_hex()
+        statuses = {st["kprime"]: st for st in data["statuses"]}
+        assert [statuses[f"0x{kp:02X}"]["status"] for kp in c0] == (
+            ["beam_too_large"] * len(c0))
+        assert sorted(statuses[f"0x{kp:02X}"]["attempt"] for kp in c0) == (
+            list(range(1, len(c0) + 1)))
+        assert f"K' 0x{c0[0]:02X}: beam_too_large" in err
+        assert "error: " not in err
+
 
 #: every report-writing subcommand; {tmp}/c.bin holds 4096 bits under a
 #: planted key of K' 0x78, with p0 = 0.9

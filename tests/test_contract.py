@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsea2 import errors
 from bsea2.cli import main
@@ -66,10 +66,20 @@ def check_contract(code, out, err, report_on_exit_1=False):
         assert err.startswith("usage: ")
 
 
+#: registers of 3 to 6 stages, where every class fits the attack's
+#: 2^12 budget and retention 1000 grows a C0 beam to 7 * 15 * 31 * 63 =
+#: 205,065 candidates, past the 200,000 limit
+SMALL_SPEC = {"name": "small", "f0": "0x93A0",
+              "polynomials": [[3, 1, 0], [4, 1, 0], [5, 2, 0], [6, 1, 0]]}
+
+
 @settings(max_examples=25)
+@example(spec=SMALL_SPEC, seed=1, kprime=0, nbits=8, retention=1000)
 @given(spec=spec_files(), seed=st.integers(0, 2**32),
-       kprime=st.integers(0, 0xFF), nbits=st.integers(0, 300))
-def test_generated_specs_keep_the_cli_contract(spec, seed, kprime, nbits):
+       kprime=st.integers(0, 0xFF), nbits=st.integers(0, 300),
+       retention=st.integers(1, 1000))
+def test_generated_specs_keep_the_cli_contract(spec, seed, kprime, nbits,
+                                               retention):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         spec_file = tmp / "spec.json"
@@ -102,7 +112,8 @@ def test_generated_specs_keep_the_cli_contract(spec, seed, kprime, nbits):
         check_contract(code, out, err, report_on_exit_1=True)
         assert json.loads(out)["all_pass"] == (code == 0)
 
-        # a cheap all-256 search on the ciphertext: 512 bits, 2^12 budget
+        # an all-256 search on the ciphertext: 512 bits, 2^12 budget, and
+        # retentions up to where the beam outgrows its limit
         check_contract(*run("attack", *s, "--ciphertext", tmp / "c.bin",
-                            "--p0", "0.9", "--retention", "2",
+                            "--p0", "0.9", "--retention", retention,
                             "--budget", "12"), report_on_exit_1=True)
