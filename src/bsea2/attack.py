@@ -16,29 +16,28 @@ in one call. Every stage runs one loop over blocks of 2^17 fills
 (_BLOCK_BITS, the L2-sized block; the transform does no blocking of its
 own), numbered by the high fill bits: one block when the stage has no
 more bits. Each block scatters every parent of a batch into one float
-table row and transforms the table in one call. The table and the
-buffers the transform and the top-k selection work in are made once per
-call and reused by every batch and block, so memory stays near 1 MB
-whatever the stage's width. The blocks run in order on one thread; a
-thread pool over them was slower under the default multi-threaded BLAS
-(measured on 2 vCPUs). Each parent's top-k list, by score desc, then
-smallest fill, is carried across the blocks with its k-th best score.
-Once every list is full, a block is selected by one strict comparison
-with that threshold instead of a partition; score_stage says why that is
-exact.
+table row and transforms the table in one call; a batch holds at most
+2^17 cells. The table and the buffers the transform and the selection
+work in are made once per call and reused by every batch and block, so
+memory stays near 1 MB whatever the stage's width. The blocks run in
+order on one thread; a thread pool over them was slower under the
+default multi-threaded BLAS (measured on 2 vCPUs). Each parent's top-k
+list, by score desc, then smallest fill, is carried across the blocks.
+Every block keeps the entries at or above its row's bar and merges them
+into the list; score_stage says what the bar is and why that is exact.
 
 One search (one sample, one retention k) shares a run cache. A stage's
-data bits depend on K' only through the complement bit s, so its top-k
-list is keyed on the mask, the targets, the consumed known fills and s;
-the instances of the all-256 search that share a stage score it once.
-For the same reason the beam after a plan's first j stages depends only
-on their (mask, targets, s): each beam prefix is built once per class
-of the search (one exponent tier) and kept until the next class starts.
-Instances whose whole beams are equal differ only in the combiner table,
-so the first of them validates the beam for all: each chunk of word rows
-is gathered once and goes through the multiplexer tree of each K'. The
-cache also holds each (register, fill) sequence that validation needs,
-packed into uint64 words.
+data bits depend on K' only through the complement bit s (_complement),
+so its top-k list is keyed on the mask, the targets, the consumed known
+fills and s; the instances of the all-256 search that share a stage
+score it once. For the same reason the beam after a plan's first j
+stages depends only on their (mask, targets, s): each beam prefix is
+built once per class of the search (one exponent tier) and kept until
+the next class starts. Instances whose whole beams are equal differ only
+in the combiner table, so the first of them validates the beam for all:
+each chunk of word rows is gathered once and goes through the
+multiplexer tree of each K'. The cache also holds each (register, fill)
+sequence that validation needs, packed into uint64 words.
 """
 import math
 from dataclasses import dataclass, field
@@ -47,8 +46,7 @@ import numpy as np
 
 from . import boolfn, kernels
 from .bits import fill_hex, hex_byte, pack_words, unpack_words
-from .cipher import (InstanceSpec, SecretKey, assemble_key, combine_outputs,
-                     key_setup, keystream)
+from .cipher import InstanceSpec, SecretKey, assemble_key, combine_outputs
 from .classifier import (AttackPlan, AttackStage, mask_registers,
                          partition_keys, plan_to_dict)
 from .errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
@@ -76,7 +74,6 @@ class CiphertextSample:
 class ScoreBoard:
     """Top-k candidates of one stage, sorted by score then smallest fill."""
 
-    stage: AttackStage
     entries: tuple          # ((joint fill, score Z), ...) best first
     n_candidates: int
 
@@ -88,7 +85,6 @@ class ScoreBoard:
 class Validation:
     zeros: int
     z_abs: float
-    status: str             # "pass" | "fail" | "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ def register_rows(poly, n: int) -> np.ndarray:
     return kernels.linear_forms(poly.tapmask, poly.degree, n)
 
 
-#: Score given to fills no key can have; never returned by a top-k.
+#: Score given to fills no key can have; below every reachable score -n.
 _EXCLUDED = np.iinfo(np.int32).min
 
 
@@ -123,43 +119,28 @@ def _first_k(row: np.ndarray, fill: np.ndarray, corr: np.ndarray,
     return row[keep], fill[keep], corr[keep]
 
 
-def _topk_rows(corr: np.ndarray, base: int, k: int, part: np.ndarray,
-               mask: np.ndarray):
-    """Top-k of each row of a 2-D block, as _first_k gives them; the
-    block's fills are counted from ``base``.
-
-    ``part`` (corr's shape and dtype) and ``mask`` (its shape, bool) are
-    work buffers. Entries at _EXCLUDED are left out, so a row may give
-    fewer than k. score_stage calls it until every row's running list
-    holds k entries, in practice for a stage's first block only; later
-    blocks are selected against the running k-th score.
-    """
-    size = corr.shape[1]
-    if size > k:
-        np.copyto(part, corr)
-        part.partition(size - k, axis=1)
-        np.greater_equal(corr, part[:, size - k, None], out=mask)
-        hit = np.flatnonzero(mask)
-    else:
-        hit = np.arange(corr.size)
-    c = corr.reshape(-1)[hit].astype(np.int64)
-    hit, c = hit[c != _EXCLUDED], c[c != _EXCLUDED]
-    r, i = np.divmod(hit, size)
-    return _first_k(r, i + base, c, k)
+def _joint_layout(spec: InstanceSpec, targets) -> list:
+    """(register, offset, degree) of each target in a joint fill: the
+    targets in ascending order, the first at the lowest bits."""
+    layout, off = [], 0
+    for r in sorted(targets):
+        layout.append((r, off, spec.degrees[r]))
+        off += spec.degrees[r]
+    return layout
 
 
-def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
+def _exclude_zero_parts(corr: np.ndarray, base: int, layout) -> None:
     """Mark every fill of the block with an all-zero register part.
 
     The block holds fills base .. base + size - 1 along corr's last axis
     (base a multiple of the power-of-two size); a 2-D corr holds one such
-    block per row. ``parts`` are the (offset, degree) of each register in
-    the joint fill. key_setup rejects such keys, and in a stage that
-    consumes a known register, fill 0 would score as that register's own
-    relation. The cost is one strided write per register.
+    block per row. ``layout`` is the joint fill's _joint_layout. key_setup
+    rejects such keys, and in a stage that consumes a known register,
+    fill 0 would score as that register's own relation. The cost is one
+    strided write per register.
     """
     low = corr.shape[-1].bit_length() - 1
-    for off, deg in parts:
+    for _, off, deg in layout:
         if (base >> off) & ((1 << deg) - 1):
             continue
         top = min(off + deg, low)
@@ -169,28 +150,29 @@ def _exclude_zero_parts(corr: np.ndarray, base: int, parts) -> None:
             corr.reshape(-1, 1 << (top - off), 1 << off)[:, 0, :] = _EXCLUDED
 
 
-def _scatter(table: np.ndarray, idx: np.ndarray, signs: np.ndarray) -> None:
-    """Zero the table, then add each of ``signs`` at its flat index."""
-    table.fill(0)
-    np.add.at(table.reshape(-1), idx, signs.reshape(-1))
+def _complement(stage: AttackStage, model: PlaintextModel) -> bool:
+    """The complement bit s of a stage's data bits: set for an
+    anti-correlated mask (chi < 0), flipped again for a ones-heavy
+    plaintext (p0 < 1/2). A stage's scores depend on K' only through s."""
+    return stage.complement ^ (model.p0 < 0.5)
 
 
-def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
+def _stage_inputs(sample: CiphertextSample, stage: AttackStage, layout,
                   knowns: list, kprime: int):
     """(joint rows A_t, c XOR s packed by bits.pack_words, consumed
-    registers) for the stage.
+    registers) for the stage, its targets laid out as ``layout``.
 
-    Checks that the stage's mask correlates under K', that it covers the
-    targets and that every dict of ``knowns`` holds the registers the mask
-    consumes.
+    Checks that the stage's chi is K''s nonzero chi at its mask, that the
+    mask covers the targets and that every dict of ``knowns`` holds the
+    registers the mask consumes.
     """
     spec = sample.spec
-    f = boolfn.apply_key_mask(spec.f0, kprime)
-    gspec = boolfn.effective_spectrum(f)
-    chi = gspec[stage.mask]
-    if chi == 0:
-        raise Bsea2Error(f"mask {stage.mask:04b} has zero correlation "
-                         f"for K' = {hex_byte(kprime)}")
+    chi = boolfn.effective_spectrum(
+        boolfn.apply_key_mask(spec.f0, kprime))[stage.mask]
+    if stage.chi == 0 or stage.chi != chi:
+        raise Bsea2Error(f"stage chi {stage.chi} at mask {stage.mask:04b} "
+                         f"is not the nonzero chi of K' = "
+                         f"{hex_byte(kprime)} there ({chi})")
     if not stage.targets <= mask_registers(stage.mask):
         raise Bsea2Error("stage targets are not covered by its mask; "
                          "their fills would never affect the score")
@@ -201,33 +183,24 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage,
                 raise MissingKnownRegister(f"stage mask needs recovered R{r}")
 
     n = sample.bits.size
-    # complement the prediction for anti-correlated relations; an
-    # ones-heavy plaintext (p0 < 1/2) flips the favored relation again
-    s = (chi < 0) ^ (sample.model.p0 < 0.5)
+    s = _complement(stage, sample.model)
     d0 = pack_words(sample.bits ^ np.uint8(1 if s else 0))
-
     rows = np.zeros(n, dtype=np.uint64)
-    off = 0
-    for r in sorted(stage.targets):
-        poly = spec.polynomials[r]
-        rows ^= register_rows(poly, n) << np.uint64(off)
-        off += poly.degree
+    for r, off, _ in layout:
+        rows ^= register_rows(spec.polynomials[r], n) << np.uint64(off)
     return rows, d0, consumed
 
 
-#: Fill bits of one block of a stage scoring: a one-row table and the
-#: transform's work buffer, 512 KB each in float32, fit L2. A wider stage
-#: runs 2^(exponent - 17) blocks, numbered by the high fill bits. The
-#: transform does no blocking of its own, so no batch's table may have
-#: more than 2^_BLOCK_BITS entries (see _BATCH_CELLS).
+#: Fill bits of one block of a stage scoring, and the cells (parents x
+#: sample bits, or parents x table entries) one batch holds unless one
+#: parent's sample has more. A one-row table and the transform's work
+#: buffer, 512 KB each in float32, fit L2, and memory grows with neither
+#: the beam nor the number of parents; 2^20-cell batches made K' 0x32's
+#: mini attack about 20% slower (measured). A wider stage runs
+#: 2^(exponent - 17) blocks, numbered by the high fill bits. No table has
+#: more than 2^_BLOCK_BITS entries, so the transform does no blocking of
+#: its own.
 _BLOCK_BITS = 17
-
-#: Cells (parents x sample bits, or parents x table entries) that one
-#: batch of a stage scoring holds, so memory grows with neither the beam
-#: nor the number of parents. A batch's arrays, at up to 8 bytes a cell,
-#: then stay near a 2 MB L2 cache: 2^20 cells made K' 0x32's mini attack
-#: about 20% slower (measured).
-_BATCH_CELLS = 1 << 17
 
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known,
@@ -239,9 +212,10 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     ``known`` maps each register the mask consumes to its recovered fill
     and gives one ScoreBoard. A list of such dicts gives one board per
     dict, in order: the rows and the packed complemented ciphertext are
-    built once. In each batch of _BATCH_CELLS cells, the packed sequences
-    of the consumed registers' fills (kernels.packed_sequences) are XORed
-    into the parents' words, which are unpacked once.
+    built once. A batch holds as many parents as fit 2^_BLOCK_BITS cells,
+    at least one. In each batch the packed sequences of the consumed
+    registers' fills (kernels.packed_sequences) are XORed into the
+    parents' words, which are unpacked once.
 
     A batch runs over the joint fills in blocks of 2^_BLOCK_BITS over
     their high bits, one block when the stage has no more bits. A block's
@@ -252,19 +226,18 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     which keeps every score exact, and float64 above that. The scatter
     indices and one workspace are made once per call and reused by every
     batch and block: the table, a buffer of its size that the transform
-    works in and _topk_rows partitions, the selection mask and the signs.
+    works in and the selection partitions, the selection mask and the
+    signs.
 
     A batch carries one running top-k list for all its rows, in
-    _first_k's order, and ``kth``, each row's k-th best score in the
-    table's dtype. Until every row holds k entries a block goes through
-    _topk_rows and is merged in by _first_k. After that, a block's
-    survivors are the entries strictly above their row's ``kth``: one
-    comparison and no partition. Strict > is exact: blocks run in
-    ascending fill order, so a later entry that ties the k-th score has
-    the larger fill and loses _first_k's tie-break, and _EXCLUDED (-2^31)
-    lies below every reachable ``kth`` (at least -n), so excluded fills
-    never pass. A block with no survivors merges nothing; ``kth`` is
-    refreshed after each merge.
+    _first_k's order. Every block keeps the entries >= its row's bar and
+    _first_k merges them in. Once every row holds k entries, the bar is
+    the row's running k-th best score; before that, it is the block's own
+    k-th best, from one partition, floored at -n. Every reachable score
+    is at least -n, so _EXCLUDED fills never pass. The merge is exact:
+    blocks run in ascending fill order, so a later entry that ties the
+    running k-th score has the larger fill and loses _first_k's
+    tie-break. A block with nothing kept merges nothing.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -275,16 +248,14 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             f"stage needs 2^{stage.exponent} joint states, budget is "
             f"2^{budget}; raise --budget or attack a smaller instance")
     knowns = known if isinstance(known, list) else [known]
-    rows, d0, consumed = _stage_inputs(sample, stage, knowns, kprime)
+    layout = _joint_layout(sample.spec, stage.targets)
+    rows, d0, consumed = _stage_inputs(sample, stage, layout, knowns, kprime)
     n = sample.bits.size
-    degrees = [sample.spec.degrees[r] for r in sorted(stage.targets)]
-    parts = [(sum(degrees[:i]), deg) for i, deg in enumerate(degrees)]
     lo = min(stage.exponent, _BLOCK_BITS)
-    step = max(1, _BATCH_CELLS // max(n, 1 << lo))
+    step = max(1, (1 << _BLOCK_BITS) // max(n, 1 << lo))
     width = min(step, len(knowns))
     rows_hi = rows >> np.uint64(lo)
-    # a table has at most max(_BATCH_CELLS, 2^_BLOCK_BITS) entries, so
-    # int32 indices do
+    # a table has at most 2^_BLOCK_BITS entries, so int32 indices do
     rows_lo = (rows & np.uint64((1 << lo) - 1)).astype(np.int32)
     idx = (rows_lo + (np.arange(width, dtype=np.int32) << lo)[:, None]).ravel()
     dtype = np.float32 if n <= kernels._FLOAT32_EXACT else np.float64
@@ -308,27 +279,32 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             np.copyto(signs, flip)
             signs *= -2
             signs += 1
-            _scatter(table, idx[:d.size], signs)
+            table.fill(0)
+            np.add.at(table.reshape(-1), idx[:d.size], signs.reshape(-1))
             kernels.fwht_inplace(table, part.reshape(-1))
             base = hi << lo
-            _exclude_zero_parts(table, base, parts)
-            if kth is None:
-                hits = _topk_rows(table, base, k, part, mask)
-            else:
-                np.greater(table, kth[:, None], out=mask)
-                hit = np.flatnonzero(mask)
-                if not hit.size:
-                    continue
-                r, i = np.divmod(hit, table.shape[1])
-                hits = r, i + base, table.reshape(-1)[hit].astype(np.int64)
-            top = (hits if top is None else
-                   _first_k(*map(np.concatenate, zip(top, hits)), k))
+            _exclude_zero_parts(table, base, layout)
+            bar = kth
+            if bar is None:
+                j = max(table.shape[1] - k, 0)
+                np.copyto(part, table)
+                part.partition(j, axis=1)
+                bar = np.maximum(part[:, j], -n)
+            np.greater_equal(table, bar[:, None], out=mask)
+            hit = np.flatnonzero(mask)
+            if not hit.size:
+                continue
+            r, i = np.divmod(hit, table.shape[1])
+            hits = r, i + base, table.reshape(-1)[hit].astype(np.int64)
+            if top is not None:
+                hits = map(np.concatenate, zip(top, hits))
+            top = _first_k(*hits, k)
             if top[0].size == k * len(batch):
                 kth = top[2][k - 1::k].astype(dtype)
         row, fill, corr = top
         bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
-        boards += [ScoreBoard(stage=stage, entries=tuple(entries[a:b]),
+        boards += [ScoreBoard(entries=tuple(entries[a:b]),
                               n_candidates=1 << stage.exponent)
                    for a, b in zip(bounds[:-1], bounds[1:])]
     return boards if isinstance(known, list) else boards[0]
@@ -413,10 +389,9 @@ class _RunCache:
         return np.empty((0, self.ct.size), dtype=np.uint64)
 
     def stage_keys(self, plan: AttackPlan) -> tuple:
-        """(mask, targets, s) of each stage, s score_stage's complement
-        bit; a prefix of them is the key of the beam after those stages."""
-        flip = self.sample.model.p0 < 0.5
-        return tuple((st.mask, st.targets, st.complement ^ flip)
+        """(mask, targets, s) of each stage, s its _complement bit; a
+        prefix of them is the key of the beam after those stages."""
+        return tuple((st.mask, st.targets, _complement(st, self.sample.model))
                      for st in plan.stages)
 
     def expect(self, plans) -> None:
@@ -463,30 +438,8 @@ def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
 
     ``joint`` is one fill or an integer array of them.
     """
-    out = {}
-    off = 0
-    for r in sorted(targets):
-        deg = spec.degrees[r]
-        out[r] = (joint >> off) & ((1 << deg) - 1)
-        off += deg
-    return out
-
-
-def validate_key(sample: CiphertextSample, key: SecretKey) -> Validation:
-    """Decrypt the sample and test the bit bias against the plaintext model.
-
-    Passes when the decrypted zero-fraction matches the model within 3
-    sigma. A p0 = 0.5 model carries no validation signal; every candidate
-    is flagged indeterminate then.
-    """
-    instance = key_setup(sample.spec, key)
-    dec = sample.bits ^ keystream(instance, sample.bits.size)
-    zeros = int(sample.bits.size - int(dec.sum()))
-    p0 = sample.model.p0
-    z, passed = _judge(np.array([zeros]), sample.bits.size, p0)
-    status = ("indeterminate" if p0 == 0.5
-              else "pass" if passed[0] else "fail")
-    return Validation(zeros=zeros, z_abs=float(z[0]), status=status)
+    return {r: (joint >> off) & ((1 << deg) - 1)
+            for r, off, deg in _joint_layout(spec, targets)}
 
 
 def _judge(zeros: np.ndarray, n: int, p0: float):
@@ -611,11 +564,12 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     independent stages are scored once and the final beam is the cross
     product of per-stage top-k lists (k^stages candidates at most). Each
     parent row is repeated once per retained fill of its scoring and the
-    target columns are assigned (_grow). Before a stage the size the beam
-    will have after it, the product of min(k, possible fills) over the
-    stages so far, is checked against _MAX_CANDIDATES. The final beam is
-    validated in bit-sliced passes that stop counting a candidate once it
-    cannot pass (_validate_assignments).
+    target columns are assigned (_grow). Before any stage is scored, every
+    stage is checked against the budget, then the size the beam will have
+    after each stage, the product of min(k, possible fills) over the
+    stages so far, against _MAX_CANDIDATES. The final beam is validated in
+    bit-sliced passes that stop counting a candidate once it cannot pass
+    (_validate_assignments).
 
     ``cache`` is the run cache of a search over several instances of the
     same sample and k; without one the run builds its own. A run starts
@@ -633,21 +587,22 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             raise StageTooLarge(
                 f"plan stage needs 2^{st.exponent} joint states, budget is "
                 f"2^{budget}; raise --budget or attack a smaller instance")
+    size = 1
+    for st in plan.stages:
+        size *= min(k, math.prod((1 << spec.degrees[r]) - 1
+                                 for r in st.targets))
+        if size > _MAX_CANDIDATES:
+            raise BeamTooLarge(
+                f"beam grew to {size} candidates; lower the "
+                f"retention k (currently {k})")
 
     keys = cache.stage_keys(plan)
     memo = cache.start(kprime, keys)
     log = list(memo.log)
     beam = memo
     assigned = []
-    size = 1
     stage_log = []
     for j, stage in enumerate(plan.stages):
-        size *= min(k, math.prod((1 << spec.degrees[r]) - 1
-                                 for r in stage.targets))
-        if size > _MAX_CANDIDATES:
-            raise BeamTooLarge(
-                f"beam grew to {size} candidates; lower the "
-                f"retention k (currently {k})")
         if j == len(log):
             columns, slots, entry = _grow(cache, stage, beam, assigned,
                                           kprime, k, budget)
@@ -694,8 +649,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         candidates.append(RecoveredKey(
             key=assemble_key(spec, row, kprime), fills=row,
             kprime=kprime, rank=rank,
-            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]),
-                                  status="pass")))
+            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]))))
     transcript = {
         "kprime": hex_byte(kprime),
         "plan": plan_to_dict(plan, spec.degrees),
@@ -745,9 +699,7 @@ def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
     parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
                for j in first[order]]
     pick = np.argsort(order)[inverse.ravel()]
-    # the complement bit of score_stage's data bits, the board's only
-    # dependence on K'
-    s = stage.complement ^ (sample.model.p0 < 0.5)
+    s = _complement(stage, sample.model)
     keys = [(stage.mask, stage.targets, tuple(known.values()), s)
             for known in parents]
     misses = [i for i, key in enumerate(keys) if key not in cache.boards]

@@ -15,6 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from bsea2 import boolfn, kernels
+from bsea2.cipher import key_setup, keystream
 from bsea2.classifier import AttackPlan, AttackStage, mask_registers
 from bsea2.errors import Unattackable
 
@@ -207,6 +208,38 @@ def oracle_validation_zeros(sample, fills, kprime: int) -> list:
         out.append(sum(1 for t in range(n)
                        if int(sample.bits[t]) == ks[t]))
     return out
+
+
+@dataclass(frozen=True)
+class KeyValidation:
+    zeros: int
+    z_abs: float
+    status: str             # "pass" | "fail" | "indeterminate"
+
+
+def validate_key(sample, key) -> KeyValidation:
+    """Decrypt the sample under one key and test the bit bias against the
+    plaintext model.
+
+    Passes when the decrypted zero-fraction is within 3 sigma of p0,
+    sigma = sqrt(p0 (1 - p0) / n), by the same float expression as the
+    program's judgement; p0 = 0 or 1 demands an exact count. A p0 = 0.5
+    model carries no validation signal: z_abs is 0 and every key is
+    indeterminate. The keystream comes from cipher.keystream, itself
+    checked against scalar_keystream.
+    """
+    n = sample.bits.size
+    dec = sample.bits ^ keystream(key_setup(sample.spec, key), n)
+    zeros = n - int(dec.sum())
+    p0 = sample.model.p0
+    if p0 == 0.5:
+        return KeyValidation(zeros, 0.0, "indeterminate")
+    if p0 in (0.0, 1.0):
+        z = 0.0 if zeros == (n if p0 == 1.0 else 0) else math.inf
+    else:
+        sigma = (p0 * (1.0 - p0) / n) ** 0.5
+        z = abs(zeros / n - p0) / sigma
+    return KeyValidation(zeros, z, "pass" if z <= 3.0 else "fail")
 
 
 def oracle_candidate_score(sample, stage, known: dict, kprime: int,

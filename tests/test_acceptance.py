@@ -18,8 +18,7 @@ import time
 import numpy as np
 
 from bsea2 import boolfn
-from bsea2.attack import (CiphertextSample, run_plan, score_stage,
-                          validate_key)
+from bsea2.attack import CiphertextSample, run_plan, score_stage
 from bsea2.bits import bits_to_bytes
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
                           decrypt, key_setup, keystream, random_key,
@@ -32,7 +31,8 @@ from bsea2.plaintext import (KNOWN_KEYSTREAM_MODEL, PlaintextModel,
                              combine_bias)
 from bsea2.randomness import batch_pass_rates, fips_battery
 from conftest import biased_bits, encrypt_fresh
-from oracles import naive_walsh, oracle_all_scores, oracle_candidate_score, oracle_topk
+from oracles import (naive_walsh, oracle_all_scores, oracle_candidate_score,
+                     oracle_topk, validate_key)
 
 # The vector printed in the paper for spectrum(0x953F, 0xD9), verbatim.
 STATED_SPECTRUM_0xD9 = (0, 0, -8, -8, 0, 0, 0, 0, -4, 4, 4, -4, -4, 4, -4, 4)

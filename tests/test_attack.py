@@ -9,7 +9,7 @@ import pytest
 from bsea2 import attack, boolfn, kernels
 from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
-                          split_joint_fill, validate_key)
+                          split_joint_fill)
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
                           random_key, split_key)
 from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
@@ -20,7 +20,7 @@ from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 from conftest import encrypt_fresh
 from oracles import (oracle_all_scores, oracle_topk, oracle_validation_zeros,
-                     scalar_sequence)
+                     scalar_sequence, validate_key)
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 MINI_953F = InstanceSpec("mini-953F", MINI_SPEC.polynomials, 0x953F)
@@ -213,8 +213,8 @@ class TestScoreStage:
     def test_transform_never_gets_more_than_a_block(self, make_sample,
                                                     monkeypatch):
         # kernels.fwht_inplace does no blocking of its own, so the scorer
-        # must keep every table within 2^_BLOCK_BITS entries: raising
-        # _BATCH_CELLS above the block would fail here
+        # must keep every table within 2^_BLOCK_BITS entries: a batch of
+        # more cells than a block would fail here
         sizes = []
         fwht = kernels.fwht_inplace
 
@@ -308,19 +308,16 @@ class TestScoreStage:
 
     # mask 1011 scores R0 against recovered R2 and R3 (chi = -4 under
     # K' 0x02); p0 0.2 flips the complement bit s against p0 0.9. Seven
-    # parents repeat fills of both registers; a batch of 2 x 160 cells
-    # splits them into four batches. 2^6 blocks split R0 in two, so each
-    # block holds every row of its batch.
+    # parents repeat fills of both registers. A batch holds at most a
+    # block's cells: 2^24 holds every parent, 2^9 holds three of 160 bits
+    # (batches of 3, 3 and 1), and 2^6 splits R0 in two and holds one.
     @pytest.mark.parametrize("p0", [0.9, 0.2])
-    @pytest.mark.parametrize("block_bits", [24, 6])
-    @pytest.mark.parametrize("parents, cells", [(1, None), (2, None),
-                                                (7, 2 * 160)])
+    @pytest.mark.parametrize("block_bits", [24, 9, 6])
+    @pytest.mark.parametrize("parents", [1, 2, 7])
     def test_batch_equals_single_calls_and_oracle(self, p0, block_bits,
-                                                  parents, cells,
-                                                  make_sample, monkeypatch):
+                                                  parents, make_sample,
+                                                  monkeypatch):
         monkeypatch.setattr(attack, "_BLOCK_BITS", block_bits)
-        if cells is not None:
-            monkeypatch.setattr(attack, "_BATCH_CELLS", cells)
         rng = np.random.default_rng(24)
         key = random_key(MINI_SPEC, rng, kprime=0x02)
         fills, _ = split_key(MINI_SPEC, key)
@@ -453,6 +450,21 @@ class TestScoreStage:
                           known=frozenset(), chi=8)
         with pytest.raises(Bsea2Error):
             score_stage(sample, bad, {0: fills[0]}, 0xBD)
+
+    def test_stage_chi_must_be_the_kprimes(self):
+        # the complement bit s comes from the stage's chi, so a stage whose
+        # chi is zero or not K''s at its mask is refused
+        rng = np.random.default_rng(54)
+        key = random_key(MINI_953F, rng, kprime=0xBD)
+        sample = keystream_sample(MINI_953F, key, 64)
+        good = stage_for(MINI_953F, 0xBD, 0b1000)
+        assert good.chi == 8
+        for chi in (0, -8, 4):
+            bad = AttackStage(targets=good.targets, mask=good.mask,
+                              exponent=good.exponent, known=good.known,
+                              chi=chi)
+            with pytest.raises(Bsea2Error, match="is not the nonzero chi"):
+                score_stage(sample, bad, {}, 0xBD)
 
 
 class TestValidateKey:
@@ -763,6 +775,22 @@ class TestRunPlan:
         assert tr["candidates"][0]["rank"] == 1
 
 
+def oversized_case():
+    """(C0 K', C1 K', planted key, sample): 512 bits of a Bernoulli(0.9)
+    plaintext under the first C1 K'. At retention 30 every C0 plan (four
+    stages) would hold 30^4 candidates, past _MAX_CANDIDATES, and a C1
+    plan (three stages) 27,000."""
+    rng = np.random.default_rng(84)
+    report = partition_keys(MINI_SPEC)
+    c0, c1 = report.rows[0].kprimes, report.rows[1].kprimes
+    key = random_key(MINI_SPEC, rng, kprime=c1[0])
+    sample = CiphertextSample(
+        bits=encrypt_fresh(MINI_SPEC, key,
+                           (rng.random(512) >= 0.9).astype(np.uint8)),
+        model=PlaintextModel(0.9), spec=MINI_SPEC)
+    return c0, c1, key, sample
+
+
 class TestRunParallelInstances:
     def test_recovers_without_knowing_kprime(self, make_sample):
         rng = np.random.default_rng(81)
@@ -822,18 +850,9 @@ class TestRunParallelInstances:
         assert left == []
 
     def test_oversized_beams_are_reported_and_passed_over(self):
-        # at retention 30 every C0 plan (four stages) would hold 30^4
-        # candidates, past _MAX_CANDIDATES; each such instance is recorded
-        # with its attempt and no transcript, and the C1 tier (three
-        # stages) still recovers the planted key
-        rng = np.random.default_rng(84)
-        report = partition_keys(MINI_SPEC)
-        c0, c1 = report.rows[0].kprimes, report.rows[1].kprimes
-        key = random_key(MINI_SPEC, rng, kprime=c1[0])
-        sample = CiphertextSample(
-            bits=encrypt_fresh(MINI_SPEC, key,
-                               (rng.random(512) >= 0.9).astype(np.uint8)),
-            model=PlaintextModel(0.9), spec=MINI_SPEC)
+        # each oversized C0 instance is recorded with its attempt and no
+        # transcript, and the C1 tier still recovers the planted key
+        c0, c1, key, sample = oversized_case()
         result = run_parallel_instances(sample, k=30, budget=16)
         by_k = {s.kprime: s for s in result.statuses}
         assert {by_k[kp].status for kp in c0} == {"beam_too_large"}
@@ -841,6 +860,24 @@ class TestRunParallelInstances:
         assert not set(c0) & set(result.transcripts)
         assert by_k[c1[0]].status == "recovered"
         assert result.best.key.value == key.value
+
+    def test_oversized_beams_score_nothing(self, monkeypatch):
+        # a plan whose beam would outgrow _MAX_CANDIDATES scores no stage:
+        # not alone, and not as any C0 instance of the search above
+        scored = []
+        real = attack.score_stage
+
+        def spy(sample, stage, known, kprime, **kwargs):
+            scored.append(kprime)
+            return real(sample, stage, known, kprime, **kwargs)
+        monkeypatch.setattr(attack, "score_stage", spy)
+        c0, _, key, sample = oversized_case()
+        with pytest.raises(BeamTooLarge):
+            run_plan(sample, plan_attack(MINI_SPEC, c0[0]), k=30, budget=16)
+        assert scored == []
+        result = run_parallel_instances(sample, k=30, budget=16)
+        assert result.best.key.value == key.value
+        assert scored and not set(scored) & set(c0)
 
     def test_budget_filter_reports_skipped(self, make_sample):
         rng = np.random.default_rng(83)

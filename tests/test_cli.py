@@ -220,8 +220,8 @@ class TestAttackCommand:
 
         code, out, err = run_cli(capsys, *argv, "--kprime", hex(c0[0]))
         assert code == 1 and out == ""
-        # the three stages that fit are logged, then the one error line
-        assert err.splitlines()[3:] == [
+        # refused before any stage is scored: the error is the only line
+        assert err.splitlines() == [
             "error: BeamTooLarge: beam grew to 810000 candidates; lower "
             "the retention k (currently 30)"]
 
