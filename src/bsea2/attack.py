@@ -77,9 +77,6 @@ class ScoreBoard:
     entries: tuple          # ((joint fill, score Z), ...) best first
     n_candidates: int
 
-    def fills(self) -> tuple:
-        return tuple(f for f, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class Validation:
@@ -335,11 +332,10 @@ _NO_BEAM = _Beam(columns=(np.zeros(1, dtype=np.int64),) * 4,
 @dataclass(frozen=True)
 class _Validated:
     """A whole plan's outcome for one K', validated with a peer's beam:
-    the stage log's K'-free part, the beam's size, and the fill rows that
-    passed (in beam order) with their decrypted zero counts."""
+    the stage log's K'-free part and the fill rows that passed (in beam
+    order) with their decrypted zero counts."""
 
     log: tuple
-    size: int
     fills: np.ndarray
     zeros: np.ndarray
 
@@ -639,8 +635,8 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             if kp == kprime:
                 fills, zeros = rows, zs[passed]
             else:
-                cache.validated[kp, keys] = _Validated(tuple(log), size,
-                                                       rows, zs[passed])
+                cache.validated[kp, keys] = _Validated(tuple(log), rows,
+                                                       zs[passed])
     z = _judge(zeros, n, sample.model.p0)[0]
     order = np.lexsort(tuple(fills[:, r] for r in (3, 2, 1, 0)) + (z,))
     candidates = []

@@ -274,22 +274,22 @@ def keystream(instance: CipherInstance, n: int) -> np.ndarray:
     return unpack_words(combine_outputs(instance.f, *words), n)
 
 
-def keystream_words(spec: InstanceSpec, keys, n: int) -> np.ndarray:
+def keystream_words(spec: InstanceSpec, fills, kprimes, n: int) -> np.ndarray:
     """First n keystream bits of each key, packed one key a row.
 
-    Row i is bits.pack_words(keystream(key_setup(spec, keys[i]), n)). Each
-    register's sequences for all the keys come from one
-    kernels.packed_sequences call, and combine_outputs runs once per
-    distinct K' over that K''s rows.
+    Key i is split_key's (fills[i], kprimes[i]), and row i is
+    bits.pack_words(keystream(key_setup(spec, key i), n)). Each register's
+    sequences for all the keys come from one kernels.packed_sequences
+    call, and combine_outputs runs once per distinct K' over that K''s
+    rows.
     """
-    split = [split_key(spec, key) for key in keys]
-    fills = np.array([f for f, _ in split], dtype=np.uint64).reshape(-1, 4)
+    fills = np.array(fills, dtype=np.uint64).reshape(-1, 4)
     if not fills.all():
         raise DegenerateKey("a key has an all-zero register fill")
     words = [kernels.packed_sequences(p.tapmask, p.degree, fills[:, j], n)
              for j, p in enumerate(spec.polynomials)]
     groups = {}
-    for i, (_, kprime) in enumerate(split):
+    for i, kprime in enumerate(kprimes):
         groups.setdefault(kprime, []).append(i)
     out = np.empty_like(words[0])
     for kprime, rows in groups.items():

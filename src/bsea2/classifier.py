@@ -65,10 +65,6 @@ class AttackPlan:
     sum_cost: float
     distinguisher: bool
 
-    @property
-    def masks(self) -> tuple:
-        return tuple(st.mask for st in self.stages)
-
 
 def _set_partitions(items):
     if not items:
@@ -288,7 +284,7 @@ def plan_to_dict(plan: AttackPlan, degrees) -> dict:
 
 
 def spectrum_report(spec: InstanceSpec, kprime: int,
-                    model: PlaintextModel | None = None) -> dict:
+                    model: PlaintextModel) -> dict:
     """Masked table, both spectra, usable masks with p/p', and the plan."""
     f = boolfn.apply_key_mask(spec.f0, kprime)
     walsh_f = boolfn.walsh_transform(f)
@@ -298,16 +294,14 @@ def spectrum_report(spec: InstanceSpec, kprime: int,
         if walsh_g[u] == 0:
             continue
         p = boolfn.correlation_probability(walsh_g, u)
-        entry = {
+        masks.append({
             "mask": u,
             "mask_bits": format(u, "04b"),
             "registers": sorted(mask_registers(u)),
             "chi": walsh_g[u],
             "p": p,
-        }
-        if model is not None:
-            entry["p_prime"] = combine_bias(p, model.p0)
-        masks.append(entry)
+            "p_prime": combine_bias(p, model.p0),
+        })
     try:
         plan = plan_to_dict(plan_attack(spec, kprime), spec.degrees)
         error = None
@@ -324,9 +318,8 @@ def spectrum_report(spec: InstanceSpec, kprime: int,
         "distinguisher": walsh_g[0] != 0,
         "usable_masks": masks,
         "plan": plan,
+        "p0": model.p0,
     }
-    if model is not None:
-        report["p0"] = model.p0
     if error is not None:
         report["error"] = error
     return report

@@ -65,15 +65,28 @@ def _emit(args, text: str) -> None:
     """A report to --out or else to stdout, ending in a newline either way."""
     if not text.endswith("\n"):
         text += "\n"
-    out = getattr(args, "out", None)
-    if out:
-        _write(out, text.encode())
+    if args.out:
+        _write(args.out, text.encode())
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, indent=2) + "\n")
+
+
+def _report(args, spec: InstanceSpec, payload: dict, lines: list,
+            table: list | None = None) -> None:
+    """The report in --format: the JSON payload with _meta(spec) added
+    last, the text lines, or the CSV rows of ``table``."""
+    if args.format == "json":
+        _emit_json(args, {**payload, "meta": _meta(spec)})
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(table)
+        _emit(args, buf.getvalue())
+    else:
+        _emit(args, "\n".join(lines))
 
 
 def _read_input(path: str) -> bytes:
@@ -120,8 +133,7 @@ def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
 
 # ---------------------------------------------------------------- keygen
 
-def _cmd_keygen(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_keygen(args, spec: InstanceSpec) -> int:
     rng = np.random.default_rng(args.seed)
     report = classifier.partition_keys(spec)
     if args.key_class == "any":
@@ -139,24 +151,15 @@ def _cmd_keygen(args) -> int:
     kprime = int(rng.choice(np.array(kprimes)))
     key = random_key(spec, rng, kprime=kprime)
     row = report.row_for(kprime)
-    if args.format == "json":
-        _emit_json(args, {
-            "key": key.to_hex(),
-            "kprime": hex_byte(kprime),
-            "class": row.label,
-            "exponent": row.exponent,
-            "seed": args.seed,
-            "meta": _meta(spec),
-        })
-    else:
-        _emit(args, key.to_hex())
+    _report(args, spec, {"key": key.to_hex(), "kprime": hex_byte(kprime),
+                         "class": row.label, "exponent": row.exponent,
+                         "seed": args.seed}, [key.to_hex()])
     return 0
 
 
 # ------------------------------------------------- keystream / encrypt
 
-def _cmd_keystream(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_keystream(args, spec: InstanceSpec) -> int:
     key = _read_key(args, spec)
     bits = keystream(key_setup(spec, key), args.nbits)
     _write(args.out, bits_to_bytes(bits))
@@ -168,8 +171,7 @@ def _cmd_keystream(args) -> int:
     return 0
 
 
-def _cmd_encrypt(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_encrypt(args, spec: InstanceSpec) -> int:
     key = _read_key(args, spec)
     data = _read_input(args.infile)
     out_bits = encrypt(key_setup(spec, key), bytes_to_bits(data))
@@ -180,14 +182,9 @@ def _cmd_encrypt(args) -> int:
 
 # ------------------------------------------------- spectrum / classify
 
-def _cmd_spectrum(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_spectrum(args, spec: InstanceSpec) -> int:
     model = PlaintextModel(p0=args.p0) if args.p0 is not None else DEFAULT_MODEL
     report = classifier.spectrum_report(spec, args.kprime, model)
-    report["meta"] = _meta(spec)
-    if args.format == "json":
-        _emit_json(args, report)
-        return 0
     lines = [
         f"f0       = {report['f0']}",
         f"K'       = {report['kprime']}",
@@ -199,9 +196,8 @@ def _cmd_spectrum(args) -> int:
     ]
     for m in report["usable_masks"]:
         regs = ",".join(f"R{r}" for r in m["registers"])
-        extra = (f"  p'={m['p_prime']:.4f}" if "p_prime" in m else "")
         lines.append(f"  u={m['mask_bits']} ({regs:<8}) chi={m['chi']:+d} "
-                     f"p={m['p']:.4f}{extra}")
+                     f"p={m['p']:.4f}  p'={m['p_prime']:.4f}")
     if report["plan"] is not None:
         plan = report["plan"]
         lines.append(f"plan: max exponent 2^{plan['max_exponent']}")
@@ -212,12 +208,11 @@ def _cmd_spectrum(args) -> int:
                 f"2^{st['exponent']} known {st['known']}")
     else:
         lines.append(f"plan: UNATTACKABLE {report['error']['uncovered']}")
-    _emit(args, "\n".join(lines) + "\n")
+    _report(args, spec, report, lines)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_classify(args, spec: InstanceSpec) -> int:
     kprime = args.kprime
     report = classifier.partition_keys(spec)
     row = report.row_for(kprime)
@@ -228,43 +223,27 @@ def _cmd_classify(args) -> int:
         "exponent": row.exponent,
         "plan": (classifier.plan_to_dict(plan, spec.degrees)
                  if plan is not None else None),
-        "meta": _meta(spec),
     }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        comp = f"2^{row.exponent}" if row.exponent is not None else "none"
-        _emit(args, f"K' {hex_byte(kprime)}: class {row.label} "
-                    f"(complexity {comp})\n")
+    comp = f"2^{row.exponent}" if row.exponent is not None else "none"
+    _report(args, spec, payload, [f"K' {hex_byte(kprime)}: class {row.label} "
+                                  f"(complexity {comp})"])
     return 0
 
 
 # ------------------------------------------------------------ partition
 
-def _cmd_partition(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_partition(args, spec: InstanceSpec) -> int:
     report = classifier.partition_keys(spec)
-    payload = classifier.report_to_json_dict(report, spec)
-    payload["meta"] = _meta(spec)
-    if args.format == "json":
-        _emit_json(args, payload)
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class", "complexity", "example_kprime",
-                         "example_spectrum", "count", "fraction"])
-        for row in report.rows:
-            comp = f"2^{row.exponent}" if row.exponent is not None else "none"
-            spec_txt = " ".join(f"{v:+d}" for v in row.example_spectrum)
-            writer.writerow([row.label, comp, hex_byte(row.example_kprime),
-                             spec_txt, row.count, f"{row.fraction:.4f}"])
-        _emit(args, buf.getvalue())
-        return 0
+    table = [["class", "complexity", "example_kprime", "example_spectrum",
+              "count", "fraction"]]
     lines = [f"f0 = {hex_word(report.f0)}"]
     for row in report.rows:
-        comp = f"2^{row.exponent}" if row.exponent is not None else "unattackable"
-        lines.append(f"{row.label:<13} {comp:<7} count {row.count:>3} "
+        comp = f"2^{row.exponent}" if row.exponent is not None else None
+        table.append([row.label, comp or "none", hex_byte(row.example_kprime),
+                      " ".join(f"{v:+d}" for v in row.example_spectrum),
+                      row.count, f"{row.fraction:.4f}"])
+        lines.append(f"{row.label:<13} {comp or 'unattackable':<7} "
+                     f"count {row.count:>3} "
                      f"fraction {row.fraction:.4f} example "
                      f"{hex_byte(row.example_kprime)}")
     if report.diff_vs_paper is not None:
@@ -273,14 +252,14 @@ def _cmd_partition(args) -> int:
             exp = f"2^{d['exponent']}" if d["exponent"] is not None else "unatt."
             lines.append(f"  {exp:<7} ours {d['ours']:>3} "
                          f"reference {d['reference']:>3} delta {d['delta']:+d}")
-    _emit(args, "\n".join(lines) + "\n")
+    _report(args, spec, classifier.report_to_json_dict(report, spec), lines,
+            table)
     return 0
 
 
 # --------------------------------------------------------------- attack
 
-def _cmd_attack(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_attack(args, spec: InstanceSpec) -> int:
     bits = _load_sample_bits(args.ciphertext, args.bits)
     if args.corpus:
         model = estimate_p0(_read_input(args.corpus))
@@ -349,8 +328,7 @@ def _cmd_attack(args) -> int:
 
 # ----------------------------------------------------------------- fips
 
-def _cmd_fips(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_fips(args, spec: InstanceSpec) -> int:
     nbits = randomness.thresholds()["stream_bits"]
     if args.infile:
         bits = _load_sample_bits(args.infile, None)
@@ -362,58 +340,37 @@ def _cmd_fips(args) -> int:
         key = _read_key(args, spec)
         bits = keystream(key_setup(spec, key), nbits)
     res = randomness.fips_battery(bits)
-    payload = res.to_dict()
-    payload["meta"] = _meta(spec)
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [
-            f"monobit : ones={res.monobit[0]}  "
-            f"{'pass' if res.monobit[1] else 'FAIL'}",
-            f"poker   : X={res.poker[0]:.3f}  "
-            f"{'pass' if res.poker[1] else 'FAIL'}",
-            f"runs    : {'pass' if res.runs[1] else 'FAIL'}",
-            f"long run: max={res.long_run[0]}  "
-            f"{'pass' if res.long_run[1] else 'FAIL'}",
-            f"all     : {'pass' if res.all_pass else 'FAIL'}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    _report(args, spec, res.to_dict(), [
+        f"monobit : ones={res.monobit[0]}  "
+        f"{'pass' if res.monobit[1] else 'FAIL'}",
+        f"poker   : X={res.poker[0]:.3f}  "
+        f"{'pass' if res.poker[1] else 'FAIL'}",
+        f"runs    : {'pass' if res.runs[1] else 'FAIL'}",
+        f"long run: max={res.long_run[0]}  "
+        f"{'pass' if res.long_run[1] else 'FAIL'}",
+        f"all     : {'pass' if res.all_pass else 'FAIL'}",
+    ])
     return 0 if res.all_pass else 1
 
 
-def _cmd_passrates(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_passrates(args, spec: InstanceSpec) -> int:
     data = randomness.batch_pass_rates(spec, args.keys, args.seed)
-    data["meta"] = _meta(spec)
-    if args.format == "json":
-        _emit_json(args, data)
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class", "exponent", "n", "monobit_rate",
-                         "poker_rate", "runs_rate", "long_run_rate",
-                         "all_pass_rate", "ci_low", "ci_high"])
-        for row in data["rows"] + [data["overall"]]:
-            writer.writerow([
-                row["class"], row["exponent"], row["n"],
-                f"{row['monobit_rate']:.4f}", f"{row['poker_rate']:.4f}",
-                f"{row['runs_rate']:.4f}", f"{row['long_run_rate']:.4f}",
-                f"{row['all_pass_rate']:.4f}",
-                f"{row['all_pass_ci95'][0]:.4f}",
-                f"{row['all_pass_ci95'][1]:.4f}",
-            ])
-        _emit(args, buf.getvalue())
-        return 0
+    table = [["class", "exponent", "n", "monobit_rate", "poker_rate",
+              "runs_rate", "long_run_rate", "all_pass_rate", "ci_low",
+              "ci_high"]]
     lines = []
     for row in data["rows"] + [data["overall"]]:
         lo, hi = row["all_pass_ci95"]
+        table.append([row["class"], row["exponent"], row["n"],
+                      *(f"{row[f'{name}_rate']:.4f}" for name in
+                        ("monobit", "poker", "runs", "long_run", "all_pass")),
+                      f"{lo:.4f}", f"{hi:.4f}"])
         lines.append(f"{row['class']:<13} n={row['n']:>5} all-pass "
                      f"{row['all_pass_rate']:.3f} (95% CI {lo:.3f}-{hi:.3f})")
     lines.append(f"reference all-pass rate {data['reference_all_pass_rate']}"
                  f" delta {data['reference_delta']:+.3f}"
                  f"{'  [FLAGGED]' if data['reference_flagged'] else ''}")
-    _emit(args, "\n".join(lines) + "\n")
+    _report(args, spec, data, lines, table)
     return 0
 
 
@@ -462,17 +419,31 @@ def _hex_below(bits: int):
     return parse
 
 
-def _add_spec_arg(p):
-    p.add_argument("--spec", default="default",
-                   help="instance: default, mini, or a spec JSON file")
-
-
 def _add_key_args(p):
     """--key and --key-file, exactly one of them; returns their group."""
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--key", help="key as hex characters")
     group.add_argument("--key-file", help="file holding the hex key")
     return group
+
+
+def _command(sub, name: str, func, help: str, *, f0: bool = False,
+             formats: tuple = (), out_required: bool = False):
+    """Declare subcommand ``name``, run as ``func(args, spec)``: --spec,
+    --f0 if ``f0``, --format if ``formats`` names any besides text (the
+    default), and --out, required if ``out_required``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--spec", default="default",
+                   help="instance: default, mini, or a spec JSON file")
+    if f0:
+        p.add_argument("--f0", type=_hex_below(16),
+                       help="override the spec's initial truth table")
+    if formats:
+        p.add_argument("--format", choices=["text", *formats],
+                       default="text")
+    p.add_argument("--out", required=out_required)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,62 +453,39 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="sample a key from an attack class")
-    _add_spec_arg(p)
-    p.add_argument("--f0", type=_hex_below(16),
-                   help="override the spec's initial truth table")
+    p = _command(sub, "keygen", _cmd_keygen,
+                 "sample a key from an attack class", f0=True,
+                 formats=("json",))
     p.add_argument("--class", dest="key_class", default="any",
                    help="class label from partition (default: any attackable)")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_keygen)
 
-    p = sub.add_parser("keystream", help="write raw keystream bits")
-    _add_spec_arg(p)
+    p = _command(sub, "keystream", _cmd_keystream, "write raw keystream bits",
+                 out_required=True)
     _add_key_args(p)
     p.add_argument("--nbits", type=_int_at_least(0), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_keystream)
 
     for name in ("encrypt", "decrypt"):
-        p = sub.add_parser(name, help=f"{name} a file (XOR keystream)")
-        _add_spec_arg(p)
+        p = _command(sub, name, _cmd_encrypt,
+                     f"{name} a file (XOR keystream)", out_required=True)
         _add_key_args(p)
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_encrypt)
 
-    p = sub.add_parser("spectrum",
-                       help="masked table, Walsh spectra, usable masks, plan")
-    _add_spec_arg(p)
-    p.add_argument("--f0", type=_hex_below(16),
-                   help="override the spec's initial truth table")
+    p = _command(sub, "spectrum", _cmd_spectrum,
+                 "masked table, Walsh spectra, usable masks, plan", f0=True,
+                 formats=("json",))
     p.add_argument("--kprime", type=_hex_below(8), required=True)
     p.add_argument("--p0", type=_probability, default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("classify", help="attack class of one K'")
-    _add_spec_arg(p)
-    p.add_argument("--f0", type=_hex_below(16))
+    p = _command(sub, "classify", _cmd_classify, "attack class of one K'",
+                 f0=True, formats=("json",))
     p.add_argument("--kprime", type=_hex_below(8), required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("partition", help="classify all 256 K' values")
-    _add_spec_arg(p)
-    p.add_argument("--f0", type=_hex_below(16))
-    p.add_argument("--format", choices=["text", "json", "csv"],
-                   default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_partition)
+    _command(sub, "partition", _cmd_partition, "classify all 256 K' values",
+             f0=True, formats=("json", "csv"))
 
-    p = sub.add_parser("attack", help="run the ciphertext-only attack")
-    _add_spec_arg(p)
-    p.add_argument("--f0", type=_hex_below(16))
+    p = _command(sub, "attack", _cmd_attack,
+                 "run the ciphertext-only attack", f0=True)
     p.add_argument("--ciphertext", required=True)
     p.add_argument("--bits", type=_int_at_least(1), default=None,
                    help="bit-precise sample length (default: whole file)")
@@ -553,27 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(0),
                    default=attack.DEFAULT_BUDGET_EXPONENT,
                    help="refuse stages above 2^budget joint states")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("fips", help="FIPS 140-2 battery over 20,000 bits")
-    _add_spec_arg(p)
+    p = _command(sub, "fips", _cmd_fips,
+                 "FIPS 140-2 battery over 20,000 bits", formats=("json",))
     _add_key_args(p).add_argument("--in", dest="infile",
                                   help="file holding the stream's bits")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fips)
 
-    p = sub.add_parser("passrates",
-                       help="FIPS pass rates over sampled keys, by class")
-    _add_spec_arg(p)
+    p = _command(sub, "passrates", _cmd_passrates,
+                 "FIPS pass rates over sampled keys, by class",
+                 formats=("json", "csv"))
     p.add_argument("--keys", type=_int_at_least(randomness.MIN_KEYS),
                    default=1000)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--format", choices=["text", "json", "csv"],
-                   default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_passrates)
 
     return ap
 
@@ -581,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None):
+        if args.out:
             _check_out(args.out)
-        return args.func(args)
+        return args.func(args, _spec_from_args(args))
     except Bsea2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -215,14 +215,15 @@ def fips_battery(stream: np.ndarray) -> FipsResult:
     )
 
 
-def pass_verdicts(spec: InstanceSpec, keys) -> np.ndarray:
-    """(len(keys), 4) bool: the battery's verdicts on each key's stream.
+def pass_verdicts(spec: InstanceSpec, fills, kprimes) -> np.ndarray:
+    """(len(kprimes), 4) bool: the battery's verdicts on the stream of
+    each key, given as split_key's (fills[i], kprimes[i]).
 
     Columns are monobit, poker, runs and long run, as battery_words gives
     them; the keystreams come from one cipher.keystream_words call.
     """
     n = thresholds()["stream_bits"]
-    return battery_words(keystream_words(spec, keys, n), n)["pass"]
+    return battery_words(keystream_words(spec, fills, kprimes, n), n)["pass"]
 
 
 def keystream_for_key(spec: InstanceSpec, key, nbits: int) -> np.ndarray:
@@ -261,24 +262,27 @@ _TESTS = ("monobit", "poker", "runs", "long_run")
 def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int) -> dict:
     """FIPS pass rates over random keys, grouped by attack class.
 
-    Deterministic for a fixed seed. Keys are drawn and scored a chunk at
-    a time, _CHUNK_WORDS words of packed keystream to a chunk, and each
-    chunk's verdicts are tallied in key order.
+    Deterministic for a fixed seed. Keys are drawn, split and scored a
+    chunk at a time, _CHUNK_WORDS words of packed keystream to a chunk,
+    and each chunk's verdicts are tallied in key order.
     """
     if n_keys < MIN_KEYS:
         raise ValueError(f"sample at least {MIN_KEYS} keys for a "
                          f"meaningful rate")
     rng = np.random.default_rng(seed)
     report = partition_keys(spec)
+    row_of = {kprime: row for row in report.rows for kprime in row.kprimes}
     step = max(1, _CHUNK_WORDS // -(-thresholds()["stream_bits"] // 64))
     rows = {}
     overall = {"n": 0, "monobit": 0, "poker": 0, "runs": 0, "long_run": 0,
                "all": 0}
 
     for c in range(0, n_keys, step):
-        keys = [random_key(spec, rng) for _ in range(min(step, n_keys - c))]
-        for key, verdicts in zip(keys, pass_verdicts(spec, keys).tolist()):
-            row = report.row_for(split_key(spec, key)[1])
+        fills, kprimes = zip(*(split_key(spec, random_key(spec, rng))
+                               for _ in range(min(step, n_keys - c))))
+        for kprime, verdicts in zip(
+                kprimes, pass_verdicts(spec, fills, kprimes).tolist()):
+            row = row_of[kprime]
             cell = rows.setdefault(row.label, {
                 "exponent": row.exponent, "n": 0, "monobit": 0, "poker": 0,
                 "runs": 0, "long_run": 0, "all": 0})

@@ -261,7 +261,8 @@ class TestScoreStage:
                                 {r: fills[r] for r in stage.known}, 0x98)
             (target,) = stage.targets
             assert board.entries[0][0] == fills[target]
-            assert 0 not in board.fills() and len(board.entries) == 10
+            assert 0 not in [f for f, _ in board.entries]
+            assert len(board.entries) == 10
 
     def test_zero_parts_excluded_in_every_block(self, monkeypatch):
         # targets R0 (joint bits 0-6) and R1 (7-15); 2^6 blocks put all of
@@ -279,7 +280,7 @@ class TestScoreStage:
             for bits in (24, 10, 6):
                 monkeypatch.setattr(attack, "_BLOCK_BITS", bits)
                 boards.append(score_stage(sample, stage, {}, 0x02, k=k))
-            assert sorted(boards[0].fills()) == possible
+            assert sorted(f for f, _ in boards[0].entries) == possible
             assert (boards[0].entries == boards[1].entries
                     == boards[2].entries)
 

@@ -226,15 +226,15 @@ class TestKeystreamWords:
         keys = [random_key(spec, rng) for _ in range(3)]
         # two keys of one K' take one combine_outputs call
         keys.append(random_key(spec, rng, kprime=split_key(spec, keys[0])[1]))
-        got = keystream_words(spec, keys, n)
+        fills, kprimes = zip(*(split_key(spec, key) for key in keys))
+        got = keystream_words(spec, fills, kprimes, n)
         want = [pack_words(np.array(scalar_keystream(spec, key, n), np.uint8))
                 for key in keys]
         assert np.array_equal(got, np.stack(want))   # tail bits 0 too
 
     def test_degenerate_key_rejected(self):
-        key = assemble_key(MINI_SPEC, [5, 0, 17, 33], 0x12)
         with pytest.raises(DegenerateKey):
-            keystream_words(MINI_SPEC, [key], 64)
+            keystream_words(MINI_SPEC, [(5, 0, 17, 33)], [0x12], 64)
 
 
 class TestEncrypt:

@@ -11,6 +11,7 @@ from bsea2.classifier import (REFERENCE_PARTITIONS, _schedule,
                               report_to_json_dict, spectrum_report)
 from bsea2.errors import Unattackable
 from bsea2.lfsr import make_polynomial
+from bsea2.plaintext import DEFAULT_MODEL
 from oracles import oracle_plan
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
@@ -62,7 +63,7 @@ class TestPlanAttack:
         # chi = +8, so R0 falls after R2 and the class is 2^37
         plan = plan_attack(SPEC_953F, 0xD9)
         assert plan.max_exponent == 37
-        assert plan.masks == (1, 2, 4, 10)
+        assert [st.mask for st in plan.stages] == [1, 2, 4, 10]
         assert [sorted(st.targets) for st in plan.stages] == [[3], [2], [1], [0]]
 
     def test_strong_instance_needs_joint_stage(self):
@@ -314,18 +315,18 @@ class TestCosets:
 
 class TestSpectrumReport:
     def test_documented_pair_exact(self):
-        report = spectrum_report(SPEC_953F, 0xD9)
+        report = spectrum_report(SPEC_953F, 0xD9, DEFAULT_MODEL)
         assert report["f"] == "0x4CE6"
         assert report["walsh_f"] == [0, 0, 8, 8, 0, 0, 0, 0,
                                      -4, 4, -4, 4, 4, -4, -4, 4]
 
     def test_published_exemplar_row(self):
-        report = spectrum_report(DEFAULT_SPEC, 0x2C)
+        report = spectrum_report(DEFAULT_SPEC, 0x2C, DEFAULT_MODEL)
         assert report["walsh_f"] == [-4, 4, 4, -4, -4, -4, 4, 4,
                                      8, 0, 8, 0, 0, 0, 0, 0]
 
     def test_zero_kprime_is_identity(self):
-        report = spectrum_report(DEFAULT_SPEC, 0x00)
+        report = spectrum_report(DEFAULT_SPEC, 0x00, DEFAULT_MODEL)
         assert report["f"] == "0x93A0"
 
     def test_pprime_uses_supplied_model(self):
@@ -335,6 +336,6 @@ class TestSpectrumReport:
         assert strong and strong[0]["p_prime"] == pytest.approx(0.525)
 
     def test_unattackable_reported_not_raised(self):
-        report = spectrum_report(SPEC_ZERO, 0x00)
+        report = spectrum_report(SPEC_ZERO, 0x00, DEFAULT_MODEL)
         assert report["plan"] is None
         assert report["error"]["uncovered"] == [1, 2, 3]

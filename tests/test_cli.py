@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsea2 import attack, randomness
-from bsea2.cli import main
+from bsea2.cli import build_parser, main
 from bsea2.cipher import MINI_SPEC, key_setup, encrypt, random_key
 from bsea2.bits import bits_to_bytes
 from bsea2.classifier import partition_keys
@@ -564,3 +564,65 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+#: Every subcommand's options as (flag, dest, required, default, choices)
+#: and its mutually exclusive groups as (required, dests), so that no
+#: option is dropped, added or re-defaulted unnoticed; help text and
+#: option order are not part of it
+SPEC = ("--spec", "spec", False, "default", None)
+F0 = ("--f0", "f0", False, None, None)
+OUT = ("--out", "out", False, None, None)
+OUT_REQUIRED = ("--out", "out", True, None, None)
+KEY = ("--key", "key", False, None, None)
+KEY_FILE = ("--key-file", "key_file", False, None, None)
+TEXT_JSON = ("--format", "format", False, "text", ("text", "json"))
+TEXT_JSON_CSV = ("--format", "format", False, "text", ("text", "json", "csv"))
+KPRIME = ("--kprime", "kprime", True, None, None)
+SEED = ("--seed", "seed", True, None, None)
+KEY_GROUP = (True, ("key", "key_file"))
+CRYPT = ({SPEC, KEY, KEY_FILE, ("--in", "infile", True, None, None),
+          OUT_REQUIRED}, {KEY_GROUP})
+SURFACE = {
+    "keygen": ({SPEC, F0, ("--class", "key_class", False, "any", None), SEED,
+                TEXT_JSON, OUT}, set()),
+    "keystream": ({SPEC, KEY, KEY_FILE,
+                   ("--nbits", "nbits", True, None, None), OUT_REQUIRED},
+                  {KEY_GROUP}),
+    "encrypt": CRYPT,
+    "decrypt": CRYPT,
+    "spectrum": ({SPEC, F0, KPRIME, ("--p0", "p0", False, None, None),
+                  TEXT_JSON, OUT}, set()),
+    "classify": ({SPEC, F0, KPRIME, TEXT_JSON, OUT}, set()),
+    "partition": ({SPEC, F0, TEXT_JSON_CSV, OUT}, set()),
+    "attack": ({SPEC, F0, ("--ciphertext", "ciphertext", True, None, None),
+                ("--bits", "bits", False, None, None),
+                ("--p0", "p0", False, None, None),
+                ("--corpus", "corpus", False, None, None),
+                ("--kprime", "kprime", False, None, None),
+                ("--exhaustive", "exhaustive", False, False, None),
+                ("--retention", "retention", False, 10, None),
+                ("--budget", "budget", False, 32, None), OUT},
+               {(False, ("p0", "corpus"))}),
+    "fips": ({SPEC, KEY, KEY_FILE, ("--in", "infile", False, None, None),
+              TEXT_JSON, OUT}, {(True, ("key", "key_file", "infile"))}),
+    "passrates": ({SPEC, ("--keys", "keys", False, 1000, None), SEED,
+                   TEXT_JSON_CSV, OUT}, set()),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = build_parser()
+    assert [(a.option_strings, a.dest) for a in parser._actions] == [
+        (["-h", "--help"], "help"), (["--version"], "version"),
+        ([], "command")]
+    commands = parser._actions[-1].choices
+    surface = {}
+    for name, sub in commands.items():
+        options = {(*a.option_strings, a.dest, a.required, a.default,
+                    None if a.choices is None else tuple(a.choices))
+                   for a in sub._actions if a.dest != "help"}
+        groups = {(g.required, tuple(a.dest for a in g._group_actions))
+                  for g in sub._mutually_exclusive_groups}
+        surface[name] = (options, groups)
+    assert surface == SURFACE

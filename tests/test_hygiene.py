@@ -2,16 +2,29 @@
 
 Every name a module imports is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
-package. A deletion then cannot leave an import or a helper behind. An
-import line marked ``noqa`` (a re-export) is exempt.
+package. A public one is too, unless OUTSIDE_READERS names the file
+outside the package that reads it. A deletion then cannot leave an
+import, a helper or an API with no caller behind. An import line marked
+``noqa`` (a re-export) is exempt.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bsea2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bsea2"
 MODULES = sorted(SRC.glob("*.py"))
+
+#: The public names no module of the package reads, each with the file
+#: that reads it and so keeps it
+OUTSIDE_READERS = {
+    "kernels.HAVE_CORE": "perfbench/worker.py",
+    "randomness.keystream_for_key": "perfbench/workloads.py",
+    "plaintext.KNOWN_KEYSTREAM_MODEL": "perfbench/workloads.py",
+    "boolfn.is_bent": "tests/test_acceptance.py",       # criterion 2
+    "cipher.decrypt": "tests/test_acceptance.py",       # criterion 6
+}
 
 
 def _parse(path):
@@ -44,7 +57,8 @@ def test_every_import_is_used(path):
     assert unused == {}, f"{path.name}: imported but never used: {unused}"
 
 
-def _private_definitions(tree):
+def _definitions(tree):
+    """(name, line) of each module-level function, class or constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -55,13 +69,31 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node.lineno
 
 
-def test_every_private_definition_is_referenced():
-    trees = {path.name: _parse(path)[1] for path in MODULES}
+def _unread_definitions():
+    """(module, line, name) of each definition no module reads."""
+    trees = {path.stem: _parse(path)[1] for path in MODULES}
     used = {name for tree in trees.values() for name in _loaded_names(tree)}
-    dead = [f"{module}:{line} {name}" for module, tree in trees.items()
-            for name, line in _private_definitions(tree) if name not in used]
+    return [(module, line, name) for module, tree in trees.items()
+            for name, line in _definitions(tree) if name not in used]
+
+
+def test_every_private_definition_is_referenced():
+    dead = [f"{module}.py:{line} {name}"
+            for module, line, name in _unread_definitions()
+            if name.startswith("_")]
     assert dead == [], f"defined but referenced nowhere in src: {dead}"
+
+
+def test_every_public_definition_has_a_reader():
+    unread = {f"{module}.{name}" for module, _, name in _unread_definitions()
+              if not name.startswith("_")}
+    assert unread == set(OUTSIDE_READERS), (
+        "public names src never reads, against the outside readers listed")
+    for qualified, reader in OUTSIDE_READERS.items():
+        name = qualified.split(".")[1]
+        assert name in set(_loaded_names(_parse(ROOT / reader)[1])), (
+            f"{reader} does not read {qualified}")

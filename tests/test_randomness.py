@@ -257,7 +257,8 @@ def test_batched_verdicts_match_oracle(spec):
     rng = np.random.default_rng(23)
     kprimes = [balanced[0], unbalanced[5], balanced[40], balanced[0]]
     keys = [random_key(spec, rng, kprime=k) for k in kprimes]
-    got = pass_verdicts(spec, keys)
+    got = pass_verdicts(spec, [split_key(spec, key)[0] for key in keys],
+                        kprimes)
     assert got.shape == (4, 4)
     for key, verdicts in zip(keys, got.tolist()):
         assert verdicts == oracle_verdicts(scalar_keystream(spec, key, N))
@@ -291,10 +292,11 @@ def test_unbalanced_combiner_never_passes_monobit():
     balanced = balanced_kprimes(DEFAULT_SPEC)
     rng = np.random.default_rng(1017)      # the keys of the batch below
     keys = [random_key(DEFAULT_SPEC, rng) for _ in range(1000)]
-    monobit = np.concatenate([pass_verdicts(DEFAULT_SPEC, keys[i:i + 100])
-                              for i in range(0, 1000, 100)])[:, 0]
-    is_balanced = np.array([split_key(DEFAULT_SPEC, key)[1] in balanced
-                            for key in keys])
+    fills, kprimes = zip(*(split_key(DEFAULT_SPEC, key) for key in keys))
+    monobit = np.concatenate([
+        pass_verdicts(DEFAULT_SPEC, fills[i:i + 100], kprimes[i:i + 100])
+        for i in range(0, 1000, 100)])[:, 0]
+    is_balanced = np.array([kprime in balanced for kprime in kprimes])
     assert not monobit[~is_balanced].any()
     data = batch_pass_rates(DEFAULT_SPEC, 1000, seed=1017)
     assert data["overall"]["monobit_rate"] == monobit.mean()
