@@ -31,13 +31,15 @@ data bits depend on K' only through the complement bit s (_complement),
 so its top-k list is keyed on the mask, the targets, the consumed known
 fills and s; the instances of the all-256 search that share a stage
 score it once. For the same reason the beam after a plan's first j
-stages depends only on their (mask, targets, s): each beam prefix is
-built once per class of the search (one exponent tier) and kept until
-the next class starts. Instances whose whole beams are equal differ only
-in the combiner table, so the first of them validates the beam for all:
-each chunk of word rows is gathered once and goes through the
-multiplexer tree of each K'. The cache also holds each (register, fill)
-sequence that validation needs, packed into uint64 words.
+stages depends only on their (mask, targets, s), so the plans of one
+exponent class form a tree of those stage keys. The first run_plan of a
+class walks that tree depth first (_walk): each node's beam is grown
+once, only the beams on the current path are held, and each leaf's beam
+is validated once for all of its K' (each chunk of word rows is
+gathered once and goes through the multiplexer tree of each K'). Every
+K''s outcome waits in the cache until its own run_plan takes it. The
+cache also holds each (register, fill) sequence that validation needs,
+packed into uint64 words.
 """
 import math
 from dataclasses import dataclass, field
@@ -329,20 +331,9 @@ _NO_BEAM = _Beam(columns=(np.zeros(1, dtype=np.int64),) * 4,
                  slots=np.zeros((1, 4), dtype=np.intp), log=())
 
 
-@dataclass(frozen=True)
-class _Validated:
-    """A whole plan's outcome for one K', validated with a peer's beam:
-    the stage log's K'-free part and the fill rows that passed (in beam
-    order) with their decrypted zero counts."""
-
-    log: tuple
-    fills: np.ndarray
-    zeros: np.ndarray
-
-
 class _RunCache:
-    """What the instances of one search share: stage top-k lists, beam
-    prefixes, validations and packed register sequences.
+    """What the instances of one search share: stage top-k lists, results
+    and packed register sequences.
 
     It belongs to one sample and one retention k: run_parallel_instances
     hands one to every run_plan, and a run_plan called alone builds its
@@ -356,14 +347,12 @@ class _RunCache:
     _judge's float test is monotone on each side of p0, so it passes
     exactly the counts from lo to hi.
 
-    With the sample and k, a plan's stage keys (stage_keys) fix its beam
-    after each stage, and K' enters only validation. A tier (one exponent
-    class) keeps every proper beam prefix its runs build in ``beams``, a
-    _Beam each, and a run starts from the deepest one kept; expect()
-    drops them when the next tier starts. Plans with equal stage keys
-    (``groups``) share their whole beam: the first of them validates it
-    for every K' of the group at once, and each other K' finds its
-    outcome in ``validated``, a _Validated each. No whole beam is kept.
+    ``tier`` holds the plans of the class the search is in, those whose
+    beams fit _MAX_CANDIDATES. The first run_plan of one of them walks
+    them all (_walk), and ``results`` holds each K''s outcome until its
+    run_plan takes it: arrays of the fills and zero counts that passed,
+    not a RunResult, whose key objects would be held for the whole class
+    at once.
     """
 
     def __init__(self, sample: CiphertextSample):
@@ -377,36 +366,11 @@ class _RunCache:
         self.boards = {}
         self.words = [self._no_words()] * 4
         self.rows = [{} for _ in range(4)]
-        self.beams = {}
-        self.groups = {}
-        self.validated = {}
+        self.tier = ()
+        self.results = {}
 
     def _no_words(self) -> np.ndarray:
         return np.empty((0, self.ct.size), dtype=np.uint64)
-
-    def stage_keys(self, plan: AttackPlan) -> tuple:
-        """(mask, targets, s) of each stage, s its _complement bit; a
-        prefix of them is the key of the beam after those stages."""
-        return tuple((st.mask, st.targets, _complement(st, self.sample.model))
-                     for st in plan.stages)
-
-    def expect(self, plans) -> None:
-        """Note the plans one tier runs: each joins the group of its stage
-        keys. The prefixes an earlier tier kept are dropped."""
-        self.beams.clear()
-        for plan in plans:
-            self.groups.setdefault(self.stage_keys(plan), []).append(
-                plan.kprime)
-
-    def start(self, kprime: int, keys: tuple):
-        """What a run of K' with these stage keys starts from: its
-        _Validated outcome, else the deepest kept _Beam prefix, else
-        _NO_BEAM."""
-        done = self.validated.pop((kprime, keys), None)
-        if done is not None:
-            return done
-        return next((self.beams[keys[:j]] for j in range(len(keys), 0, -1)
-                     if keys[:j] in self.beams), _NO_BEAM)
 
     def register_words(self, r: int, fills: list):
         """(store, rows): store[rows[i]] is the packed output sequence of
@@ -547,6 +511,19 @@ class RunResult:
     transcript: dict = field(repr=False)
 
 
+def _beam_size(spec: InstanceSpec, plan: AttackPlan, k: int) -> int:
+    """The product of min(k, possible fills) over the plan's stages: the
+    size of its beam, or of the beam after the first stage that takes it
+    past _MAX_CANDIDATES."""
+    size = 1
+    for st in plan.stages:
+        size *= min(k, math.prod((1 << spec.degrees[r]) - 1
+                                 for r in st.targets))
+        if size > _MAX_CANDIDATES:
+            break
+    return size
+
+
 def run_plan(sample: CiphertextSample, plan: AttackPlan,
              k: int = DEFAULT_RETENTION,
              budget: int = DEFAULT_BUDGET_EXPONENT,
@@ -562,53 +539,36 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     parent row is repeated once per retained fill of its scoring and the
     target columns are assigned (_grow). Before any stage is scored, every
     stage is checked against the budget, then the size the beam will have
-    after each stage, the product of min(k, possible fills) over the
-    stages so far, against _MAX_CANDIDATES. The final beam is validated in
-    bit-sliced passes that stop counting a candidate once it cannot pass
-    (_validate_assignments).
+    after each stage against _MAX_CANDIDATES (_beam_size). The final beam
+    is validated in bit-sliced passes that stop counting a candidate once
+    it cannot pass (_validate_assignments).
 
     ``cache`` is the run cache of a search over several instances of the
-    same sample and k; without one the run builds its own. A run starts
-    from what the cache holds for its stage keys (_RunCache.start): the
-    stages a kept prefix or a peer's validation already ran are not run
-    again, and only their K'-dependent log fields are new.
+    same sample and k; without one the run builds its own. The first run
+    of a plan in the cache's tier walks the whole tier (_walk), a plan
+    outside it is walked as a tier of one, and the run takes its K''s
+    outcome from the cache. ``progress`` gets each stage's transcript
+    entry once the walk is done.
     """
     if cache is None:
         cache = _RunCache(sample)
     kprime = plan.kprime
     spec = sample.spec
-    n = sample.bits.size
     for st in plan.stages:
         if st.exponent > budget:
             raise StageTooLarge(
                 f"plan stage needs 2^{st.exponent} joint states, budget is "
                 f"2^{budget}; raise --budget or attack a smaller instance")
-    size = 1
-    for st in plan.stages:
-        size *= min(k, math.prod((1 << spec.degrees[r]) - 1
-                                 for r in st.targets))
-        if size > _MAX_CANDIDATES:
-            raise BeamTooLarge(
-                f"beam grew to {size} candidates; lower the "
-                f"retention k (currently {k})")
-
-    keys = cache.stage_keys(plan)
-    memo = cache.start(kprime, keys)
-    log = list(memo.log)
-    beam = memo
-    assigned = []
-    stage_log = []
-    for j, stage in enumerate(plan.stages):
-        if j == len(log):
-            columns, slots, entry = _grow(cache, stage, beam, assigned,
-                                          kprime, k, budget)
-            log.append(entry)
-            beam = _Beam(columns, slots, tuple(log))
-            if j + 1 < len(keys):
-                cache.beams[keys[:j + 1]] = beam
-        assigned += sorted(stage.targets)
-        scorings, retained = log[j]
-        stage_log.append({
+    size = _beam_size(spec, plan, k)
+    if size > _MAX_CANDIDATES:
+        raise BeamTooLarge(f"beam grew to {size} candidates; lower the "
+                           f"retention k (currently {k})")
+    if kprime not in cache.results:
+        _walk(cache, cache.tier if plan in cache.tier else (plan,), _NO_BEAM,
+              k, budget)
+    log, fills, zeros = cache.results.pop(kprime)
+    stage_log = [
+        {
             "mask": stage.mask,
             "targets": sorted(stage.targets),
             "known": sorted(stage.known),
@@ -617,27 +577,13 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             "complement": stage.complement,
             "scorings": scorings,
             "retained": retained,
-        })
-        if progress is not None:
-            progress(stage_log[-1])
-
-    if isinstance(memo, _Validated):
-        fills, zeros = memo.fills, memo.zeros
-    else:
-        # the first K' of a group validates the beam for the whole group
-        group = [kprime] + [kp for kp in cache.groups.pop(keys, ())
-                            if kp != kprime]
-        results = _validate_assignments(cache, beam.columns, beam.slots,
-                                        group)
-        for kp, (zs, passed) in zip(group, results):
-            rows = np.stack([col[beam.slots[passed, r]]
-                             for r, col in enumerate(beam.columns)], axis=1)
-            if kp == kprime:
-                fills, zeros = rows, zs[passed]
-            else:
-                cache.validated[kp, keys] = _Validated(tuple(log), rows,
-                                                       zs[passed])
-    z = _judge(zeros, n, sample.model.p0)[0]
+        }
+        for stage, (scorings, retained) in zip(plan.stages, log)
+    ]
+    if progress is not None:
+        for entry in stage_log:
+            progress(entry)
+    z = _judge(zeros, sample.bits.size, sample.model.p0)[0]
     order = np.lexsort(tuple(fills[:, r] for r in (3, 2, 1, 0)) + (z,))
     candidates = []
     for rank, i in enumerate(order, start=1):
@@ -648,7 +594,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
             validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]))))
     transcript = {
         "kprime": hex_byte(kprime),
-        "plan": plan_to_dict(plan, spec.degrees),
+        "plan": plan_to_dict(plan),
         "stages": stage_log,
         "beam_size": size,
         "validated": len(candidates),
@@ -671,16 +617,53 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     return RunResult(candidates=tuple(candidates), transcript=transcript)
 
 
-def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
-          kprime: int, k: int, budget: int):
-    """(columns, slots, (scorings, retained)) of the beam after ``stage``.
+def _walk(cache: _RunCache, plans, beam: _Beam, k: int, budget: int) -> None:
+    """Leave the outcome of each plan in cache.results: the stage log's
+    K'-free part, and the fill rows (in beam order) that pass validation
+    for its K' with their decrypted zero counts. The plans share their
+    first len(beam.log) stage keys (mask, targets, s), and ``beam`` is
+    the beam after those stages.
 
-    The parents are the distinct rows of the consumed columns already
-    ``assigned``; the boards of those the cache lacks are scored in one
-    score_stage call. A target's new column is the distinct values of its
-    part of the retained fills, so no column ever holds a fill twice.
+    The plans that have further stages are grouped by the key of the next
+    one, in order of first plan; each group's beam is grown once, by its
+    first plan, and walked in turn, so only the beams on the current path
+    are held. ``beam`` is the whole beam of the plans that have no further
+    stage, and it is validated once for all their K'.
+    """
+    depth = len(beam.log)
+    groups = {}
+    for plan in plans:
+        if len(plan.stages) > depth:
+            st = plan.stages[depth]
+            key = (st.mask, st.targets, _complement(st, cache.sample.model))
+            groups.setdefault(key, []).append(plan)
+    for group in groups.values():
+        _walk(cache, group, _grow(cache, group[0], beam, k, budget), k,
+              budget)
+    ends = [plan for plan in plans if len(plan.stages) == depth]
+    if ends:
+        outcomes = _validate_assignments(cache, beam.columns, beam.slots,
+                                         [plan.kprime for plan in ends])
+        for plan, (zeros, passed) in zip(ends, outcomes):
+            fills = np.stack([col[beam.slots[passed, r]]
+                              for r, col in enumerate(beam.columns)], axis=1)
+            cache.results[plan.kprime] = beam.log, fills, zeros[passed]
+
+
+def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
+          budget: int) -> _Beam:
+    """The beam after the plan's next stage, which ``beam`` has not run.
+
+    The parents are the distinct rows of the consumed columns that an
+    earlier stage assigned; the boards of those the cache lacks are
+    scored in one score_stage call. A target's new column is the distinct
+    values of its part of the retained fills, so no column ever holds a
+    fill twice.
     """
     sample = cache.sample
+    stage = plan.stages[len(beam.log)]
+    assigned = set().union(*(st.targets
+                             for st in plan.stages[:len(beam.log)]))
     slots = beam.slots
     cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
             if r in assigned]
@@ -701,7 +684,7 @@ def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
     misses = [i for i, key in enumerate(keys) if key not in cache.boards]
     if misses:
         scored = score_stage(sample, stage, [parents[i] for i in misses],
-                             kprime, k=k, budget=budget)
+                             plan.kprime, k=k, budget=budget)
         for i, board in zip(misses, scored):
             cache.boards[keys[i]] = np.array(board.entries, dtype=np.int64
                                              ).reshape(-1, 2)
@@ -715,7 +698,8 @@ def _grow(cache: _RunCache, stage: AttackStage, beam: _Beam, assigned: list,
         slots[:, r] = slot.reshape(part.shape)[pick].ravel()
     retained = [{"fill": fill_hex(fill, stage.exponent), "score": score}
                 for fill, score in boards[0].tolist()]
-    return tuple(columns), slots, (len(boards), retained)
+    return _Beam(tuple(columns), slots,
+                 beam.log + ((len(boards), retained),))
 
 
 @dataclass(frozen=True)
@@ -761,7 +745,9 @@ def run_parallel_instances(sample: CiphertextSample,
             for kp in row.kprimes:
                 statuses[kp] = InstanceStatus(kp, row.exponent, skip)
             continue
-        cache.expect([report.plans[kp] for kp in row.kprimes])
+        cache.tier = [report.plans[kp] for kp in row.kprimes
+                      if _beam_size(sample.spec, report.plans[kp], k)
+                      <= _MAX_CANDIDATES]
         for kp in row.kprimes:
             attempt += 1
             try:

@@ -185,8 +185,9 @@ def assemble_key(spec: InstanceSpec, fills, kprime: int) -> SecretKey:
     return SecretKey((int(bits, 2) << 8) | (kprime & 0xFF), spec.key_bits)
 
 
-def random_key(spec: InstanceSpec, rng, kprime: int | None = None) -> SecretKey:
-    """Uniform key with non-zero register fills (resampled if degenerate)."""
+def draw_key(spec: InstanceSpec, rng, kprime: int | None = None):
+    """(fills, kprime), as split_key gives them, of a uniform key with
+    non-zero register fills (resampled if degenerate)."""
     fills = []
     for deg in spec.degrees:
         fill = 0
@@ -195,7 +196,12 @@ def random_key(spec: InstanceSpec, rng, kprime: int | None = None) -> SecretKey:
         fills.append(fill)
     if kprime is None:
         kprime = int(rng.integers(0, 256))
-    return assemble_key(spec, fills, kprime)
+    return tuple(fills), kprime
+
+
+def random_key(spec: InstanceSpec, rng, kprime: int | None = None) -> SecretKey:
+    """The key of draw_key's draws."""
+    return assemble_key(spec, *draw_key(spec, rng, kprime))
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def attackable_kprimes(spec: InstanceSpec) -> tuple:
                  for k in row.kprimes)
 
 
-def plan_to_dict(plan: AttackPlan, degrees) -> dict:
+def plan_to_dict(plan: AttackPlan) -> dict:
     return {
         "kprime": hex_byte(plan.kprime),
         "max_exponent": plan.max_exponent,
@@ -303,7 +303,7 @@ def spectrum_report(spec: InstanceSpec, kprime: int,
             "p_prime": combine_bias(p, model.p0),
         })
     try:
-        plan = plan_to_dict(plan_attack(spec, kprime), spec.degrees)
+        plan = plan_to_dict(plan_attack(spec, kprime))
         error = None
     except Unattackable as exc:
         plan = None

@@ -221,8 +221,8 @@ def _cmd_classify(args, spec: InstanceSpec) -> int:
         "kprime": hex_byte(kprime),
         "class": row.label,
         "exponent": row.exponent,
-        "plan": (classifier.plan_to_dict(plan, spec.degrees)
-                 if plan is not None else None),
+        "plan": (classifier.plan_to_dict(plan) if plan is not None
+                 else None),
     }
     comp = f"2^{row.exponent}" if row.exponent is not None else "none"
     _report(args, spec, payload, [f"K' {hex_byte(kprime)}: class {row.label} "
@@ -492,10 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     model = p.add_mutually_exclusive_group()
     model.add_argument("--p0", type=_probability, default=None)
     model.add_argument("--corpus", help="estimate p0 from this byte corpus")
-    p.add_argument("--kprime", type=_hex_below(8), default=None,
-                   help="attack a single K' instance (default: all 256)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="do not stop at the first successful tier")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--kprime", type=_hex_below(8), default=None,
+                      help="attack a single K' instance (default: all 256)")
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="do not stop at the first successful tier")
     p.add_argument("--retention", type=_int_at_least(1),
                    default=attack.DEFAULT_RETENTION)
     p.add_argument("--budget", type=_int_at_least(0),

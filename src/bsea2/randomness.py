@@ -25,8 +25,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .bits import pack_words
-from .cipher import (InstanceSpec, key_setup, keystream, keystream_words,
-                     random_key, split_key)
+from .cipher import (InstanceSpec, draw_key, key_setup, keystream,
+                     keystream_words)
 from .classifier import partition_keys
 from .errors import InvalidBits, WrongLength
 
@@ -262,54 +262,47 @@ _TESTS = ("monobit", "poker", "runs", "long_run")
 def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int) -> dict:
     """FIPS pass rates over random keys, grouped by attack class.
 
-    Deterministic for a fixed seed. Keys are drawn, split and scored a
-    chunk at a time, _CHUNK_WORDS words of packed keystream to a chunk,
-    and each chunk's verdicts are tallied in key order.
+    Deterministic for a fixed seed. Keys are drawn (cipher.draw_key) and
+    scored a chunk at a time, _CHUNK_WORDS words of packed keystream to a
+    chunk, and each chunk's verdicts are added to one integer array: a
+    row per class of the partition, the columns n, one per _TESTS entry
+    and all.
     """
     if n_keys < MIN_KEYS:
         raise ValueError(f"sample at least {MIN_KEYS} keys for a "
                          f"meaningful rate")
     rng = np.random.default_rng(seed)
     report = partition_keys(spec)
-    row_of = {kprime: row for row in report.rows for kprime in row.kprimes}
+    row_of = {kprime: i for i, row in enumerate(report.rows)
+              for kprime in row.kprimes}
     step = max(1, _CHUNK_WORDS // -(-thresholds()["stream_bits"] // 64))
-    rows = {}
-    overall = {"n": 0, "monobit": 0, "poker": 0, "runs": 0, "long_run": 0,
-               "all": 0}
-
+    tally = np.zeros((len(report.rows), 2 + len(_TESTS)), dtype=np.int64)
     for c in range(0, n_keys, step):
-        fills, kprimes = zip(*(split_key(spec, random_key(spec, rng))
+        fills, kprimes = zip(*(draw_key(spec, rng)
                                for _ in range(min(step, n_keys - c))))
-        for kprime, verdicts in zip(
-                kprimes, pass_verdicts(spec, fills, kprimes).tolist()):
-            row = row_of[kprime]
-            cell = rows.setdefault(row.label, {
-                "exponent": row.exponent, "n": 0, "monobit": 0, "poker": 0,
-                "runs": 0, "long_run": 0, "all": 0})
-            for tally in (cell, overall):
-                tally["n"] += 1
-                for name, ok in zip(_TESTS, verdicts):
-                    tally[name] += ok
-                tally["all"] += all(verdicts)
+        verdicts = pass_verdicts(spec, fills, kprimes)
+        np.add.at(tally, [row_of[kp] for kp in kprimes],
+                  np.column_stack([np.ones(len(kprimes), dtype=np.int64),
+                                   verdicts, verdicts.all(axis=1)]))
 
-    def render(tally, label, exponent=None):
-        n = tally["n"]
-        lo, hi = wilson_interval(tally["all"], n)
+    def render(counts, label, exponent=None):
+        n, *passes, every = counts
+        lo, hi = wilson_interval(every, n)
         return {
             "class": label,
             "exponent": exponent,
             "n": n,
-            "monobit_rate": tally["monobit"] / n,
-            "poker_rate": tally["poker"] / n,
-            "runs_rate": tally["runs"] / n,
-            "long_run_rate": tally["long_run"] / n,
-            "all_pass_rate": tally["all"] / n,
+            **{f"{name}_rate": k / n for name, k in zip(_TESTS, passes)},
+            "all_pass_rate": every / n,
             "all_pass_ci95": [lo, hi],
         }
 
-    class_rows = [render(rows[label], label, rows[label]["exponent"])
-                  for label in sorted(rows)]
-    overall_row = render(overall, "overall")
+    sampled = {row.label: (row.exponent, counts)
+               for row, counts in zip(report.rows, tally.tolist())
+               if counts[0]}
+    class_rows = [render(counts, label, exponent)
+                  for label, (exponent, counts) in sorted(sampled.items())]
+    overall_row = render(tally.sum(axis=0).tolist(), "overall")
     rate = overall_row["all_pass_rate"]
     data = {
         "seed": seed,
@@ -322,7 +315,7 @@ def batch_pass_rates(spec: InstanceSpec, n_keys: int, seed: int) -> dict:
         "reference_flagged": abs(rate - REFERENCE_ALL_PASS_RATE)
         > REFERENCE_FLAG_MARGIN,
     }
-    missing = [row.label for row in report.rows if row.label not in rows]
+    missing = [row.label for row in report.rows if row.label not in sampled]
     if missing:
         data["omitted_classes"] = {
             "labels": missing,

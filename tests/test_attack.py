@@ -1,7 +1,6 @@
 import gc
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -827,23 +826,25 @@ class TestRunParallelInstances:
         assert any(s.status == "empty_beam" for s in result.statuses)
 
     def test_failed_instances_leave_no_garbage(self):
+        # a search and a lone run_plan leave no reference cycle: neither
         # an EmptyBeam kept in a run_plan frame local, whose traceback
-        # holds that frame, is a reference cycle: the failed run's frame
-        # and beam arrays then live until the cyclic collector runs
+        # holds that frame, nor a walk that refers to itself through a
+        # closure, either of which keeps frames and beam arrays alive
+        # until the cyclic collector runs
         rng = np.random.default_rng(82)
         bits = rng.integers(0, 2, 768).astype(np.uint8)
         sample = CiphertextSample(bits=bits, model=PlaintextModel(0.95),
                                   spec=MINI_SPEC)
+        plan = plan_attack(MINI_SPEC, attackable_kprimes(MINI_SPEC)[0])
         gc.collect()
         flags = gc.get_debug()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             result = run_parallel_instances(sample, k=3, budget=16)
+            with pytest.raises(EmptyBeam):
+                run_plan(sample, plan, k=3, budget=16)
             gc.collect()
-            left = [o for o in gc.garbage
-                    if isinstance(o, EmptyBeam)
-                    or (isinstance(o, types.FrameType)
-                        and o.f_code.co_name == "run_plan")]
+            left = [type(o).__name__ for o in gc.garbage]
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()
@@ -931,9 +932,10 @@ def defaults_sample(make_sample):
 
 
 class TestSharedRunCache:
-    """The all-256 search scores each shared stage once, builds each beam
-    prefix once and validates each beam once for all K'; it must give
-    what attacking every instance on its own gives."""
+    """The all-256 search scores each shared stage once, grows each node
+    of a tier's tree of stage keys once and validates each leaf's beam
+    once for all its K'; it must give what attacking every instance on
+    its own gives."""
 
     @staticmethod
     def assert_search_equals_standalone(sample, key, k, budget,
@@ -975,8 +977,9 @@ class TestSharedRunCache:
 
     def test_retention_10_search_equals_standalone_plans(self, make_sample):
         # the CLI's retention and sample length, every tier up to C3:
-        # depth-3 prefixes of up to 10^3 candidates are kept and reused,
-        # and beams of 10^4 are validated for up to 5 K' at once
+        # depth-3 beams of up to 10^3 candidates are grown once for every
+        # plan below them, and beams of 10^4 are validated for up to 5 K'
+        # at once
         key, sample = defaults_sample(make_sample)
         self.assert_search_equals_standalone(sample, key, 10, 22, False)
 
@@ -992,10 +995,10 @@ class TestSharedRunCache:
     def test_work_counts_of_the_defaults_search(self, make_sample,
                                                 monkeypatch):
         # one run_plan per attempted instance; the 52 score_stage calls
-        # this search made before beams were shared; 160 beam prefixes,
-        # each built once and read from the cache after that (768 if every
-        # instance built its own four); one validation per distinct beam
-        # of the 192 C0 plans
+        # this search made before beams were shared; 160 _grow calls, one
+        # per node of the tier's tree of stage keys (768 if every instance
+        # built its own four beams); one validation per leaf, that is per
+        # distinct whole beam of the 192 C0 plans
         calls = {}
 
         def spy(name):
@@ -1015,16 +1018,19 @@ class TestSharedRunCache:
         assert calls["run_plan"] == len(attempted) == 192
         assert calls["score_stage"] == 52
         assert calls["_grow"] == 160
-        cache = attack._RunCache(sample)
         plans = partition_keys(MINI_SPEC).plans
-        beams = {cache.stage_keys(plans[st.kprime]) for st in attempted}
+        beams = {tuple((st.mask, st.targets,
+                        attack._complement(st, sample.model))
+                       for st in plans[status.kprime].stages)
+                 for status in attempted}
         assert calls["_validate_assignments"] == len(beams) == 104
 
     def test_defaults_search_memory(self, make_sample):
         # peak traced memory of the search at the CLI defaults: 16.3 MB
         # before beams were shared, when every instance built and
         # validated its own beam; 14.7 MB with each class keeping every
-        # proper beam prefix it builds until the next class starts
+        # proper beam prefix it built until the next class started; the
+        # walk of each class's tree holds only the beams on its path
         key, sample = defaults_sample(make_sample)
         partition_keys(MINI_SPEC)
         tracemalloc.start()

@@ -335,7 +335,7 @@ def _bad_input_cases():
         (["passrates", "--spec", "mini", "--keys", "100", "--seed", "-1"],
          "--seed"),
         (["keygen", "--spec", "mini", "--seed", "-1"], "--seed"),
-        # fips reads exactly one input, attack one p0 source
+        # fips reads exactly one input, attack one p0 source and one mode
         (["fips", "--in", "{tmp}/c.bin", "--key", "00"], "--key"),
         (["fips", "--key", "1" * 32, "--key-file", "{tmp}/missing.key"],
          "--key-file"),
@@ -343,6 +343,10 @@ def _bad_input_cases():
          "--key-file"),
         (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
           "--corpus", "{tmp}/c.bin", "--p0", "0.9"], "--p0"),
+        # --exhaustive only steers the all-256 search
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/c.bin",
+          "--p0", "0.9", "--kprime", "0x78", "--exhaustive"],
+         "--exhaustive"),
     ]
     domain = [
         ["partition", "--spec", "{tmp}/missing.json"],
@@ -603,7 +607,8 @@ SURFACE = {
                 ("--exhaustive", "exhaustive", False, False, None),
                 ("--retention", "retention", False, 10, None),
                 ("--budget", "budget", False, 32, None), OUT},
-               {(False, ("p0", "corpus"))}),
+               {(False, ("p0", "corpus")),
+                (False, ("kprime", "exhaustive"))}),
     "fips": ({SPEC, KEY, KEY_FILE, ("--in", "infile", False, None, None),
               TEXT_JSON, OUT}, {(True, ("key", "key_file", "infile"))}),
     "passrates": ({SPEC, ("--keys", "keys", False, 1000, None), SEED,

@@ -1,11 +1,12 @@
 """Source hygiene in place of a linter, by parsing src/bsea2 with ast.
 
-Every name a module imports is used in it, and every private
-module-level function, class or constant is referenced somewhere in the
-package. A public one is too, unless OUTSIDE_READERS names the file
-outside the package that reads it. A deletion then cannot leave an
-import, a helper or an API with no caller behind. An import line marked
-``noqa`` (a re-export) is exempt.
+Every name a module imports is used in it, every parameter of a
+function is read in its body, and every private module-level function,
+class or constant is referenced somewhere in the package. A public one
+is too, unless OUTSIDE_READERS names the file outside the package that
+reads it. A deletion then cannot leave an import, a parameter, a helper
+or an API with no caller behind. An import line marked ``noqa`` (a
+re-export) is exempt.
 """
 import ast
 from pathlib import Path
@@ -55,6 +56,26 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported.items()
               if name not in used}
     assert unused == {}, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = _parse(path)[1]
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}:{node.lineno} {p}" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    assert unread == [], f"{path.name}: parameters never read: {unread}"
 
 
 def _definitions(tree):

@@ -226,6 +226,31 @@ class TestBatchPassRates:
         with pytest.raises(ValueError):
             batch_pass_rates(MINI_SPEC, 50, seed=1)
 
+    def test_tallies_match_per_key_verdicts(self):
+        # the same draws as random_key, each key scored and counted on
+        # its own: n, one pass count per test and all, by class
+        n_keys, seed = 130, 9
+        data = batch_pass_rates(MINI_SPEC, n_keys, seed=seed)
+        rng = np.random.default_rng(seed)
+        label = {kp: row.label for row in partition_keys(MINI_SPEC).rows
+                 for kp in row.kprimes}
+        counts = {}
+        for _ in range(n_keys):
+            fills, kprime = split_key(MINI_SPEC, random_key(MINI_SPEC, rng))
+            verdicts = pass_verdicts(MINI_SPEC, [fills], [kprime])[0].tolist()
+            for name in (label[kprime], "overall"):
+                tally = counts.setdefault(name, [0] * 6)
+                for j, x in enumerate([1, *verdicts, all(verdicts)]):
+                    tally[j] += x
+        rows = {row["class"]: row for row in data["rows"] + [data["overall"]]}
+        assert rows.keys() == counts.keys()
+        for name, (n, *passes) in counts.items():
+            row = rows[name]
+            assert row["n"] == n
+            assert [row[f"{t}_rate"] for t in ("monobit", "poker", "runs",
+                                               "long_run", "all_pass")] == [
+                k / n for k in passes]
+
     def test_unsampled_classes_reported_as_omitted(self):
         # 100 draws rarely cover every one of the six classes
         a = batch_pass_rates(MINI_SPEC, 100, seed=5)
