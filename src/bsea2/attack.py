@@ -36,10 +36,11 @@ exponent class form a tree of those stage keys. The first run_plan of a
 class walks that tree depth first (_walk): each node's beam is grown
 once, only the beams on the current path are held, and each leaf's beam
 is validated once for all of its K' (each chunk of word rows is
-gathered once and goes through the multiplexer tree of each K'). Every
-K''s outcome waits in the cache until its own run_plan takes it. The
-cache also holds each (register, fill) sequence that validation needs,
-packed into uint64 words.
+gathered once and goes through the multiplexer tree of each K'). A K''s
+outcome is what its report shows, its first 50 passing candidates and
+how many passed, and it waits in the cache until its own run_plan takes
+it. The cache also holds each (register, fill) sequence that validation
+needs, packed into uint64 words.
 """
 import math
 from dataclasses import dataclass, field
@@ -81,17 +82,12 @@ class ScoreBoard:
 
 
 @dataclass(frozen=True)
-class Validation:
-    zeros: int
-    z_abs: float
-
-
-@dataclass(frozen=True)
 class RecoveredKey:
     key: SecretKey
     fills: tuple
     kprime: int
-    validation: Validation
+    zeros: int
+    z_abs: float
     rank: int
 
 
@@ -350,9 +346,8 @@ class _RunCache:
     ``tier`` holds the plans of the class the search is in, those whose
     beams fit _MAX_CANDIDATES. The first run_plan of one of them walks
     them all (_walk), and ``results`` holds each K''s outcome until its
-    run_plan takes it: arrays of the fills and zero counts that passed,
-    not a RunResult, whose key objects would be held for the whole class
-    at once.
+    run_plan takes it: the first _LISTED fill rows that pass, in rank
+    order, with their zero counts and z, and how many rows pass.
     """
 
     def __init__(self, sample: CiphertextSample):
@@ -364,13 +359,10 @@ class _RunCache:
         self.band = ((int(counts[0]), int(counts[-1])) if counts.size
                      else None)
         self.boards = {}
-        self.words = [self._no_words()] * 4
+        self.words = [None] * 4
         self.rows = [{} for _ in range(4)]
         self.tier = ()
         self.results = {}
-
-    def _no_words(self) -> np.ndarray:
-        return np.empty((0, self.ct.size), dtype=np.uint64)
 
     def register_words(self, r: int, fills: list):
         """(store, rows): store[rows[i]] is the packed output sequence of
@@ -380,14 +372,14 @@ class _RunCache:
         if new:
             if (len(index) + len(new)) * self.ct.size > _CACHE_WORDS:
                 index.clear()
-                self.words[r] = self._no_words()
+                self.words[r] = None
                 new = fills
             poly = self.sample.spec.polynomials[r]
             packed = kernels.packed_sequences(poly.tapmask, poly.degree, new,
                                               self.sample.bits.size)
-            index.update(zip(new, range(len(index), len(index) + len(new))))
             self.words[r] = (np.concatenate([self.words[r], packed])
-                             if len(self.words[r]) else packed)
+                             if index else packed)
+            index.update(zip(new, range(len(index), len(index) + len(new))))
             self.words[r].flags.writeable = False
         return self.words[r], np.array([index[f] for f in fills],
                                        dtype=np.intp)
@@ -428,9 +420,9 @@ _VALIDATE_WORDS = 1 << 14
 
 def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
                           kprimes) -> list:
-    """One (zeros, passed) per K' of ``kprimes``: each candidate's
-    decrypted zero count, and whether _judge passes it, in bit-sliced
-    passes over prefixes of the words.
+    """One (passing, zeros) per K' of ``kprimes``: the ascending indices
+    of the candidates that _judge passes, and their decrypted zero counts,
+    from bit-sliced passes over prefixes of the words.
 
     Candidate i holds register r's fill columns[r][slots[i, r]], each
     column a sequence of distinct fills (as in a _Beam). The sequences
@@ -447,16 +439,14 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
     prefix is the shortest on which a candidate that decrypts to half
     zeros is ruled out; each later one doubles, and a pass is never
     narrower than _VALIDATE_WORDS words over the candidates alive, so a
-    beam that fits one chunk runs in one pass. The zeros are exact where
-    passed and -1 elsewhere. With an empty band nothing is packed or
-    combined.
+    beam that fits one chunk runs in one pass. The candidates alive after
+    the last word are those that pass. With an empty band nothing is
+    packed or combined.
     """
     n = cache.sample.bits.size
     size = len(slots)
-    zeros = np.full((len(kprimes), size), -1, dtype=np.int64)
-    passed = np.zeros((len(kprimes), size), dtype=bool)
     if cache.band is None:
-        return list(zip(zeros, passed))
+        return [(np.zeros(0, dtype=np.intp),) * 2] * len(kprimes)
     lo, hi = cache.band
     tables = [boolfn.apply_key_mask(cache.sample.spec.f0, kp)
               for kp in kprimes]
@@ -495,14 +485,14 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
         alive = [a[(count[a] <= n - lo) & (seen - count[a] <= hi)]
                  for a, count in zip(alive, ones)]
         start, end = end, 2 * end
-    for z, ok, count, a in zip(zeros, passed, ones, alive):
-        z[a] = n - count[a]
-        ok[a] = True
-    return list(zip(zeros, passed))
+    return [(a, n - count[a]) for a, count in zip(alive, ones)]
 
 
 #: Most candidates a beam may hold; a larger one asks for a lower k.
 _MAX_CANDIDATES = 200_000
+
+#: Passing candidates a run ranks and reports; the rest are only counted.
+_LISTED = 50
 
 
 @dataclass
@@ -526,8 +516,8 @@ def _beam_size(spec: InstanceSpec, plan: AttackPlan, k: int) -> int:
 
 def run_plan(sample: CiphertextSample, plan: AttackPlan,
              k: int = DEFAULT_RETENTION,
-             budget: int = DEFAULT_BUDGET_EXPONENT,
-             progress=None, *, cache: _RunCache | None = None) -> RunResult:
+             budget: int = DEFAULT_BUDGET_EXPONENT, *,
+             cache: _RunCache | None = None) -> RunResult:
     """Run all stages, carry retained candidates forward, validate keys.
 
     The beam is a _Beam: one row of four column slots per candidate, a
@@ -541,14 +531,15 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     stage is checked against the budget, then the size the beam will have
     after each stage against _MAX_CANDIDATES (_beam_size). The final beam
     is validated in bit-sliced passes that stop counting a candidate once
-    it cannot pass (_validate_assignments).
+    it cannot pass (_validate_assignments). The run's candidates, which
+    its transcript lists, are the first _LISTED that pass, by z and then
+    the fills; ``validated`` counts all that pass.
 
     ``cache`` is the run cache of a search over several instances of the
     same sample and k; without one the run builds its own. The first run
     of a plan in the cache's tier walks the whole tier (_walk), a plan
     outside it is walked as a tier of one, and the run takes its K''s
-    outcome from the cache. ``progress`` gets each stage's transcript
-    entry once the walk is done.
+    outcome from the cache.
     """
     if cache is None:
         cache = _RunCache(sample)
@@ -566,63 +557,57 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     if kprime not in cache.results:
         _walk(cache, cache.tier if plan in cache.tier else (plan,), _NO_BEAM,
               k, budget)
-    log, fills, zeros = cache.results.pop(kprime)
-    stage_log = [
-        {
-            "mask": stage.mask,
-            "targets": sorted(stage.targets),
-            "known": sorted(stage.known),
-            "exponent": stage.exponent,
-            "chi": stage.chi,
-            "complement": stage.complement,
-            "scorings": scorings,
-            "retained": retained,
-        }
-        for stage, (scorings, retained) in zip(plan.stages, log)
-    ]
-    if progress is not None:
-        for entry in stage_log:
-            progress(entry)
-    z = _judge(zeros, sample.bits.size, sample.model.p0)[0]
-    order = np.lexsort(tuple(fills[:, r] for r in (3, 2, 1, 0)) + (z,))
-    candidates = []
-    for rank, i in enumerate(order, start=1):
-        row = tuple(int(v) for v in fills[i])
-        candidates.append(RecoveredKey(
-            key=assemble_key(spec, row, kprime), fills=row,
-            kprime=kprime, rank=rank,
-            validation=Validation(zeros=int(zeros[i]), z_abs=float(z[i]))))
+    log, fills, zeros, z, validated = cache.results.pop(kprime)
+    candidates = tuple(
+        RecoveredKey(key=assemble_key(spec, row, kprime), fills=row,
+                     kprime=kprime, zeros=zr, z_abs=zz, rank=rank)
+        for rank, (row, zr, zz) in enumerate(
+            zip(map(tuple, fills.tolist()), zeros.tolist(), z.tolist()),
+            start=1))
     transcript = {
         "kprime": hex_byte(kprime),
         "plan": plan_to_dict(plan),
-        "stages": stage_log,
+        "stages": [
+            {
+                "mask": stage.mask,
+                "targets": sorted(stage.targets),
+                "known": sorted(stage.known),
+                "exponent": stage.exponent,
+                "chi": stage.chi,
+                "complement": stage.complement,
+                "scorings": scorings,
+                "retained": retained,
+            }
+            for stage, (scorings, retained) in zip(plan.stages, log)
+        ],
         "beam_size": size,
-        "validated": len(candidates),
+        "validated": validated,
         "candidates": [
             {
                 "rank": c.rank,
                 "key": c.key.to_hex(),
                 "fills": {f"R{r}": fill_hex(c.fills[r], spec.degrees[r])
                           for r in range(4)},
-                "zeros": c.validation.zeros,
-                "z_abs": (round(c.validation.z_abs, 4)
-                          if c.validation.z_abs != float("inf") else None),
+                "zeros": c.zeros,
+                "z_abs": (round(c.z_abs, 4) if c.z_abs != float("inf")
+                          else None),
             }
-            for c in candidates[:50]
+            for c in candidates
         ],
     }
-    if not candidates:
+    if not validated:
         raise EmptyBeam(f"none of {size} candidates passed validation "
                         f"for K' = {hex_byte(kprime)}", transcript)
-    return RunResult(candidates=tuple(candidates), transcript=transcript)
+    return RunResult(candidates=candidates, transcript=transcript)
 
 
 def _walk(cache: _RunCache, plans, beam: _Beam, k: int, budget: int) -> None:
     """Leave the outcome of each plan in cache.results: the stage log's
-    K'-free part, and the fill rows (in beam order) that pass validation
-    for its K' with their decrypted zero counts. The plans share their
-    first len(beam.log) stage keys (mask, targets, s), and ``beam`` is
-    the beam after those stages.
+    K'-free part, the first _LISTED fill rows that pass validation for its
+    K' (by z, then the R0, R1, R2 and R3 fills) with their decrypted zero
+    counts and z, and how many rows pass. The plans share their first
+    len(beam.log) stage keys (mask, targets, s), and ``beam`` is the beam
+    after those stages.
 
     The plans that have further stages are grouped by the key of the next
     one, in order of first plan; each group's beam is grown once, by its
@@ -644,10 +629,15 @@ def _walk(cache: _RunCache, plans, beam: _Beam, k: int, budget: int) -> None:
     if ends:
         outcomes = _validate_assignments(cache, beam.columns, beam.slots,
                                          [plan.kprime for plan in ends])
-        for plan, (zeros, passed) in zip(ends, outcomes):
-            fills = np.stack([col[beam.slots[passed, r]]
+        for plan, (passing, zeros) in zip(ends, outcomes):
+            fills = np.stack([col[beam.slots[passing, r]]
                               for r, col in enumerate(beam.columns)], axis=1)
-            cache.results[plan.kprime] = beam.log, fills, zeros[passed]
+            z = _judge(zeros, cache.sample.bits.size,
+                       cache.sample.model.p0)[0]
+            top = np.lexsort(tuple(fills[:, r] for r in (3, 2, 1, 0))
+                             + (z,))[:_LISTED]
+            cache.results[plan.kprime] = (beam.log, fills[top], zeros[top],
+                                          z[top], passing.size)
 
 
 def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
@@ -768,6 +758,6 @@ def run_parallel_instances(sample: CiphertextSample,
                 progress(statuses[kp])
     # a stopped search has hits in its last tier only
     best = min((st.best for st in statuses.values() if st.best is not None),
-               key=lambda c: (c.validation.z_abs, c.key.value), default=None)
+               key=lambda c: (c.z_abs, c.key.value), default=None)
     ordered = tuple(statuses[kp] for kp in sorted(statuses))
     return ParallelResult(best=best, statuses=ordered, transcripts=transcripts)

@@ -48,6 +48,23 @@ def _write(path: str, data: bytes) -> None:
                                f"{exc.strerror}") from None
 
 
+def _write_stream(path: str, bits: np.ndarray) -> None:
+    """Write ``bits`` to ``path`` zero-padded to whole bytes. A count that
+    is not a multiple of 8 goes to the sidecar ``path``.meta.json, and
+    otherwise a sidecar left there is removed (UnwritableOutput if it
+    cannot be), so that it cannot cut a later read short."""
+    _write(path, bits_to_bytes(bits))
+    meta = path + ".meta.json"
+    if bits.size % 8:
+        _write(meta, json.dumps({"bits": int(bits.size)}).encode())
+    elif os.path.lexists(meta):
+        try:
+            os.remove(meta)
+        except OSError as exc:
+            raise UnwritableOutput(f"cannot remove {meta}: "
+                                   f"{exc.strerror}") from None
+
+
 def _check_out(path: str) -> None:
     """Refuse an output path that names a directory, or whose directory
     is missing, before any work is done (UnwritableOutput). Other failures
@@ -161,11 +178,7 @@ def _cmd_keygen(args, spec: InstanceSpec) -> int:
 
 def _cmd_keystream(args, spec: InstanceSpec) -> int:
     key = _read_key(args, spec)
-    bits = keystream(key_setup(spec, key), args.nbits)
-    _write(args.out, bits_to_bytes(bits))
-    if args.nbits % 8:
-        _write(args.out + ".meta.json",
-               json.dumps({"bits": args.nbits}).encode())
+    _write_stream(args.out, keystream(key_setup(spec, key), args.nbits))
     print(f"wrote {args.nbits} keystream bits to {args.out}",
           file=sys.stderr)
     return 0
@@ -174,8 +187,8 @@ def _cmd_keystream(args, spec: InstanceSpec) -> int:
 def _cmd_encrypt(args, spec: InstanceSpec) -> int:
     key = _read_key(args, spec)
     data = _read_input(args.infile)
-    out_bits = encrypt(key_setup(spec, key), bytes_to_bits(data))
-    _write(args.out, bits_to_bytes(out_bits))
+    _write_stream(args.out, encrypt(key_setup(spec, key),
+                                    bytes_to_bits(data)))
     print(f"processed {len(data)} bytes -> {args.out}", file=sys.stderr)
     return 0
 
@@ -269,14 +282,6 @@ def _cmd_attack(args, spec: InstanceSpec) -> int:
         model = DEFAULT_MODEL
     sample = attack.CiphertextSample(bits=bits, model=model, spec=spec)
 
-    def progress(info):
-        if isinstance(info, dict):
-            print(f"  stage mask {info['mask']:04b} 2^{info['exponent']} "
-                  f"{info['scorings']} scorings", file=sys.stderr)
-        else:
-            print(f"  K' {hex_byte(info.kprime)}: {info.status}",
-                  file=sys.stderr)
-
     payload = {
         "sample_bits": int(bits.size),
         "p0": model.p0,
@@ -289,20 +294,23 @@ def _cmd_attack(args, spec: InstanceSpec) -> int:
         plan = classifier.plan_attack(spec, args.kprime)
         payload["mode"] = "single"
         try:
-            result = attack.run_plan(
-                sample, plan, k=args.retention, budget=args.budget,
-                progress=progress)
-            payload["transcript"] = result.transcript
-            payload["recovered_key"] = result.candidates[0].key.to_hex()
+            result = attack.run_plan(sample, plan, k=args.retention,
+                                     budget=args.budget)
+            transcript, best = result.transcript, result.candidates[0]
         except attack.EmptyBeam as exc:
             failure = f"error: EmptyBeam: {exc}"
-            payload["transcript"] = exc.transcript
-            payload["recovered_key"] = None
+            transcript, best = exc.transcript, None
+        for st in transcript["stages"]:
+            print(f"  stage mask {st['mask']:04b} 2^{st['exponent']} "
+                  f"{st['scorings']} scorings", file=sys.stderr)
+        payload["transcript"] = transcript
+        payload["recovered_key"] = best.key.to_hex() if best else None
     else:
         result = attack.run_parallel_instances(
             sample, k=args.retention, budget=args.budget,
             stop_on_success=not args.exhaustive,
-            progress=progress)
+            progress=lambda st: print(f"  K' {hex_byte(st.kprime)}: "
+                                      f"{st.status}", file=sys.stderr))
         payload["mode"] = "all-256"
         payload["recovered_key"] = (result.best.key.to_hex()
                                     if result.best else None)

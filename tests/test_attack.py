@@ -516,10 +516,25 @@ def beam_columns(beam):
             np.stack([slot.ravel() for _, slot in pairs], axis=1))
 
 
+def spread_outcome(outcome, size):
+    """(zeros, passed) over all ``size`` candidates from a (passing,
+    zeros) outcome of _validate_assignments: the count where passed, -1
+    elsewhere. The passing indices must be ascending and distinct."""
+    passing, counts = outcome
+    assert passing.size == counts.size
+    assert np.all(np.diff(passing) > 0)
+    zeros = np.full(size, -1, dtype=np.int64)
+    zeros[passing] = counts
+    passed = np.zeros(size, dtype=bool)
+    passed[passing] = True
+    return zeros, passed
+
+
 def batched_validations(sample, beam, kprime):
     """(zeros, z, passed) from the batch pass, z judged where passed."""
-    [(zeros, passed)] = attack._validate_assignments(
+    [outcome] = attack._validate_assignments(
         attack._RunCache(sample), *beam_columns(beam), [kprime])
+    zeros, passed = spread_outcome(outcome, len(beam))
     z = attack._judge(zeros, sample.bits.size, sample.model.p0)[0]
     return zeros, np.where(passed, z, np.nan), passed
 
@@ -624,6 +639,8 @@ class TestValidateAssignments:
         together = attack._validate_assignments(cache, *beam_columns(beam),
                                                 group)
         assert len(together) == len(group)
+        together = [spread_outcome(outcome, len(beam))
+                    for outcome in together]
         for kp, (zeros, passed) in zip(group, together):
             zeros1, _, passed1 = batched_validations(sample, beam, kp)
             assert zeros.tolist() == zeros1.tolist()
@@ -659,8 +676,9 @@ class TestValidateAssignments:
                                           last)
             cache = attack._RunCache(sample)
             assert cache.band == band
-            [(zeros, passed)] = attack._validate_assignments(
+            [outcome] = attack._validate_assignments(
                 cache, *beam_columns(beam), [kprime])
+            zeros, passed = spread_outcome(outcome, len(beam))
             for row, zr, ok in zip(beam, zeros, passed):
                 one = validate_key(sample,
                                    assemble_key(MINI_SPEC, row, kprime))
@@ -707,6 +725,7 @@ class TestRunPlan:
             sample = keystream_sample(MINI_SPEC, key, 512)
             result = run_plan(sample, plan_attack(MINI_SPEC, kprime), k=6)
             assert len(result.candidates) == 1
+            assert result.transcript["validated"] == 1
             assert result.candidates[0].key.value == key.value
             assert result.candidates[0].rank == 1
 
@@ -773,6 +792,45 @@ class TestRunPlan:
             assert len(st["retained"]) <= 10
             assert st["scorings"] >= 1
         assert tr["candidates"][0]["rank"] == 1
+
+    def test_reports_the_first_ranked_candidates(self, make_sample):
+        # a wide band (p0 0.6 on 512 bits) passes more candidates than a
+        # run lists; it reports the first 50 by z, then the R0, R1, R2 and
+        # R3 fills, and counts the rest in "validated"
+        rng = np.random.default_rng(78)
+        kprime, k = 0x78, 3
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 512, 0.6, rng)
+        plan = plan_attack(MINI_SPEC, kprime)
+        result = run_plan(sample, plan, k=k)
+        # the whole beam, grown stage by stage, and every candidate of it
+        # that passes, judged and ranked here
+        cache = attack._RunCache(sample)
+        beam = attack._NO_BEAM
+        for _ in plan.stages:
+            beam = attack._grow(cache, plan, beam, k, DEFAULT_BUDGET_EXPONENT)
+        [(passing, zeros)] = attack._validate_assignments(
+            cache, beam.columns, beam.slots, [kprime])
+        z = attack._judge(zeros, 512, 0.6)[0]
+        rows = [tuple(int(col[beam.slots[i, r]])
+                      for r, col in enumerate(beam.columns))
+                for i in passing]
+        ranking = sorted(zip(z.tolist(), rows, zeros.tolist()))[:50]
+        tr = result.transcript
+        assert tr["validated"] == len(passing) > 50
+        assert len(result.candidates) == len(tr["candidates"]) == 50
+        assert [(c.z_abs, c.fills, c.zeros)
+                for c in result.candidates] == ranking
+        assert [c.rank for c in result.candidates] == list(range(1, 51))
+        assert all(c.key == assemble_key(MINI_SPEC, c.fills, kprime)
+                   and c.kprime == kprime for c in result.candidates)
+        assert tr["candidates"] == [
+            {"rank": rank,
+             "key": assemble_key(MINI_SPEC, row, kprime).to_hex(),
+             "fills": {f"R{r}": f"0x{row[r]:0{-(-d // 4)}X}"
+                       for r, d in enumerate(MINI_SPEC.degrees)},
+             "zeros": zr, "z_abs": round(zz, 4)}
+            for rank, (zz, row, zr) in enumerate(ranking, start=1)]
 
 
 def oversized_case():
@@ -940,6 +998,8 @@ class TestSharedRunCache:
     @staticmethod
     def assert_search_equals_standalone(sample, key, k, budget,
                                         stop_on_success):
+        """The shared search, checked against standalone runs; with a
+        ``key``, that key must be the only one recovered."""
         shared = run_parallel_instances(sample, k=k, budget=budget,
                                         stop_on_success=stop_on_success)
         statuses, transcripts = standalone_search(sample, k, budget,
@@ -948,9 +1008,13 @@ class TestSharedRunCache:
         assert shared.transcripts.keys() == transcripts.keys()
         for kp, transcript in transcripts.items():
             assert shared.transcripts[kp] == transcript, hex(kp)
-        assert shared.best is not None and shared.best.key == key
-        recovered = [st for st in statuses if st.status == "recovered"]
-        assert [st.best for st in recovered] == [shared.best]
+        recovered = [st.best for st in statuses if st.status == "recovered"]
+        assert shared.best == min(recovered,
+                                  key=lambda c: (c.z_abs, c.key.value))
+        if key is not None:
+            assert shared.best.key == key
+            assert recovered == [shared.best]
+        return shared
 
     # p0 0.2 flips the complement bit s of every stage against p0 0.9;
     # budget 22 leaves out the four C4 instances (2^29 stages) for speed.
@@ -974,6 +1038,21 @@ class TestSharedRunCache:
         key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
         sample, _ = make_sample(MINI_SPEC, key, 2048, p0, rng)
         self.assert_search_equals_standalone(sample, key, 3, budget, False)
+
+    def test_wide_band_search_equals_standalone_plans(self, make_sample):
+        # p0 0.6 on 512 bits: C0 instances pass more candidates than a run
+        # lists, so the walk cuts each K''s outcome to its first 50 as a
+        # run of its own does; so wide a band recovers many keys, and the
+        # best of them need not be the planted one
+        rng = np.random.default_rng(84)
+        report = partition_keys(MINI_SPEC)
+        key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
+        sample, _ = make_sample(MINI_SPEC, key, 512, 0.6, rng)
+        shared = self.assert_search_equals_standalone(sample, None, 3, 13,
+                                                      False)
+        cut = [tr for tr in shared.transcripts.values()
+               if tr["validated"] > 50]
+        assert cut and all(len(tr["candidates"]) == 50 for tr in cut)
 
     def test_retention_10_search_equals_standalone_plans(self, make_sample):
         # the CLI's retention and sample length, every tier up to C3:

@@ -136,6 +136,37 @@ class TestKeystreamCommand:
         meta = json.loads((tmp_path / "ks.bin.meta.json").read_text())
         assert meta["bits"] == 20
 
+    def test_rewrite_leaves_no_stale_sidecar(self, capsys, tmp_path):
+        # a whole-byte stream written over a partial one removes its
+        # sidecar, so attack reads all 4096 bits, not the first 1001;
+        # encrypt and decrypt write through the same helper
+        rng = np.random.default_rng(10)
+        key = random_key(MINI_SPEC, rng)
+        out = tmp_path / "ks.bin"
+        meta = tmp_path / "ks.bin.meta.json"
+        for nbits in ("1001", "4096"):
+            code, _, _ = run_cli(capsys, "keystream", "--spec", "mini",
+                                 "--key", key.to_hex(), "--nbits", nbits,
+                                 "--out", str(out))
+            assert code == 0
+            assert meta.exists() == (nbits == "1001")
+        # budget 0 skips every instance: the report is the sample alone
+        code, report, _ = run_cli(capsys, "attack", "--spec", "mini",
+                                  "--ciphertext", str(out), "--budget", "0")
+        assert code == 1
+        assert json.loads(report)["sample_bits"] == 4096
+        plain = tmp_path / "p.bin"
+        plain.write_bytes(bytes(range(256)))
+        for name, src, dst in (("encrypt", plain, out),
+                               ("decrypt", out, tmp_path / "back.bin")):
+            (tmp_path / f"{dst.name}.meta.json").write_text('{"bits": 9}')
+            code, _, _ = run_cli(capsys, name, "--spec", "mini",
+                                 "--key", key.to_hex(), "--in", str(src),
+                                 "--out", str(dst))
+            assert code == 0
+            assert not (tmp_path / f"{dst.name}.meta.json").exists()
+        assert (tmp_path / "back.bin").read_bytes() == bytes(range(256))
+
     def test_matches_library_keystream(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         key = random_key(MINI_SPEC, rng)
@@ -186,6 +217,35 @@ class TestAttackCommand:
             # the stage log holds no wall-clock field
             assert set(st) == {"mask", "targets", "known", "exponent", "chi",
                                "complement", "scorings", "retained"}
+
+    @pytest.mark.parametrize("kprime, retention, code", [
+        ("0x78", "10", 0), ("0x32", "3", 1)], ids=["recovered", "empty"])
+    def test_stderr_has_a_line_per_stage(self, capsys, tmp_path, kprime,
+                                         retention, code):
+        # 2048 bits under a planted key of K' 0x78: one stage line per
+        # transcript stage, in stage order, and an EmptyBeam run ends with
+        # its error line
+        rng = np.random.default_rng(9)
+        key = random_key(MINI_SPEC, rng, kprime=0x78)
+        p = (rng.random(2048) >= 0.9).astype(np.uint8)
+        ct = tmp_path / "c.bin"
+        ct.write_bytes(bits_to_bytes(encrypt(key_setup(MINI_SPEC, key), p)))
+        got, out, err = run_cli(capsys, "attack", "--spec", "mini",
+                                "--ciphertext", str(ct), "--p0", "0.9",
+                                "--kprime", kprime, "--retention", retention)
+        assert got == code
+        assert json.loads(out)["recovered_key"] == (
+            None if code else key.to_hex())
+        transcript = json.loads(out)["transcript"]
+        assert len(transcript["stages"]) == len(
+            transcript["plan"]["stages"]) > 1
+        lines = [f"  stage mask {st['mask']:04b} 2^{st['exponent']} "
+                 f"{st['scorings']} scorings" for st in transcript["stages"]]
+        if code:
+            lines.append(f"error: EmptyBeam: none of "
+                         f"{transcript['beam_size']} candidates passed "
+                         f"validation for K' = {kprime}")
+        assert err.splitlines() == lines
 
     def test_corpus_flag_estimates_p0(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.bin"
@@ -396,6 +456,9 @@ def _bad_input_cases():
          "--kprime", "0x78", "--out", out],
         ["keystream", "--spec", "mini", *key, "--nbits", "8", "--out", out],
         ["keystream", "--spec", "mini", *key, "--nbits", "9",
+         "--out", "{tmp}/directory.bin"],
+        # a whole-byte stream removes the sidecar there, which it cannot
+        ["keystream", "--spec", "mini", *key, "--nbits", "8",
          "--out", "{tmp}/directory.bin"],
         ["encrypt", "--spec", "mini", *key, "--in", "{tmp}/c.bin",
          "--out", out],

@@ -4,8 +4,10 @@ Every name a module imports is used in it, every parameter of a
 function is read in its body, and every private module-level function,
 class or constant is referenced somewhere in the package. A public one
 is too, unless OUTSIDE_READERS names the file outside the package that
-reads it. A deletion then cannot leave an import, a parameter, a helper
-or an API with no caller behind. An import line marked ``noqa`` (a
+reads it. Every field of a dataclass is read as an attribute in the
+package, unless OUTSIDE_FIELD_READERS names the file that reads it. A
+deletion then cannot leave an import, a parameter, a helper, a field or
+an API with no caller behind. An import line marked ``noqa`` (a
 re-export) is exempt.
 """
 import ast
@@ -25,6 +27,12 @@ OUTSIDE_READERS = {
     "plaintext.KNOWN_KEYSTREAM_MODEL": "perfbench/workloads.py",
     "boolfn.is_bent": "tests/test_acceptance.py",       # criterion 2
     "cipher.decrypt": "tests/test_acceptance.py",       # criterion 6
+}
+
+#: The dataclass fields no module of the package reads, each with the
+#: file that reads it and so keeps it
+OUTSIDE_FIELD_READERS = {
+    "ScoreBoard.n_candidates": "perfbench/workloads.py",
 }
 
 
@@ -118,3 +126,36 @@ def test_every_public_definition_has_a_reader():
         name = qualified.split(".")[1]
         assert name in set(_loaded_names(_parse(ROOT / reader)[1])), (
             f"{reader} does not read {qualified}")
+
+
+def _read_attributes(tree):
+    """Every attribute name read in the tree."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _dataclass_fields(tree):
+    """(class, field) of each field of each module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    trees = [_parse(path)[1] for path in MODULES]
+    read = set().union(*map(_read_attributes, trees))
+    fields = {f"{cls}.{name}" for tree in trees
+              for cls, name in _dataclass_fields(tree)}
+    assert len(fields) > len(OUTSIDE_FIELD_READERS)
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert unread == set(OUTSIDE_FIELD_READERS), (
+        "dataclass fields src never reads, against the outside readers "
+        "listed")
+    for qualified, reader in OUTSIDE_FIELD_READERS.items():
+        assert qualified.split(".")[1] in _read_attributes(
+            _parse(ROOT / reader)[1]), f"{reader} does not read {qualified}"
