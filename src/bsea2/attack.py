@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boolfn, kernels
-from .bits import fill_hex, hex_byte, pack_words, unpack_words
+from .bits import fill_hex, hex_byte, pack_words, unpack_words, valid_words
 from .cipher import InstanceSpec, SecretKey, assemble_key, combine_outputs
 from .classifier import (AttackPlan, AttackStage, mask_registers,
                          partition_keys, plan_to_dict)
@@ -451,7 +451,7 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
     tables = [boolfn.apply_key_mask(cache.sample.spec.f0, kp)
               for kp in kprimes]
     ct = cache.ct
-    tail = np.uint64((1 << (n - 64 * (ct.size - 1))) - 1)
+    tail = valid_words(ct.size, n)[-1]
     seqs, rows = [], []
     for r in range(4):
         store, index = cache.register_words(r, columns[r].tolist())
@@ -523,17 +523,17 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     The beam is a _Beam: one row of four column slots per candidate, a
     register's column being [0] until its stage. Stage scoring is memoized
     on the known fills the mask actually consumes: one scoring per
-    distinct row of those columns, in order of first occurrence, so
-    independent stages are scored once and the final beam is the cross
-    product of per-stage top-k lists (k^stages candidates at most). Each
-    parent row is repeated once per retained fill of its scoring and the
-    target columns are assigned (_grow). Before any stage is scored, every
-    stage is checked against the budget, then the size the beam will have
-    after each stage against _MAX_CANDIDATES (_beam_size). The final beam
-    is validated in bit-sliced passes that stop counting a candidate once
-    it cannot pass (_validate_assignments). The run's candidates, which
-    its transcript lists, are the first _LISTED that pass, by z and then
-    the fills; ``validated`` counts all that pass.
+    distinct row of those columns, so independent stages are scored once
+    and the final beam is the cross product of per-stage top-k lists
+    (k^stages candidates at most). Each parent row is repeated once per
+    retained fill of its scoring and the target columns are assigned
+    (_grow). Before any stage is scored, every stage is checked against
+    the budget, then the size the beam will have after each stage against
+    _MAX_CANDIDATES (_beam_size). The final beam is validated in
+    bit-sliced passes that stop counting a candidate once it cannot pass
+    (_validate_assignments). The run's candidates, which its transcript
+    lists, are the first _LISTED that pass, by z and then the fills;
+    ``validated`` counts all that pass.
 
     ``cache`` is the run cache of a search over several instances of the
     same sample and k; without one the run builds its own. The first run
@@ -662,12 +662,9 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
     code = np.zeros(len(slots), dtype=np.int64)
     for r in cols:
         code = code * len(beam.columns[r]) + slots[:, r]
-    _, first, inverse = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)           # scorings by first occurrence
+    _, first, pick = np.unique(code, return_index=True, return_inverse=True)
     parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
-               for j in first[order]]
-    pick = np.argsort(order)[inverse.ravel()]
+               for j in first]
     s = _complement(stage, sample.model)
     keys = [(stage.mask, stage.targets, tuple(known.values()), s)
             for known in parents]
@@ -686,8 +683,9 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
                                     joints).items():
         columns[r], slot = np.unique(part, return_inverse=True)
         slots[:, r] = slot.reshape(part.shape)[pick].ravel()
+    # the log lists the board of beam row 0's parent
     retained = [{"fill": fill_hex(fill, stage.exponent), "score": score}
-                for fill, score in boards[0].tolist()]
+                for fill, score in boards[pick[0]].tolist()]
     return _Beam(tuple(columns), slots,
                  beam.log + ((len(boards), retained),))
 

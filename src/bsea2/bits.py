@@ -36,6 +36,16 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
+def valid_words(width: int, n: int) -> np.ndarray:
+    """A packed row of width words whose first n bits are 1: the bits that
+    pack_words fills, the rest being its zero padding."""
+    mask = np.zeros(width, dtype=np.uint64)
+    mask[:n // 64] = ~np.uint64(0)
+    if n % 64:
+        mask[n // 64] = np.uint64((1 << (n % 64)) - 1)
+    return mask
+
+
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """The first n bits of pack_words output along its last axis, as uint8."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)

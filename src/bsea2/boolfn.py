@@ -15,9 +15,6 @@ import numpy as np
 
 from . import kernels
 
-#: index bit carrying register R0's output (per the combiner index packing)
-R0_INDEX_BIT = 3
-
 #: truth-table pattern of the linear function x0 (bit 3 of the input index)
 X0_PATTERN = 0xFF00
 
@@ -48,10 +45,10 @@ def correlation_probability(spectrum, u: int) -> float:
 def effective_spectrum(word: int) -> tuple:
     """Spectrum of g = f XOR x0, the combiner the attacker actually sees.
 
-    Since x0 sits at index bit 3, chi_g(u) = chi_f(u ^ 0b1000).
+    Since x0 sits at index bit 3, g's table is f's XOR X0_PATTERN, and
+    chi_g(u) = chi_f(u ^ 0b1000).
     """
-    base = walsh_transform(word)
-    return tuple(base[u ^ (1 << R0_INDEX_BIT)] for u in range(16))
+    return walsh_transform(word ^ X0_PATTERN)
 
 
 def is_bent(word: int) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolfn, kernels
-from .bits import pack_words, parse_hex, unpack_words
+from .bits import pack_words, parse_hex, unpack_words, valid_words
 from .errors import (DegenerateKey, InvalidKey, InvalidSpec,
                      UnreadableInput, WrongKeyLength)
 from .lfsr import P0, P1, P2, P3, make_polynomial, polynomial_from_list
@@ -301,8 +301,7 @@ def keystream_words(spec: InstanceSpec, fills, kprimes, n: int) -> np.ndarray:
     for kprime, rows in groups.items():
         out[rows] = combine_outputs(boolfn.apply_key_mask(spec.f0, kprime),
                                     *(w[rows] for w in words))
-    if n % 64:
-        out[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    out &= valid_words(out.shape[1], n)
     return out
 
 

@@ -126,20 +126,26 @@ def _read_key(args, spec: InstanceSpec) -> SecretKey:
 
 
 def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
-    """The bits of ``path``, cut to ``nbits`` or else to the "bits" of its
-    sidecar ``path``.meta.json, if there is one: a JSON object whose
-    "bits" is an int (not a bool) from 1 to the file's bit count."""
+    """The first ``nbits`` bits of the stream in ``path``, or all of them.
+
+    The stream is the file's bits cut to the "bits" of its sidecar
+    ``path``.meta.json, if there is one: a JSON object whose "bits" is an
+    int (not a bool) from 1 to the file's bit count. ``nbits`` may cut
+    the stream but not exceed it, so padding is never read as data."""
     bits = bytes_to_bits(_read_input(path))
     meta = path + ".meta.json"
-    if nbits is None and os.path.exists(meta):
+    if os.path.exists(meta):
         try:
             data = json.loads(_read_input(meta))
         except ValueError:          # not JSON, or not text
             data = None
-        nbits = data.get("bits") if isinstance(data, dict) else None
-        if type(nbits) is not int or nbits < 1:
+        held = data.get("bits") if isinstance(data, dict) else None
+        if type(held) is not int or held < 1:
             raise InvalidSidecar(f'{meta} must be a JSON object whose '
                                  f'"bits" is a positive integer')
+        if held > bits.size:
+            raise WrongLength(f"{path} holds {bits.size} bits, need {held}")
+        bits = bits[:held]
     if nbits is None:
         nbits = bits.size
     if not 0 < nbits <= bits.size:

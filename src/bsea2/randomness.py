@@ -7,12 +7,13 @@ codes a bound.
 
 The battery runs on packed uint64 words (bits.pack_words), many streams
 at once. Monobit is a popcount. Poker is a byte histogram folded into
-the 16 nibble counts. Runs are counted bit-parallel, for the stream and
-for its complement: a run starts where a bit differs from the one
-before it, and the runs at least L bits long are the starts whose next
-L - 1 bits are equal to them, so the runs of length exactly L are the
-difference of two such counts. The longest run is the longest run of
-"the next bit is equal", plus one, found by doubling and binary
+the 16 nibble counts. The runs and the long run both come from one
+row, "the next bit is equal". A run starts at bit 0 and after each
+clear bit of that row, and the runs at least L bits long are the
+starts followed by L - 1 set bits of it; one bit-parallel chain counts
+them for both bit values at once, and the runs of length exactly L are
+the difference of two such counts. The longest run is the row's
+longest run of set bits, plus one, found by doubling and binary
 descent. batch_pass_rates scores a chunk of keys at a time this way,
 from the packed keystreams of cipher.keystream_words.
 """
@@ -24,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bits import pack_words
+from .bits import pack_words, valid_words
 from .cipher import (InstanceSpec, draw_key, key_setup, keystream,
                      keystream_words)
 from .classifier import partition_keys
@@ -71,15 +72,6 @@ _CHUNK_WORDS = 1 << 14
 _REVERSE4 = np.array([int(f"{v:04b}"[::-1], 2) for v in range(16)])
 
 
-def _valid(width: int, n: int) -> np.ndarray:
-    """A packed row of width words whose first n bits are 1."""
-    mask = np.zeros(width, dtype=np.uint64)
-    mask[:n // 64] = ~np.uint64(0)
-    if n % 64:
-        mask[n // 64] = np.uint64((1 << (n % 64)) - 1)
-    return mask
-
-
 def _ahead(x: np.ndarray, k: int) -> np.ndarray:
     """Bit t of each row is bit t + k of x's row; bits past the end are 0."""
     q, r = divmod(k, 64)
@@ -93,23 +85,7 @@ def _ahead(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-
-
-def _runs_at_least(v: np.ndarray, longest: int) -> list:
-    """Per row, the runs of 1s in v at least 1, 2, ..., longest bits long.
-
-    A run starts where a 1 follows a 0 or the stream's start; it is at
-    least L long where the bits 1..L-1 after that start are 1 too.
-    """
-    before = v << np.uint64(1)
-    before[:, 1:] |= v[:, :-1] >> np.uint64(63)
-    start = v & ~before
-    counts = [_popcount(start)]
-    for length in range(1, longest):
-        start &= _ahead(v, length)
-        counts.append(_popcount(start))
-    return counts
+    return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
 
 
 def _longest_ones(e: np.ndarray) -> np.ndarray:
@@ -158,23 +134,29 @@ def battery_words(words: np.ndarray, n: int) -> dict:
     segs = cfg["poker"]["segments"]
     poker = 16.0 / segs * (nibbles ** 2).sum(axis=1).astype(np.float64) - segs
 
+    # bit t of same is set where bit t + 1 equals bit t. A run starts at
+    # bit 0 and after each clear bit of same, and it is at least L bits
+    # long where the L - 1 bits of same from its start are set
+    same = ~(words ^ _ahead(words, 1)) & valid_words(width, n - 1)
+    after = same << np.uint64(1)
+    after[:, 1:] |= same[:, :-1] >> np.uint64(63)
+    start = ~after & valid_words(width, n)
     intervals = cfg["runs"]["intervals"]
     spans = [(int(label.rstrip("+")), label.endswith("+"))
              for label in intervals]
     need = max(length + (not open_) for length, open_ in spans)
-    runs = np.empty((m, 2, len(spans)), dtype=np.int64)
-    for bit, v in enumerate((~words & _valid(width, n), words)):
-        at_least = _runs_at_least(v, need)
-        for j, (length, open_) in enumerate(spans):
-            runs[:, bit, j] = at_least[length - 1] - (
-                0 if open_ else at_least[length])
+    # the starts of runs of 0s and of 1s; each count is (streams, 2)
+    v = np.stack([start & ~words, start & words], axis=1)
+    at_least = [_popcount(v)]
+    for shift in range(need - 1):
+        v &= _ahead(same, shift)[:, None]
+        at_least.append(_popcount(v))
+    runs = np.stack([at_least[length - 1] - (0 if open_ else at_least[length])
+                     for length, open_ in spans], axis=2)
     bounds = np.array(list(intervals.values()))
     runs_pass = ((bounds[:, 0] <= runs) & (runs <= bounds[:, 1])).all(
         axis=(1, 2))
-
-    # a run of either value is one bit longer than its run of "the
-    # next bit is equal"
-    same = ~(words ^ _ahead(words, 1)) & _valid(width, n - 1)
+    # a run of either value is one bit longer than its run in same
     max_run = _longest_ones(same) + 1
 
     mono, pk = cfg["monobit"], cfg["poker"]

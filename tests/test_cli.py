@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +443,15 @@ def _bad_input_cases():
         (["attack", "--spec", "mini", "--ciphertext", path, "--kprime",
           "0x78"], error) for path, error in samples] + [
         (["fips", "--in", path], error) for path, error in samples]
+    # --bits may cut a stream but neither skip its sidecar nor read the
+    # padding past the sidecar's count (partial.bin holds 1001 bits)
+    sample_argv += [
+        (["attack", "--spec", "mini", "--ciphertext", f"{{tmp}}/{name}.bin",
+          "--kprime", "0x78", "--bits", "64"], error)
+        for name, (_, error) in BAD_SIDECARS.items()]
+    sample_argv.append(
+        (["attack", "--spec", "mini", "--ciphertext", "{tmp}/partial.bin",
+          "--kprime", "0x78", "--bits", "1008"], "WrongLength"))
     # an --out that cannot be written; {tmp}/directory.bin can be, but
     # its sidecar's path is a directory
     out = "{tmp}/missing/out"
@@ -530,6 +542,8 @@ def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
         else:
             meta.write_text(text)
     (tmp_path / "empty.bin").write_bytes(b"")
+    (tmp_path / "partial.bin").write_bytes(b"\x00" * 126)
+    (tmp_path / "partial.bin.meta.json").write_text('{"bits": 1001}')
     (tmp_path / "sign.key").write_text("+11111111111\n")
     (tmp_path / "binary.key").write_bytes(b"\xff" * 12)
     try:
@@ -694,3 +708,24 @@ def test_every_subcommand_keeps_its_options():
                   for g in sub._mutually_exclusive_groups}
         surface[name] = (options, groups)
     assert surface == SURFACE
+
+
+def readme_commands() -> list:
+    """The argv of each ``bsea2 ...`` line in the README's sh blocks, a
+    key in place of ``$(cat key.txt)``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    return [shlex.split(line.replace("$(cat key.txt)", "1" * 32),
+                        comments=True)[1:]
+            for block in blocks for line in block.splitlines()
+            if line.startswith("bsea2 ")]
+
+
+def test_readme_has_cli_examples():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_cli_example_parses(argv):
+    # argparse exits 2 on an option the CLI no longer has
+    build_parser().parse_args(argv)

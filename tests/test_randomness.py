@@ -289,6 +289,27 @@ def test_batched_verdicts_match_oracle(spec):
         assert verdicts == oracle_verdicts(scalar_keystream(spec, key, N))
 
 
+def test_batched_counts_match_oracle_row_by_row():
+    # one batch: random, all ones, all zeros, alternating, and random
+    # rows with long runs at both ends, across and inside word bounds
+    rows = [np.random.default_rng(31).integers(0, 2, N, dtype=np.uint8),
+            np.ones(N, np.uint8), np.zeros(N, np.uint8),
+            (np.arange(N) % 2).astype(np.uint8)]
+    for seed, (head, tail, value) in enumerate([(40, 70, 0), (64, 26, 1),
+                                                (65, 64, 1)]):
+        bits = with_run(head, 0, value, seed)
+        bits[N - tail:] = 1 - value
+        bits[N - tail - 1] = value
+        rows.append(bits)
+    res = battery_words(pack_words(np.array(rows)), N)
+    labels = thresholds()["runs"]["intervals"]
+    for bits, runs, max_run in zip(rows, res["runs"], res["max_run"]):
+        _, _, want, longest = oracle_figures(oracle_fips_counts(bits))
+        assert runs.tolist() == [[want[str(bit)][label] for label in labels]
+                                 for bit in (0, 1)]
+        assert max_run == longest
+
+
 def test_batch_memory_is_bounded():
     # peak traced memory of a 1000-key batch: 1.83 MB when each key was
     # scored on its own; scoring every key in one pass would take tens
