@@ -36,7 +36,7 @@ exponent class form a tree of those stage keys. The first run_plan of a
 class walks that tree depth first (_walk): each node's beam is grown
 once, only the beams on the current path are held, and each leaf's beam
 is validated once for all of its K' (each chunk of word rows is
-gathered once and goes through the multiplexer tree of each K'). A K''s
+gathered once and goes through the combiner circuit of each K'). A K''s
 outcome is what its report shows, its first 50 passing candidates and
 how many passed, and it waits in the cache until its own run_plan takes
 it. The cache also holds each (register, fill) sequence that validation
@@ -394,8 +394,15 @@ def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
             for r, off, deg in _joint_layout(spec, targets)}
 
 
+#: The band's half-width in standard deviations: _judge passes |z| up
+#: to this, and validation's first prefix puts a candidate of half zeros
+#: this far past the band.
+_Z_BAND = 3.0
+
+
 def _judge(zeros: np.ndarray, n: int, p0: float):
-    """(z_abs, passed) arrays for decrypted zero counts under the model.
+    """(z_abs, passed) arrays for decrypted zero counts under the model:
+    passed where z_abs <= _Z_BAND.
 
     A p0 = 0.5 model gives z_abs 0 and passes nothing (indeterminate);
     p0 = 0 or 1 demands an exact count (z_abs 0, else inf).
@@ -407,12 +414,12 @@ def _judge(zeros: np.ndarray, n: int, p0: float):
     else:
         sigma = (p0 * (1.0 - p0) / n) ** 0.5
         z = np.abs(zeros / n - p0) / sigma
-    return z, z <= 3.0
+    return z, z <= _Z_BAND
 
 
 #: Words per gathered register array in one validation chunk, so that
 #: validation memory grows with neither the sample nor the beam. At 2^14
-#: words (128 KB) the four gathered arrays and the multiplexer tree's
+#: words (128 KB) the four gathered arrays and the combiner circuit's
 #: temporaries fit a 2 MB L2 cache; 2^18 made the mini attacks about 20%
 #: slower and the all-256 search at the CLI defaults about 2x (measured).
 _VALIDATE_WORDS = 1 << 14
@@ -430,18 +437,22 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
     alive for some K' over the next words of the sample, in chunks of at
     most _VALIDATE_WORDS words per register: each chunk gathers its four
     word rows once, and for each K' the rows alive for it go through that
-    K'-masked table's multiplexer tree (cipher.combine_outputs); the result
+    K'-masked table's combiner circuit (cipher.combine_outputs); the result
     is XORed with the ciphertext, the tail word's padding bits are masked
     and the ones are added to each candidate's count for that K'. After a
     pass over ``seen`` bits a candidate with ``ones`` decrypted ones is
     ruled out for a K' when ones > n - lo or seen - ones > hi
-    (cache.band): its zero count can no longer reach the band. The first
-    prefix is the shortest on which a candidate that decrypts to half
-    zeros is ruled out; each later one doubles, and a pass is never
-    narrower than _VALIDATE_WORDS words over the candidates alive, so a
-    beam that fits one chunk runs in one pass. The candidates alive after
-    the last word are those that pass. With an empty band nothing is
-    packed or combined.
+    (cache.band): its zero count can no longer reach the band, which
+    takes at least min(n - lo, hi) + 1 bits. The first prefix is the
+    fewest whole words whose ``seen`` bits put a candidate of half zeros
+    _Z_BAND sigma past the band, seen / 2 - _Z_BAND sqrt(seen) / 2 >
+    min(n - lo, hi). A beam's candidates share correctly guessed
+    registers and decrypt biased toward the band, so on a prefix that
+    only just rules out half zeros most of them survive. Each later
+    prefix doubles, and a pass is never narrower than _VALIDATE_WORDS
+    words over the candidates alive, so a beam that fits one chunk runs
+    in one pass. The candidates alive after the last word are those that
+    pass. With an empty band nothing is packed or combined.
     """
     n = cache.sample.bits.size
     size = len(slots)
@@ -459,8 +470,10 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
         rows.append(index[slots[:, r]])
     ones = np.zeros((len(kprimes), size), dtype=np.int64)
     alive = [np.arange(size)] * len(kprimes)
-    # half of seen bits are over n - lo, or over hi, from here on
-    start, end = 0, -(-(2 * min(n - lo, hi) + 2) // 64)
+    # a candidate of half zeros is _Z_BAND sigma past the band from here
+    prefix = 64 * np.arange(1, ct.size + 1)
+    start, end = 0, 1 + int(np.searchsorted(
+        prefix / 2 - _Z_BAND * np.sqrt(prefix) / 2, min(n - lo, hi), "right"))
     while start < ct.size and (most := max(a.size for a in alive)):
         end = min(ct.size, max(end, start + _VALIDATE_WORDS // most))
         step = max(1, _VALIDATE_WORDS // (end - start))

@@ -224,38 +224,67 @@ def key_setup(spec: InstanceSpec, key: SecretKey) -> CipherInstance:
 
 
 @functools.lru_cache(maxsize=None)
-def _mux_tree(table: int, bits: int):
-    """Multiplexer tree of a 2^bits-entry table over the low index bits.
+def _circuit(table: int, bits: int):
+    """(ops, evaluate) of a 2^bits-entry table over the low index bits.
 
-    Index bit bits-1 is register 4-bits's output (x0 is bit 3, x3 bit 0).
-    A node is a constant 0 or 1, or (register, low child, high child);
-    equal halves fold into one child, so constant subtables vanish and a
-    16-entry table needs at most 7 muxes (the x3 level is never one).
+    Index bit bits-1 is register 4-bits's output x (x0 is bit 3, x3 bit
+    0). evaluate(words) returns a new array after exactly ``ops`` array
+    operations. A constant table is one np.full_like, and equal halves
+    fold into one circuit. Otherwise the table is lo ^ (x & (lo ^ hi)) in
+    its halves lo and hi. With a constant half, or with lo ^ hi all ones,
+    that is one or two operations of x or ~x on the other half's result,
+    or a copy of x or ~x. Else it is the cheaper of the multiplexer,
+    which XORs lo into hi's result, and the positive Davio split, which
+    evaluates lo ^ hi as a table of its own. Each form evaluates lo first
+    and then works in place, so a level makes no array but its children's
+    results and ~x.
     """
-    if bits == 0:
-        return table & 1
-    half = 1 << (bits - 1)
-    lo = _mux_tree(table & ((1 << half) - 1), bits - 1)
-    hi = _mux_tree(table >> half, bits - 1)
-    return lo if lo == hi else (4 - bits, lo, hi)
+    full = (1 << (1 << bits)) - 1
+    if table in (0, full):
+        value = np.uint64(0) if table == 0 else ~np.uint64(0)
+        return 1, lambda w: np.full_like(w[0], value)
+    width = 1 << (bits - 1)
+    ones = full >> width
+    lo, hi = table & ones, table >> width
+    if lo == hi:
+        return _circuit(lo, bits - 1)
+    j = 4 - bits
+    if 0 in (lo, hi):
+        rest, neg = (hi, False) if lo == 0 else (lo, True)
+        if rest == ones:
+            return 1, (lambda w: ~w[j]) if neg else (lambda w: w[j].copy())
+        return _onto(rest, bits - 1, np.bitwise_and, j, neg)
+    if lo == ones:
+        return _onto(hi, bits - 1, np.bitwise_or, j, True)
+    if hi == ones:
+        return _onto(lo, bits - 1, np.bitwise_or, j, False)
+    if lo ^ hi == ones:
+        return _onto(lo, bits - 1, np.bitwise_xor, j, False)
+    (lops, left), (hops, right), (dops, split) = (
+        _circuit(t, bits - 1) for t in (lo, hi, lo ^ hi))
+    davio = dops + 2 < hops + 3
+
+    def evaluate(w):
+        a = left(w)
+        if davio:
+            b = split(w)
+        else:
+            b = right(w)
+            b ^= a
+        b &= w[j]
+        a ^= b
+        return a
+    return lops + (dops + 2 if davio else hops + 3), evaluate
 
 
-def _mux_eval(node, words) -> np.ndarray:
-    if not isinstance(node, tuple):
-        return np.full_like(words[0], 0 if node == 0 else ~np.uint64(0))
-    j, lo, hi = node
-    s = words[j]
-    if lo == 0:
-        return s.copy() if hi == 1 else s & _mux_eval(hi, words)
-    if hi == 0:
-        return ~s if lo == 1 else _mux_eval(lo, words) & ~s
-    if lo == 1:
-        return ~s | _mux_eval(hi, words)
-    if hi == 1:
-        return _mux_eval(lo, words) | s
-    a = _mux_eval(lo, words)
-    a ^= s & (a ^ _mux_eval(hi, words))
-    return a
+def _onto(table: int, bits: int, op, j: int, neg: bool):
+    """(ops, evaluate) of op(table's circuit, x_j or ~x_j), in place."""
+    ops, child = _circuit(table, bits)
+
+    def evaluate(w):
+        a = child(w)
+        return op(a, ~w[j] if neg else w[j], out=a)
+    return ops + 1 + neg, evaluate
 
 
 def combine_outputs(f: int, w0, w1, w2, w3) -> np.ndarray:
@@ -264,11 +293,11 @@ def combine_outputs(f: int, w0, w1, w2, w3) -> np.ndarray:
     per position (bits.pack_words).
 
     sigma is itself a table over the index: f with its x0 = 1 half
-    complemented. That table is evaluated as a multiplexer tree over the
-    four word arrays (see _mux_tree), built once per table. Padding bits
-    of the result are arbitrary.
+    complemented. That table is evaluated as a circuit of multiplexers
+    and XOR splits over the four word arrays (see _circuit), built once
+    per table. Padding bits of the result are arbitrary.
     """
-    return _mux_eval(_mux_tree(f ^ boolfn.X0_PATTERN, 4), (w0, w1, w2, w3))
+    return _circuit(f ^ boolfn.X0_PATTERN, 4)[1]((w0, w1, w2, w3))
 
 
 def keystream(instance: CipherInstance, n: int) -> np.ndarray:
@@ -286,21 +315,28 @@ def keystream_words(spec: InstanceSpec, fills, kprimes, n: int) -> np.ndarray:
     Key i is split_key's (fills[i], kprimes[i]), and row i is
     bits.pack_words(keystream(key_setup(spec, key i), n)). Each register's
     sequences for all the keys come from one kernels.packed_sequences
-    call, and combine_outputs runs once per distinct K' over that K''s
-    rows.
+    call. K' enters the table as boolfn.apply_key_mask does, in both
+    halves, so row i is the combiner of f0 XOR bit x3 + 2 x2 + 4 x1 of
+    K'_i: one combine_outputs call over every row, and a three-level
+    multiplexer over x3, x2 and x1 whose leaves are per-row masks of the
+    eight bits of K'.
     """
     fills = np.array(fills, dtype=np.uint64).reshape(-1, 4)
     if not fills.all():
         raise DegenerateKey("a key has an all-zero register fill")
     words = [kernels.packed_sequences(p.tapmask, p.degree, fills[:, j], n)
              for j, p in enumerate(spec.polynomials)]
-    groups = {}
-    for i, kprime in enumerate(kprimes):
-        groups.setdefault(kprime, []).append(i)
-    out = np.empty_like(words[0])
-    for kprime, rows in groups.items():
-        out[rows] = combine_outputs(boolfn.apply_key_mask(spec.f0, kprime),
-                                    *(w[rows] for w in words))
+    kprimes = np.array(kprimes, dtype=np.int64).reshape(-1, 1)
+    if not ((kprimes >= 0) & (kprimes <= 0xFF)).all():
+        raise ValueError("kprime must be an 8-bit value")
+    kprimes = kprimes.astype(np.uint64)
+    # leaf b is all ones in the rows whose K' has bit b set; index bit 0
+    # is x3, so each level pairs its entries over the next register
+    level = [-((kprimes >> np.uint64(b)) & np.uint64(1)) for b in range(8)]
+    for x in words[:0:-1]:
+        level = [a ^ (x & (a ^ b)) for a, b in zip(level[::2], level[1::2])]
+    out = combine_outputs(spec.f0, *words)
+    out ^= level[0]
     out &= valid_words(out.shape[1], n)
     return out
 

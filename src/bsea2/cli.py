@@ -130,8 +130,9 @@ def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
 
     The stream is the file's bits cut to the "bits" of its sidecar
     ``path``.meta.json, if there is one: a JSON object whose "bits" is an
-    int (not a bool) from 1 to the file's bit count. ``nbits`` may cut
-    the stream but not exceed it, so padding is never read as data."""
+    int (not a bool) that falls in the file's last byte, 8 (bytes - 1) <
+    bits <= 8 bytes, so that no whole byte is left unread. ``nbits`` may
+    cut the stream but not exceed it, so padding is never read as data."""
     bits = bytes_to_bits(_read_input(path))
     meta = path + ".meta.json"
     if os.path.exists(meta):
@@ -145,6 +146,10 @@ def _load_sample_bits(path: str, nbits: int | None) -> np.ndarray:
                                  f'"bits" is a positive integer')
         if held > bits.size:
             raise WrongLength(f"{path} holds {bits.size} bits, need {held}")
+        if held <= bits.size - 8:
+            raise WrongLength(f"{meta} counts {held} bits, but {path} holds "
+                              f"{bits.size // 8} bytes: the count must fall "
+                              f"in its last byte")
         bits = bits[:held]
     if nbits is None:
         nbits = bits.size

@@ -177,6 +177,32 @@ def oracle_pack_words(bits) -> list:
     return words
 
 
+def mux_tree_ops(table: int, bits: int = 4) -> int:
+    """Array operations of a folded multiplexer tree over a 2^bits-entry
+    table, split on its top index bit x into halves lo and hi: equal
+    halves fold into one subtree and a constant table is one fill. A node
+    with lo = 0 is x & hi (a copy of x if hi is all ones), with hi = 0
+    lo & ~x (or ~x), with lo all ones ~x | hi, with hi all ones lo | x,
+    and else lo ^ (x & (lo ^ hi))."""
+    full = (1 << (1 << bits)) - 1
+    if table in (0, full):
+        return 1
+    half = 1 << (bits - 1)
+    ones = full >> half
+    lo, hi = table & ones, table >> half
+    if lo == hi:
+        return mux_tree_ops(lo, bits - 1)
+    if lo == 0:
+        return 1 if hi == ones else 1 + mux_tree_ops(hi, bits - 1)
+    if hi == 0:
+        return 1 if lo == ones else 2 + mux_tree_ops(lo, bits - 1)
+    if lo == ones:
+        return 2 + mux_tree_ops(hi, bits - 1)
+    if hi == ones:
+        return 1 + mux_tree_ops(lo, bits - 1)
+    return 3 + mux_tree_ops(lo, bits - 1) + mux_tree_ops(hi, bits - 1)
+
+
 def scalar_keystream(spec, key, n: int) -> list:
     """Clock-by-clock keystream trace; no word-parallel shortcuts."""
     return _scalar_stream(spec, *oracle_split_key(spec, key), n)

@@ -1,4 +1,5 @@
 import gc
+import math
 import time
 import tracemalloc
 
@@ -10,7 +11,7 @@ from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill)
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
-                          random_key, split_key)
+                          combine_outputs, random_key, split_key)
 from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
                               plan_attack)
 from bsea2.errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
@@ -566,6 +567,29 @@ def sample_decrypting_to(spec, key, n, p0, zeros, last):
                             model=PlaintextModel(p0), spec=spec)
 
 
+def first_prefix_words(n, p0):
+    """Words of validation's first pass: the fewest whose 64 w bits put a
+    candidate of half zeros 3 sigma past the band, 32 w - 1.5 sqrt(64 w)
+    > min(n - lo, hi), and at most the sample's words."""
+    lo, hi = judged_band(n, p0)
+    words = 1
+    while 32 * words - 1.5 * math.sqrt(64 * words) <= min(n - lo, hi):
+        words += 1
+    return min(words, -(-n // 64))
+
+
+def spy_combined_shapes(monkeypatch):
+    """The (rows, words) of every combine_outputs call validation makes,
+    in order."""
+    shapes = []
+
+    def spy(f, *words):
+        shapes.append(words[0].shape)
+        return combine_outputs(f, *words)
+    monkeypatch.setattr(attack, "combine_outputs", spy)
+    return shapes
+
+
 class TestValidateAssignments:
     """The bit-sliced batch pass against the clock-by-clock keystream."""
 
@@ -687,6 +711,43 @@ class TestValidateAssignments:
             inside = band is not None and lo <= target <= hi
             assert passed[:3].tolist() == [inside] * 3, target
             assert validate_key(sample, key).zeros == target
+
+    # 10,000 candidates leave a chunk of _VALIDATE_WORDS one word per
+    # candidate, so the first pass is as wide as the rule makes it; at
+    # p0 0.6 the band is wide and the rule passes the sample's words
+    @pytest.mark.parametrize("n", [65, 512, 2048, 4096, 4097])
+    @pytest.mark.parametrize("p0", [0.1, 0.6, 0.9])
+    def test_first_pass_is_3_sigma_past_the_band(self, p0, n, make_sample,
+                                                 monkeypatch):
+        rng = np.random.default_rng(n)
+        kprime = 0xE5
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, n, p0, rng)
+        beam = rng.integers(1, 1 << np.array(MINI_SPEC.degrees),
+                            size=(10_000, 4))
+        assert attack._VALIDATE_WORDS // len(beam) == 1
+        shapes = spy_combined_shapes(monkeypatch)
+        batched_validations(sample, beam, kprime)
+        assert shapes[0][1] == first_prefix_words(n, p0)
+
+    def test_first_pass_rules_out_random_fills(self, make_sample,
+                                               monkeypatch):
+        # 17 words at 4096 bits and p0 0.9: a random fill outlives them
+        # with odds of about 1e-6, where the 15 words that only rule out
+        # half zeros keep about a fifth
+        rng = np.random.default_rng(100)
+        kprime = 0xE5
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 4096, 0.9, rng)
+        beam = validation_beam(MINI_SPEC, key, rng, 1000)[1:]
+        shapes = spy_combined_shapes(monkeypatch)
+        batched_validations(sample, beam, kprime)
+        rows = np.cumsum([r for r, _ in shapes])
+        first = int(np.searchsorted(rows, len(beam))) + 1
+        assert rows[first - 1] == len(beam)
+        assert {w for _, w in shapes[:first]} == {17}
+        # every later row is a candidate the first pass kept
+        assert rows[-1] - len(beam) <= len(beam) // 100
 
 
 class TestRegisterWords:

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bsea2 import cipher
 from bsea2.bits import (bits_to_bytes, bytes_to_bits, pack_words,
                         unpack_words)
-from bsea2.boolfn import apply_key_mask
+from bsea2.boolfn import X0_PATTERN, apply_key_mask
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, SecretKey,
-                          assemble_key, decrypt, encrypt, key_setup,
-                          keystream, keystream_words, load_spec, random_key,
-                          spec_from_json_dict, split_key)
+                          assemble_key, combine_outputs, decrypt, encrypt,
+                          key_setup, keystream, keystream_words, load_spec,
+                          random_key, spec_from_json_dict, split_key)
 from bsea2.errors import DegenerateKey, InvalidKey, WrongKeyLength
 from bsea2.lfsr import make_polynomial
-from oracles import (check_period, oracle_assemble_key, oracle_pack_words,
-                     oracle_split_key, scalar_keystream, scalar_sequence)
+from oracles import (check_period, mux_tree_ops, oracle_assemble_key,
+                     oracle_pack_words, oracle_split_key, scalar_keystream,
+                     scalar_sequence)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_keystream.json").read_text())
@@ -224,7 +226,7 @@ class TestKeystreamWords:
     def test_rows_match_scalar_oracle(self, spec, n):
         rng = np.random.default_rng(n)
         keys = [random_key(spec, rng) for _ in range(3)]
-        # two keys of one K' take one combine_outputs call
+        # two keys of one K' as well as keys of distinct K'
         keys.append(random_key(spec, rng, kprime=split_key(spec, keys[0])[1]))
         fills, kprimes = zip(*(split_key(spec, key) for key in keys))
         got = keystream_words(spec, fills, kprimes, n)
@@ -235,6 +237,70 @@ class TestKeystreamWords:
     def test_degenerate_key_rejected(self):
         with pytest.raises(DegenerateKey):
             keystream_words(MINI_SPEC, [(5, 0, 17, 33)], [0x12], 64)
+
+    @pytest.mark.parametrize("kprime", [-1, 0x100])
+    def test_kprime_wider_than_a_byte_rejected(self, kprime):
+        with pytest.raises(ValueError, match="8-bit"):
+            keystream_words(MINI_SPEC, [(5, 9, 17, 33)] * 2, [0x12, kprime],
+                            64)
+
+
+#: Bit x of these words is (x0, x1, x2, x3) of combiner index x, so the
+#: low 16 bits of combine_outputs over them are sigma's truth table.
+INDEX_WORDS = (0xFF00, 0xF0F0, 0xCCCC, 0xAAAA)
+
+
+class _Counted(np.ndarray):
+    """An array that counts the array operations made on it: ufunc calls,
+    in place or not, and copies."""
+
+    ops = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.ops += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _Counted) else a
+                 for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(a.view(np.ndarray) for a in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return out[0] if out is not None else result.view(_Counted)
+
+    def copy(self, *args, **kwargs):
+        _Counted.ops += 1
+        return super().copy(*args, **kwargs)
+
+
+class TestCombineOutputs:
+    def test_every_table_is_exact_and_no_costlier(self):
+        # all 2^16 tables; the circuit of each costs at most the array
+        # operations of the folded multiplexer tree
+        words = [np.array([w], dtype=np.uint64) for w in INDEX_WORDS]
+        try:
+            wrong = [f for f in range(1 << 16)
+                     if int(combine_outputs(f, *words)[0]) & 0xFFFF
+                     != f ^ X0_PATTERN]
+            costlier = [f for f in range(1 << 16)
+                        if cipher._circuit(f ^ X0_PATTERN, 4)[0]
+                        > mux_tree_ops(f ^ X0_PATTERN)]
+        finally:
+            cipher._circuit.cache_clear()
+        assert wrong == [] and costlier == []
+
+    def test_operation_counts_of_every_kprime(self):
+        # the count each circuit states is the count its evaluation makes,
+        # and over the 256 K' tables of f0 it halves the tree's
+        words = [np.array([w], dtype=np.uint64).view(_Counted)
+                 for w in INDEX_WORDS]
+        stated, tree = [], []
+        for kprime in range(256):
+            f = apply_key_mask(MINI_SPEC.f0, kprime)
+            _Counted.ops = 0
+            out = combine_outputs(f, *words)
+            assert int(out[0]) & 0xFFFF == f ^ X0_PATTERN
+            stated.append(cipher._circuit(f ^ X0_PATTERN, 4)[0])
+            assert _Counted.ops == stated[-1], hex(kprime)
+            tree.append(mux_tree_ops(f ^ X0_PATTERN))
+        assert sum(tree) == 4134 and sum(stated) <= sum(tree) // 2
 
 
 class TestEncrypt:

@@ -519,6 +519,9 @@ BAD_SIDECARS = {
     "list": ('[1]', "InvalidSidecar"),
     "not-json": ('not json', "InvalidSidecar"),
     "too-long": ('{"bits": 129}', "WrongLength"),
+    # a count must fall in the last byte: no whole byte is left unread
+    "too-short": ('{"bits": 20}', "WrongLength"),
+    "whole-byte-short": ('{"bits": 120}', "WrongLength"),
     "directory": (None, "UnreadableInput"),
 }
 
