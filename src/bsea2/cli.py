@@ -197,10 +197,13 @@ def _cmd_keystream(args, spec: InstanceSpec) -> int:
 
 def _cmd_encrypt(args, spec: InstanceSpec) -> int:
     key = _read_key(args, spec)
-    data = _read_input(args.infile)
-    _write_stream(args.out, encrypt(key_setup(spec, key),
-                                    bytes_to_bits(data)))
-    print(f"processed {len(data)} bytes -> {args.out}", file=sys.stderr)
+    if os.path.exists(args.infile + ".meta.json"):
+        bits = _load_sample_bits(args.infile, None)
+    else:       # whole bytes, an empty file included
+        bits = bytes_to_bits(_read_input(args.infile))
+    _write_stream(args.out, encrypt(key_setup(spec, key), bits))
+    print(f"processed {(bits.size + 7) // 8} bytes -> {args.out}",
+          file=sys.stderr)
     return 0
 
 
@@ -350,11 +353,7 @@ def _cmd_attack(args, spec: InstanceSpec) -> int:
 def _cmd_fips(args, spec: InstanceSpec) -> int:
     nbits = randomness.thresholds()["stream_bits"]
     if args.infile:
-        bits = _load_sample_bits(args.infile, None)
-        if bits.size < nbits:
-            raise WrongLength(f"{args.infile} holds {bits.size} bits, "
-                              f"battery needs {nbits}")
-        bits = bits[:nbits]
+        bits = _load_sample_bits(args.infile, nbits)
     else:
         key = _read_key(args, spec)
         bits = keystream(key_setup(spec, key), nbits)

@@ -1,12 +1,18 @@
-"""Independent reference implementations used only to check the fast paths.
+"""Reference implementations used only to check the fast paths.
 
-Everything here is deliberately written the dumb way: per-element loops,
-no word tricks, no shared code with the kernels under test (the one
-vectorised oracle, butterfly_wht, is the textbook radix-2 butterfly). The
-chain of trust is: clock() is verified by hand-traced vectors;
-scalar_sequence and scalar_keystream compose clock(); the key layout is
-read bit by bit from the documented convention; stage scoring oracles
-re-encrypt per candidate.
+The scalar cipher facts live in ``perfbench/reference.py``, which imports
+nothing and is shared with the benchmark: register output (register_bits),
+key layout (key_value, split_key_value), keystream (keystream) and stage
+scoring (stage_score, with chi from effective_chi); ``workloads.polys``
+gives a spec's registers in the form the reference takes. This module
+keeps what that reference lacks, written the same dumb way: per-element
+loops, no word tricks, no shared code with the kernels under test (the
+one vectorised oracle, butterfly_wht, is the textbook radix-2 butterfly).
+The chain of trust is: clock() and reference.register_bits are verified
+by hand-traced vectors; scalar_sequence composes clock(); the reference
+keystream is pinned by the golden vector; validate_key and
+oracle_validation_zeros decrypt with the reference keystream, never with
+the package's.
 """
 import math
 from dataclasses import dataclass
@@ -14,10 +20,11 @@ from itertools import permutations
 
 import numpy as np
 
+import reference
 from bsea2 import boolfn, kernels
-from bsea2.cipher import key_setup, keystream
 from bsea2.classifier import AttackPlan, AttackStage, mask_registers
 from bsea2.errors import Unattackable
+from workloads import polys
 
 #: check_period refuses degrees above this (exhaustive 2^L clocking).
 MAX_PERIOD_CHECK_DEGREE = 16
@@ -81,18 +88,19 @@ def check_period(spec, bound: int = MAX_PERIOD_CHECK_DEGREE) -> int:
     return steps
 
 
-def naive_walsh(word: int, n: int = 4) -> tuple:
-    """O(4^n) transform straight from the definition."""
-    size = 1 << n
-    out = []
-    for u in range(size):
-        acc = 0
-        for x in range(size):
-            fx = (word >> x) & 1
-            ip = bin(x & u).count("1") & 1
-            acc += -1 if (fx ^ ip) else 1
-        out.append(acc)
-    return tuple(out)
+def naive_wht(a) -> np.ndarray:
+    """O(4^n) Walsh-Hadamard transform straight from the definition."""
+    vals = [int(v) for v in a]
+    return np.array([sum(-v if bin(x & u).count("1") & 1 else v
+                         for x, v in enumerate(vals))
+                     for u in range(len(vals))], dtype=np.int64)
+
+
+def naive_walsh(word: int) -> tuple:
+    """Walsh spectrum of a 4-input truth table: the transform of
+    (-1)^f(x)."""
+    return tuple(naive_wht([1 - 2 * ((word >> x) & 1)
+                            for x in range(16)]).tolist())
 
 
 def state_from_stages(poly, stages) -> LfsrState:
@@ -132,41 +140,6 @@ def butterfly_wht(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_split_key(spec, key):
-    """([fills], kprime) of a SecretKey, one key bit at a time.
-
-    Key bit p is numbered from the most significant end. Bits 0.. fill
-    R0's stages s_0, s_1, ... (fill bit i is stage s_i), then R1, R2 and
-    R3; the last 8 bits are K', most significant first.
-    """
-    bits = [(key.value >> (key.nbits - 1 - p)) & 1 for p in range(key.nbits)]
-    fills = []
-    p = 0
-    for deg in spec.degrees:
-        fill = 0
-        for i in range(deg):
-            fill |= bits[p] << i
-            p += 1
-        fills.append(fill)
-    kprime = 0
-    for _ in range(8):
-        kprime = (kprime << 1) | bits[p]
-        p += 1
-    return fills, kprime
-
-
-def oracle_assemble_key(spec, fills, kprime: int) -> int:
-    """The key value that oracle_split_key reads as (fills, kprime)."""
-    bits = []
-    for deg, fill in zip(spec.degrees, fills):
-        bits += [(fill >> i) & 1 for i in range(deg)]
-    bits += [(kprime >> (7 - j)) & 1 for j in range(8)]
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
-
-
 def oracle_pack_words(bits) -> list:
     """Little-endian 64-bit words of a 1-D bit sequence, one bit at a
     time: bit t is bit t % 64 of word t // 64, and a partial last word
@@ -203,37 +176,20 @@ def mux_tree_ops(table: int, bits: int = 4) -> int:
     return 3 + mux_tree_ops(lo, bits - 1) + mux_tree_ops(hi, bits - 1)
 
 
-def scalar_keystream(spec, key, n: int) -> list:
-    """Clock-by-clock keystream trace; no word-parallel shortcuts."""
-    return _scalar_stream(spec, *oracle_split_key(spec, key), n)
-
-
-def _scalar_stream(spec, fills, kprime: int, n: int) -> list:
-    """scalar_keystream from register fills and K' instead of a key."""
-    f = spec.f0 ^ (((kprime << 8) | kprime) & 0xFFFF)
-    states = [LfsrState(p, fill)
-              for p, fill in zip(spec.polynomials, fills)]
-    out = []
-    for _ in range(n):
-        xs = []
-        for j in range(4):
-            bit, states[j] = clock(states[j])
-            xs.append(bit)
-        idx = xs[3] | (xs[2] << 1) | (xs[1] << 2) | (xs[0] << 3)
-        out.append(((f >> idx) & 1) ^ xs[0])
-    return out
+def decrypted_zeros(sample, key: int) -> int:
+    """Zero bits of the sample decrypted, bit by bit, under the key
+    integer ``key`` with the reference keystream."""
+    spec = sample.spec
+    ks = reference.keystream(polys(spec), spec.f0, key, sample.bits.size)
+    return sum(1 for c, k in zip(sample.bits.tolist(), ks) if c == k)
 
 
 def oracle_validation_zeros(sample, fills, kprime: int) -> list:
-    """Decrypted zero count per candidate (four register fills each),
-    bit by bit from the clock-by-clock keystream."""
-    n = sample.bits.size
-    out = []
-    for row in fills:
-        ks = _scalar_stream(sample.spec, [int(v) for v in row], kprime, n)
-        out.append(sum(1 for t in range(n)
-                       if int(sample.bits[t]) == ks[t]))
-    return out
+    """Decrypted zero count per candidate (four register fills each)."""
+    degrees = sample.spec.degrees
+    return [decrypted_zeros(sample, reference.key_value(
+                degrees, [int(v) for v in row], kprime))
+            for row in fills]
 
 
 @dataclass(frozen=True)
@@ -251,12 +207,10 @@ def validate_key(sample, key) -> KeyValidation:
     sigma = sqrt(p0 (1 - p0) / n), by the same float expression as the
     program's judgement; p0 = 0 or 1 demands an exact count. A p0 = 0.5
     model carries no validation signal: z_abs is 0 and every key is
-    indeterminate. The keystream comes from cipher.keystream, itself
-    checked against scalar_keystream.
+    indeterminate. The keystream is the reference's.
     """
     n = sample.bits.size
-    dec = sample.bits ^ keystream(key_setup(sample.spec, key), n)
-    zeros = n - int(dec.sum())
+    zeros = decrypted_zeros(sample, key.value)
     p0 = sample.model.p0
     if p0 == 0.5:
         return KeyValidation(zeros, 0.0, "indeterminate")
@@ -266,33 +220,6 @@ def validate_key(sample, key) -> KeyValidation:
         sigma = (p0 * (1.0 - p0) / n) ** 0.5
         z = abs(zeros / n - p0) / sigma
     return KeyValidation(zeros, z, "pass" if z <= 3.0 else "fail")
-
-
-def oracle_candidate_score(sample, stage, known: dict, kprime: int,
-                           joint_fill: int) -> int:
-    """Score of one candidate by re-encryption: Z = sum of agreement bits."""
-    spec = sample.spec
-    f = boolfn.apply_key_mask(spec.f0, kprime)
-    chi = boolfn.effective_spectrum(f)[stage.mask]
-    s = (chi < 0) ^ (sample.model.p0 < 0.5)
-
-    fills = dict(known)
-    off = 0
-    for r in sorted(stage.targets):
-        deg = spec.degrees[r]
-        fills[r] = (joint_fill >> off) & ((1 << deg) - 1)
-        off += deg
-
-    n = sample.bits.size
-    seqs = {r: scalar_sequence(spec.polynomials[r], fills[r], n)[0]
-            for r in mask_registers(stage.mask)}
-    z = 0
-    for t in range(n):
-        b = 0
-        for r in seqs:
-            b ^= seqs[r][t]
-        z += b ^ int(sample.bits[t]) ^ (1 if s else 0) ^ 1
-    return z
 
 
 def oracle_all_scores(sample, stage, known: dict, kprime: int) -> np.ndarray:

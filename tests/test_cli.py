@@ -115,6 +115,36 @@ class TestEncryptDecrypt:
         assert code == 0
         assert back.read_bytes() == payload
 
+    def test_bit_stream_keeps_its_count(self, capsys, tmp_path):
+        # 1001 keystream bits decrypt to 1001 zero bits with their
+        # sidecar, and the padding is zero, not keystream
+        code, key, _ = run_cli(capsys, "keygen", "--spec", "mini",
+                               "--seed", "7")
+        assert code == 0
+        ks, dec = tmp_path / "ks.bin", tmp_path / "dec.bin"
+        code, _, _ = run_cli(capsys, "keystream", "--spec", "mini",
+                             "--key", key.strip(), "--nbits", "1001",
+                             "--out", str(ks))
+        assert code == 0
+        code, _, err = run_cli(capsys, "decrypt", "--spec", "mini",
+                               "--key", key.strip(), "--in", str(ks),
+                               "--out", str(dec))
+        assert code == 0
+        assert err == f"processed 126 bytes -> {dec}\n"
+        assert dec.read_bytes() == bytes(126)
+        meta = json.loads((tmp_path / "dec.bin.meta.json").read_text())
+        assert meta == {"bits": 1001}
+
+    def test_empty_file_stays_empty(self, capsys, tmp_path):
+        plain, out = tmp_path / "p.bin", tmp_path / "c.bin"
+        plain.write_bytes(b"")
+        code, _, _ = run_cli(capsys, "encrypt", "--spec", "mini",
+                             "--key", "1" * 12, "--in", str(plain),
+                             "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == b""
+        assert not (tmp_path / "c.bin.meta.json").exists()
+
     def test_degenerate_key_exits_1(self, capsys, tmp_path):
         plain = tmp_path / "p.bin"
         plain.write_text("hi")
@@ -443,6 +473,11 @@ def _bad_input_cases():
         (["attack", "--spec", "mini", "--ciphertext", path, "--kprime",
           "0x78"], error) for path, error in samples] + [
         (["fips", "--in", path], error) for path, error in samples]
+    # decrypt (one handler with encrypt) reads a sidecar as attack does
+    sample_argv += [
+        (["decrypt", "--spec", "mini", *key, "--in", f"{{tmp}}/{stem}.bin",
+          "--out", "{tmp}/out.bin"], error)
+        for stem, (_, error) in BAD_SIDECARS.items()]
     # --bits may cut a stream but neither skip its sidecar nor read the
     # padding past the sidecar's count (partial.bin holds 1001 bits)
     sample_argv += [

@@ -7,7 +7,7 @@ from bsea2.attack import register_rows
 from bsea2.cipher import DEFAULT_SPEC, MINI_SPEC
 from bsea2.lfsr import P0, P3, make_polynomial
 
-from oracles import butterfly_wht, scalar_sequence
+from oracles import butterfly_wht, naive_wht, scalar_sequence
 
 CASES = [
     (0b11, 3, 1, 40),            # x^3+x+1
@@ -97,16 +97,6 @@ def test_memoised_rows_are_read_only():
         kernels.linear_forms(P0.tapmask, P0.degree, 10)[3] ^= np.uint64(1)
 
 
-def _naive_wht(a):
-    n = a.size
-    out = np.zeros(n, np.int64)
-    for u in range(n):
-        for x in range(n):
-            sign = -1 if bin(x & u).count("1") & 1 else 1
-            out[u] += sign * int(a[x])
-    return out
-
-
 def _exact_dtype(a):
     """The dtype a caller picks for a's transform: float32 while every
     row's absolute sum is at most 2^24, float64 above it."""
@@ -118,7 +108,7 @@ def _exact_dtype(a):
 def test_fwht_numpy_matches_naive(size):
     rng = np.random.default_rng(size)
     a = rng.integers(-50, 50, size).astype(np.int32)
-    expected = _naive_wht(a)
+    expected = naive_wht(a)
     b = a.astype(_exact_dtype(a))
     kernels.fwht_inplace(b)
     assert b.dtype == np.float32

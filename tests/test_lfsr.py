@@ -7,6 +7,7 @@ from bsea2.errors import InvalidPolynomial
 from bsea2.lfsr import P0, P1, P2, P3, make_polynomial, polynomial_from_list
 from oracles import (LfsrState, PeriodBoundExceeded, check_period, clock,
                      state_from_stages)
+import reference
 
 TRINOMIAL3 = make_polynomial([1, 0], 3)
 
@@ -62,18 +63,30 @@ class TestClock:
         out, nxt = clock(state_from_stages(TRINOMIAL3, (1, 0, 0)))
         assert out == 1
         assert nxt.stages() == (0, 0, 1)
+        # the reference register emits the same bit, then the successor
+        # (0,0,1) = fill 0b100 emits 0, 0, 1 on its own
+        exps = TRINOMIAL3.exponents
+        assert reference.register_bits(3, exps, 0b001, 1) == [1]
+        assert reference.register_bits(3, exps, 0b100, 3) == [0, 0, 1]
 
     def test_zero_is_fixed_point(self):
         out, nxt = clock(LfsrState(TRINOMIAL3, 0))
         assert out == 0 and nxt.fill == 0
         assert nxt.degenerate
+        assert reference.register_bits(3, TRINOMIAL3.exponents, 0, 9) == [0] * 9
 
     def test_full_period_returns_to_start(self):
         state = state_from_stages(TRINOMIAL3, (1, 0, 0))
         s = state
+        seq = []
         for _ in range(7):
-            _, s = clock(s)
+            bit, s = clock(s)
+            seq.append(bit)
         assert s.fill == state.fill
+        # hand-traced: (1,0,0) (0,0,1) (0,1,0) (1,0,1) (0,1,1) (1,1,1) (1,1,0)
+        assert seq == [1, 0, 0, 1, 0, 1, 1]
+        assert reference.register_bits(3, TRINOMIAL3.exponents, 0b001,
+                                       14) == seq * 2
 
     def test_clock_is_bijective_on_nonzero_fills(self):
         for poly in (TRINOMIAL3, make_polynomial([2, 0], 4)):
@@ -103,6 +116,7 @@ class TestGenerateSequence:
         for _ in range(n):
             bit, s = clock(s)
             expected.append(bit)
+        assert reference.register_bits(13, poly.exponents, fill, n) == expected
         seq, fill = output_sequence(state, n)
         assert seq.tolist() == expected
         assert fill == s.fill
