@@ -39,8 +39,9 @@ is validated once for all of its K' (each chunk of word rows is
 gathered once and goes through the combiner circuit of each K'). A K''s
 outcome is what its report shows, its first 50 passing candidates and
 how many passed, and it waits in the cache until its own run_plan takes
-it. The cache also holds each (register, fill) sequence that validation
-needs, packed into uint64 words.
+it. A beam carries the packed output sequence (uint64 words) of every
+fill in its columns, made once when _grow makes the column, and
+validation gathers from them by the beam's own slots.
 """
 import math
 from dataclasses import dataclass, field
@@ -305,43 +306,38 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     return boards if isinstance(known, list) else boards[0]
 
 
-#: Words of packed sequences a run cache keeps per register (8 MB). An
-#: instance that would pass it starts the register's store afresh, so the
-#: cache's memory grows with neither the sample nor the search.
-_CACHE_WORDS = 1 << 20
-
-
 @dataclass(frozen=True)
 class _Beam:
     """A beam after a plan's first stages. Candidate i holds register r's
     fill ``columns[r][slots[i, r]]``; each column is sorted and distinct,
-    and is [0] until its register's stage. ``log`` has one (scorings,
-    retained) pair per stage run, the K'-free part of its stage log."""
+    and is [0] until its register's stage. Row i of ``words[r]`` is the
+    packed output sequence (bits.pack_words) of ``columns[r][i]``, None
+    until the register's stage. ``log`` has one (scorings, retained) pair
+    per stage run, the K'-free part of its stage log."""
 
     columns: tuple
+    words: tuple
     slots: np.ndarray
     log: tuple
 
 
 _NO_BEAM = _Beam(columns=(np.zeros(1, dtype=np.int64),) * 4,
+                 words=(None,) * 4,
                  slots=np.zeros((1, 4), dtype=np.intp), log=())
 
 
 class _RunCache:
-    """What the instances of one search share: stage top-k lists, results
-    and packed register sequences.
+    """What the instances of one search share: stage top-k lists and
+    results.
 
     It belongs to one sample and one retention k: run_parallel_instances
     hands one to every run_plan, and a run_plan called alone builds its
     own. ``boards`` maps (mask, targets, consumed fills in register
     order, s) to the stage's score-board entries as an integer array, one
-    (fill, Z) row each. ``words[r]`` stacks the packed output sequences
-    (bits.pack_words) of register r that validation has needed, one row
-    per fill, and ``rows[r]`` maps each fill to its row. ``ct`` is the
-    packed sample. ``band`` is (lo, hi), the least and the greatest
-    decrypted zero count that _judge passes, or None if it passes none.
-    _judge's float test is monotone on each side of p0, so it passes
-    exactly the counts from lo to hi.
+    (fill, Z) row each. ``ct`` is the packed sample. ``band`` is (lo, hi),
+    the least and the greatest decrypted zero count that _judge passes,
+    or None if it passes none. _judge's float test is monotone on each
+    side of p0, so it passes exactly the counts from lo to hi.
 
     ``tier`` holds the plans of the class the search is in, those whose
     beams fit _MAX_CANDIDATES. The first run_plan of one of them walks
@@ -359,30 +355,8 @@ class _RunCache:
         self.band = ((int(counts[0]), int(counts[-1])) if counts.size
                      else None)
         self.boards = {}
-        self.words = [None] * 4
-        self.rows = [{} for _ in range(4)]
         self.tier = ()
         self.results = {}
-
-    def register_words(self, r: int, fills: list):
-        """(store, rows): store[rows[i]] is the packed output sequence of
-        register r from fills[i]; the fills are distinct."""
-        index = self.rows[r]
-        new = [f for f in fills if f not in index]
-        if new:
-            if (len(index) + len(new)) * self.ct.size > _CACHE_WORDS:
-                index.clear()
-                self.words[r] = None
-                new = fills
-            poly = self.sample.spec.polynomials[r]
-            packed = kernels.packed_sequences(poly.tapmask, poly.degree, new,
-                                              self.sample.bits.size)
-            self.words[r] = (np.concatenate([self.words[r], packed])
-                             if index else packed)
-            index.update(zip(new, range(len(index), len(index) + len(new))))
-            self.words[r].flags.writeable = False
-        return self.words[r], np.array([index[f] for f in fills],
-                                       dtype=np.intp)
 
 
 def split_joint_fill(spec: InstanceSpec, targets, joint) -> dict:
@@ -425,16 +399,15 @@ def _judge(zeros: np.ndarray, n: int, p0: float):
 _VALIDATE_WORDS = 1 << 14
 
 
-def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
+def _validate_assignments(cache: _RunCache, words, slots: np.ndarray,
                           kprimes) -> list:
     """One (passing, zeros) per K' of ``kprimes``: the ascending indices
     of the candidates that _judge passes, and their decrypted zero counts,
     from bit-sliced passes over prefixes of the words.
 
-    Candidate i holds register r's fill columns[r][slots[i, r]], each
-    column a sequence of distinct fills (as in a _Beam). The sequences
-    come packed from the run cache. A pass takes the candidates still
-    alive for some K' over the next words of the sample, in chunks of at
+    Candidate i decrypts with register r's packed output sequence
+    words[r][slots[i, r]] (as in a _Beam). A pass takes the candidates
+    still alive for some K' over the next words of the sample, in chunks of at
     most _VALIDATE_WORDS words per register: each chunk gathers its four
     word rows once, and for each K' the rows alive for it go through that
     K'-masked table's combiner circuit (cipher.combine_outputs); the result
@@ -452,7 +425,7 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
     prefix doubles, and a pass is never narrower than _VALIDATE_WORDS
     words over the candidates alive, so a beam that fits one chunk runs
     in one pass. The candidates alive after the last word are those that
-    pass. With an empty band nothing is packed or combined.
+    pass. With an empty band nothing is combined.
     """
     n = cache.sample.bits.size
     size = len(slots)
@@ -463,11 +436,6 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
               for kp in kprimes]
     ct = cache.ct
     tail = valid_words(ct.size, n)[-1]
-    seqs, rows = [], []
-    for r in range(4):
-        store, index = cache.register_words(r, columns[r].tolist())
-        seqs.append(store)
-        rows.append(index[slots[:, r]])
     ones = np.zeros((len(kprimes), size), dtype=np.int64)
     alive = [np.arange(size)] * len(kprimes)
     # a candidate of half zeros is _Z_BAND sigma past the band from here
@@ -485,10 +453,10 @@ def _validate_assignments(cache: _RunCache, columns, slots: np.ndarray,
         for a, members in sets.values():
             for c in range(0, a.size, step):
                 idx = a[c:c + step]
-                words = [np.take(seq[:, start:end], row[idx], axis=0)
-                         for seq, row in zip(seqs, rows)]
+                chunk = [np.take(w[:, start:end], slots[idx, r], axis=0)
+                         for r, w in enumerate(words)]
                 for i in members:
-                    dec = combine_outputs(tables[i], *words)
+                    dec = combine_outputs(tables[i], *chunk)
                     dec ^= ct[start:end]
                     if end == ct.size:
                         dec[:, -1] &= tail
@@ -640,7 +608,7 @@ def _walk(cache: _RunCache, plans, beam: _Beam, k: int, budget: int) -> None:
               budget)
     ends = [plan for plan in plans if len(plan.stages) == depth]
     if ends:
-        outcomes = _validate_assignments(cache, beam.columns, beam.slots,
+        outcomes = _validate_assignments(cache, beam.words, beam.slots,
                                          [plan.kprime for plan in ends])
         for plan, (passing, zeros) in zip(ends, outcomes):
             fills = np.stack([col[beam.slots[passing, r]]
@@ -661,7 +629,7 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
     earlier stage assigned; the boards of those the cache lacks are
     scored in one score_stage call. A target's new column is the distinct
     values of its part of the retained fills, so no column ever holds a
-    fill twice.
+    fill twice, and its words are packed once, here.
     """
     sample = cache.sample
     stage = plan.stages[len(beam.log)]
@@ -691,15 +659,18 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
     boards = [cache.boards[key] for key in keys]
     joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
     slots = np.repeat(slots, joints.shape[1], axis=0)
-    columns = list(beam.columns)
+    columns, words = list(beam.columns), list(beam.words)
     for r, part in split_joint_fill(sample.spec, stage.targets,
                                     joints).items():
         columns[r], slot = np.unique(part, return_inverse=True)
         slots[:, r] = slot.reshape(part.shape)[pick].ravel()
+        poly = sample.spec.polynomials[r]
+        words[r] = kernels.packed_sequences(poly.tapmask, poly.degree,
+                                            columns[r], sample.bits.size)
     # the log lists the board of beam row 0's parent
     retained = [{"fill": fill_hex(fill, stage.exponent), "score": score}
                 for fill, score in boards[pick[0]].tolist()]
-    return _Beam(tuple(columns), slots,
+    return _Beam(tuple(columns), tuple(words), slots,
                  beam.log + ((len(boards), retained),))
 
 

@@ -47,9 +47,12 @@ def make_polynomial(exponents, degree: int) -> FeedbackPolynomial:
 
 
 def polynomial_from_list(values) -> FeedbackPolynomial:
-    """Inverse of FeedbackPolynomial.to_list."""
-    degree = max(values)
-    return make_polynomial([v for v in values if v != degree], degree)
+    """Inverse of FeedbackPolynomial.to_list. The degree is taken out
+    once, so a repeated degree is refused as an exponent out of range."""
+    exps = list(values)
+    degree = max(exps)
+    exps.remove(degree)
+    return make_polynomial(exps, degree)
 
 
 # The four production polynomials (degrees 23, 29, 31, 37).

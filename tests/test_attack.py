@@ -18,9 +18,10 @@ from bsea2.errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
                           MissingKnownRegister, StageTooLarge, Unattackable)
 from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
+import reference
 from conftest import encrypt_fresh
 from oracles import (oracle_all_scores, oracle_topk, oracle_validation_zeros,
-                     scalar_sequence, validate_key)
+                     validate_key)
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 MINI_953F = InstanceSpec("mini-953F", MINI_SPEC.polynomials, 0x953F)
@@ -509,11 +510,14 @@ def validation_beam(spec, key, rng, wrong):
     return np.array(rows, dtype=np.int64)
 
 
-def beam_columns(beam):
-    """(columns, slots) of a beam of fill rows, as run_plan keeps it: each
-    register's distinct fills, and every candidate's index into them."""
+def beam_words(sample, beam):
+    """(words, slots) of a beam of fill rows, as run_plan keeps it: the
+    packed sequences of each register's distinct fills over the sample,
+    and every candidate's index into them."""
     pairs = [np.unique(beam[:, r], return_inverse=True) for r in range(4)]
-    return ([col for col, _ in pairs],
+    return ([kernels.packed_sequences(poly.tapmask, poly.degree, col,
+                                      sample.bits.size)
+             for poly, (col, _) in zip(sample.spec.polynomials, pairs)],
             np.stack([slot.ravel() for _, slot in pairs], axis=1))
 
 
@@ -534,7 +538,7 @@ def spread_outcome(outcome, size):
 def batched_validations(sample, beam, kprime):
     """(zeros, z, passed) from the batch pass, z judged where passed."""
     [outcome] = attack._validate_assignments(
-        attack._RunCache(sample), *beam_columns(beam), [kprime])
+        attack._RunCache(sample), *beam_words(sample, beam), [kprime])
     zeros, passed = spread_outcome(outcome, len(beam))
     z = attack._judge(zeros, sample.bits.size, sample.model.p0)[0]
     return zeros, np.where(passed, z, np.nan), passed
@@ -660,8 +664,8 @@ class TestValidateAssignments:
         beam = validation_beam(MINI_SPEC, key, rng, 12)
         group = [0x5A, kprime, 0x00, 0x5A]
         cache = attack._RunCache(sample)
-        together = attack._validate_assignments(cache, *beam_columns(beam),
-                                                group)
+        together = attack._validate_assignments(
+            cache, *beam_words(sample, beam), group)
         assert len(together) == len(group)
         together = [spread_outcome(outcome, len(beam))
                     for outcome in together]
@@ -701,7 +705,7 @@ class TestValidateAssignments:
             cache = attack._RunCache(sample)
             assert cache.band == band
             [outcome] = attack._validate_assignments(
-                cache, *beam_columns(beam), [kprime])
+                cache, *beam_words(sample, beam), [kprime])
             zeros, passed = spread_outcome(outcome, len(beam))
             for row, zr, ok in zip(beam, zeros, passed):
                 one = validate_key(sample,
@@ -750,28 +754,38 @@ class TestValidateAssignments:
         assert rows[-1] - len(beam) <= len(beam) // 100
 
 
-class TestRegisterWords:
-    """The run cache's packed sequences, stored as the kernel packs them."""
+class TestBeamWords:
+    """Each beam carries the packed output sequences of its columns."""
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
-    def test_packed_sequences_match_scalar_oracle(self, n):
-        # 2 fills, then 7 (5 new): the store grows by the new ones only
-        rng = np.random.default_rng(100 + n)
-        sample = CiphertextSample(bits=rng.integers(0, 2, n, dtype=np.uint8),
-                                  model=PlaintextModel(0.9), spec=MINI_SPEC)
+    # K' 0x32's last stage has 1,000 parents at retention 10; 509 bits
+    # leave three padding bits in the tail word, 512 none
+    @pytest.mark.parametrize("n", [509, 512])
+    def test_rows_are_the_reference_sequences(self, n, make_sample):
+        rng = np.random.default_rng(45)
+        kprime = 0x32
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, n, 0.9, rng)
+        plan = plan_attack(MINI_SPEC, kprime)
         cache = attack._RunCache(sample)
-        for r, poly in enumerate(MINI_SPEC.polynomials):
-            fills = [1, (1 << poly.degree) - 1] + rng.choice(
-                np.arange(2, (1 << poly.degree) - 1), 5, replace=False
-            ).tolist()
-            cache.register_words(r, fills[:2])
-            store, rows = cache.register_words(r, fills[::-1])
-            assert store.shape == (7, -(-n // 64))
-            for fill, row in zip(fills[::-1], rows):
-                bits = np.unpackbits(store[row].view(np.uint8),
+        beam, assigned = attack._NO_BEAM, set()
+        for stage in plan.stages:
+            beam = attack._grow(cache, plan, beam, 10,
+                                DEFAULT_BUDGET_EXPONENT)
+            assigned |= stage.targets
+            for r, poly in enumerate(MINI_SPEC.polynomials):
+                column, words = beam.columns[r], beam.words[r]
+                if r not in assigned:
+                    assert words is None
+                    continue
+                assert words.shape == (column.size, -(-n // 64))
+                bits = np.unpackbits(words.view(np.uint8), axis=1,
                                      bitorder="little")
-                assert bits[:n].tolist() == scalar_sequence(poly, fill, n)[0]
-                assert not bits[n:].any()
+                assert not bits[:, n:].any()
+                for i in rng.choice(column.size, min(column.size, 8),
+                                    replace=False):
+                    assert bits[i, :n].tolist() == reference.register_bits(
+                        poly.degree, poly.exponents, int(column[i]), n)
+        assert beam.log[-1][0] == 1000
 
 
 class TestRunPlan:
@@ -871,7 +885,7 @@ class TestRunPlan:
         for _ in plan.stages:
             beam = attack._grow(cache, plan, beam, k, DEFAULT_BUDGET_EXPONENT)
         [(passing, zeros)] = attack._validate_assignments(
-            cache, beam.columns, beam.slots, [kprime])
+            cache, beam.words, beam.slots, [kprime])
         z = attack._judge(zeros, 512, 0.6)[0]
         rows = [tuple(int(col[beam.slots[i, r]])
                       for r, col in enumerate(beam.columns))
@@ -1079,21 +1093,16 @@ class TestSharedRunCache:
 
     # p0 0.2 flips the complement bit s of every stage against p0 0.9;
     # budget 22 leaves out the four C4 instances (2^29 stages) for speed.
-    # A store of 40 sequences (32 words each) per register makes the
-    # cache start its stores afresh every few instances.
-    @pytest.mark.parametrize("p0, budget, block_bits, cache_words", [
-        (0.9, 22, 24, None),
-        (0.2, 22, 24, None),
-        (0.9, 16, 8, None),
-        (0.2, 16, 8, None),
-        (0.2, 16, 24, 40 * 32),
+    @pytest.mark.parametrize("p0, budget, block_bits", [
+        (0.9, 22, 24),
+        (0.2, 22, 24),
+        (0.9, 16, 8),
+        (0.2, 16, 8),
     ])
     def test_shared_search_equals_standalone_plans(self, p0, budget,
-                                                   block_bits, cache_words,
-                                                   make_sample, monkeypatch):
+                                                   block_bits, make_sample,
+                                                   monkeypatch):
         monkeypatch.setattr(attack, "_BLOCK_BITS", block_bits)
-        if cache_words is not None:
-            monkeypatch.setattr(attack, "_CACHE_WORDS", cache_words)
         rng = np.random.default_rng(84)
         report = partition_keys(MINI_SPEC)
         key = random_key(MINI_SPEC, rng, kprime=report.rows[0].kprimes[7])
@@ -1138,19 +1147,28 @@ class TestSharedRunCache:
         # this search made before beams were shared; 160 _grow calls, one
         # per node of the tier's tree of stage keys (768 if every instance
         # built its own four beams); one validation per leaf, that is per
-        # distinct whole beam of the 192 C0 plans
-        calls = {}
+        # distinct whole beam of the 192 C0 plans. Sequences are packed
+        # by score_stage for the consumed registers of each batch and by
+        # _grow once for each new column, never inside validation.
+        calls, packs, stack = {}, {}, []
 
-        def spy(name):
-            real = getattr(attack, name)
+        def spy(module, name):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(attack, name, counted)
+                if name == "packed_sequences":
+                    packs[stack[-1]] = packs.get(stack[-1], 0) + 1
+                stack.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    stack.pop()
+            monkeypatch.setattr(module, name, counted)
         for name in ("run_plan", "score_stage", "_grow",
                      "_validate_assignments"):
-            spy(name)
+            spy(attack, name)
+        spy(kernels, "packed_sequences")
         key, sample = defaults_sample(make_sample)
         result = run_parallel_instances(sample)
         assert result.best.key == key
@@ -1164,6 +1182,8 @@ class TestSharedRunCache:
                        for st in plans[status.kprime].stages)
                  for status in attempted}
         assert calls["_validate_assignments"] == len(beams) == 104
+        assert packs == {"score_stage": 600, "_grow": 160}
+        assert calls["packed_sequences"] == 760
 
     def test_defaults_search_memory(self, make_sample):
         # peak traced memory of the search at the CLI defaults: 16.3 MB
@@ -1181,6 +1201,23 @@ class TestSharedRunCache:
             tracemalloc.stop()
         assert result.best.key == key
         assert peak < 20 << 20
+
+    def test_long_sample_memory(self, make_sample):
+        # 65,536 bits (1,024 words a sequence) at retention 3: peaks of
+        # 3.2-5.6 MB with the beams' own words (seeds 11-13), 12.4-15.4 MB
+        # when the run cache kept up to 8 MB of sequences per register
+        rng = np.random.default_rng(11)
+        key = random_key(MINI_SPEC, rng, kprime=0x78)
+        sample, _ = make_sample(MINI_SPEC, key, 1 << 16, 0.9, rng)
+        partition_keys(MINI_SPEC)
+        tracemalloc.start()
+        try:
+            result = run_parallel_instances(sample, k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best.key == key
+        assert peak < 8 << 20
 
 
 def test_split_joint_fill_round_trip():

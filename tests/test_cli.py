@@ -462,9 +462,10 @@ def _bad_input_cases():
         ["keystream", "--spec", "mini", "--key-file", "{tmp}/binary.key",
          "--nbits", "8", "--out", "{tmp}/ks.bin"],
     ]
-    # readable files that are not a spec; each is written by the test
-    invalid = [["partition", "--spec", "{tmp}/" + spec_file]
-               for spec_file in BAD_SPECS]
+    # readable files that are not a spec, or whose polynomial is not one;
+    # each is written by the test
+    invalid = [(["partition", "--spec", "{tmp}/" + spec_file], error)
+               for spec_file, (_, error) in BAD_SPECS.items()]
     # samples read through a bad sidecar, or holding too few bits
     samples = [(f"{{tmp}}/{name}.bin", error)
                for name, (_, error) in BAD_SIDECARS.items()]
@@ -528,18 +529,24 @@ def _bad_input_cases():
             # an empty --key is key text too, not a missing --key-file
             + [(["keystream", "--spec", "mini", "--key", "", "--nbits", "8",
                  "--out", "{tmp}/ks.bin"], 1, "error: WrongKeyLength: ")]
-            + [(argv, 1, "error: InvalidSpec: ") for argv in invalid]
+            + [(argv, 1, f"error: {error}: ") for argv, error in invalid]
             + [(argv, 1, f"error: {error}: ") for argv, error in sample_argv])
 
 
+#: name -> (text, error name)
 BAD_SPECS = {
-    "malformed.json": '{"polynomials": [',
-    "no-polynomials.json": '{"f0": "0x93A0"}',
+    "malformed.json": ('{"polynomials": [', "InvalidSpec"),
+    "no-polynomials.json": ('{"f0": "0x93A0"}', "InvalidSpec"),
     "bad-f0.json": ('{"polynomials": [[7, 1, 0], [9, 4, 0], [11, 2, 0], '
-                    '[13, 4, 3, 1, 0]], "f0": "zz"}'),
-    "list.json": '[[7, 1, 0], [9, 4, 0]]',
+                    '[13, 4, 3, 1, 0]], "f0": "zz"}', "InvalidSpec"),
+    "list.json": ('[[7, 1, 0], [9, 4, 0]]', "InvalidSpec"),
     "underscore-f0.json": ('{"polynomials": [[7, 1, 0], [9, 4, 0], '
-                           '[11, 2, 0], [13, 4, 3, 1, 0]], "f0": "0x93_A0"}'),
+                           '[11, 2, 0], [13, 4, 3, 1, 0]], "f0": "0x93_A0"}',
+                           "InvalidSpec"),
+    # mini with R0's degree written twice, not x^7 + x + 1
+    "repeated-degree.json": ('{"polynomials": [[7, 7, 1, 0], [9, 4, 0], '
+                             '[11, 2, 0], [13, 4, 3, 1, 0]], '
+                             '"f0": "0x93A0"}', "InvalidPolynomial"),
 }
 
 #: name -> (text of <name>.bin.meta.json, or None for a directory there,
@@ -570,7 +577,7 @@ def test_bad_input_exit_code_and_error_name(capsys, tmp_path, argv, code,
     # time; unreadable files, invalid specs and sidecars and samples of
     # the wrong length are domain errors (exit 1) named on stderr
     (tmp_path / "c.bin").write_bytes(b"\x00" * 16)
-    for spec_file, text in BAD_SPECS.items():
+    for spec_file, (text, _) in BAD_SPECS.items():
         (tmp_path / spec_file).write_text(text)
     for stem, (text, _) in BAD_SIDECARS.items():
         (tmp_path / f"{stem}.bin").write_bytes(b"\x00" * 16)

@@ -52,6 +52,11 @@ class TestMakePolynomial:
         with pytest.raises(InvalidPolynomial):
             make_polynomial([0, 1], 65)
 
+    def test_repeated_degree_rejected(self):
+        # [7, 7, 1, 0] is not x^7 + x + 1 with one copy of the degree lost
+        with pytest.raises(InvalidPolynomial):
+            polynomial_from_list([7, 7, 1, 0])
+
     def test_list_round_trip(self):
         assert polynomial_from_list(P0.to_list()) == P0
         assert P0.to_list()[0] == 23
