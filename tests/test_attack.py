@@ -757,9 +757,9 @@ class TestValidateAssignments:
 class TestBeamWords:
     """Each beam carries the packed output sequences of its columns."""
 
-    # K' 0x32's last stage has 1,000 parents at retention 10; 509 bits
-    # leave three padding bits in the tail word, 512 none
-    @pytest.mark.parametrize("n", [509, 512])
+    # K' 0x32's last stage has 1,000 parents at retention 10; 63, 65, 509
+    # and 4097 bits leave padding bits in the tail word, 64 and 512 none
+    @pytest.mark.parametrize("n", [63, 64, 65, 509, 512, 4097])
     def test_rows_are_the_reference_sequences(self, n, make_sample):
         rng = np.random.default_rng(45)
         kprime = 0x32
@@ -1098,6 +1098,7 @@ class TestSharedRunCache:
         (0.2, 22, 24),
         (0.9, 16, 8),
         (0.2, 16, 8),
+        (0.2, 16, 24),
     ])
     def test_shared_search_equals_standalone_plans(self, p0, budget,
                                                    block_bits, make_sample,
