@@ -40,8 +40,8 @@ gathered once and goes through the combiner circuit of each K'). A K''s
 outcome is what its report shows, its first 50 passing candidates and
 how many passed, and it waits in the cache until its own run_plan takes
 it. A beam carries the packed output sequence (uint64 words) of every
-fill in its columns, made once when _grow makes the column, and
-validation gathers from them by the beam's own slots.
+fill in its columns, made once when _grow makes the column; stage
+scoring and validation gather from them by the beam's own slots.
 """
 import math
 from dataclasses import dataclass, field
@@ -154,14 +154,11 @@ def _complement(stage: AttackStage, model: PlaintextModel) -> bool:
 
 
 def _stage_inputs(sample: CiphertextSample, stage: AttackStage, layout,
-                  knowns: list, kprime: int):
-    """(joint rows A_t, c XOR s packed by bits.pack_words, consumed
-    registers) for the stage, its targets laid out as ``layout``.
-
-    Checks that the stage's chi is K''s nonzero chi at its mask, that the
-    mask covers the targets and that every dict of ``knowns`` holds the
-    registers the mask consumes.
-    """
+                  kprime: int):
+    """(joint rows A_t, c XOR s packed by bits.pack_words) for the stage,
+    its targets laid out as ``layout``, once it has checked that the
+    stage's chi is K''s nonzero chi at its mask and that the mask covers
+    the targets."""
     spec = sample.spec
     chi = boolfn.effective_spectrum(
         boolfn.apply_key_mask(spec.f0, kprime))[stage.mask]
@@ -172,11 +169,6 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage, layout,
     if not stage.targets <= mask_registers(stage.mask):
         raise Bsea2Error("stage targets are not covered by its mask; "
                          "their fills would never affect the score")
-    consumed = sorted(mask_registers(stage.mask) - stage.targets)
-    for known in knowns:
-        for r in consumed:
-            if r not in known:
-                raise MissingKnownRegister(f"stage mask needs recovered R{r}")
 
     n = sample.bits.size
     s = _complement(stage, sample.model)
@@ -184,7 +176,7 @@ def _stage_inputs(sample: CiphertextSample, stage: AttackStage, layout,
     rows = np.zeros(n, dtype=np.uint64)
     for r, off, _ in layout:
         rows ^= register_rows(spec.polynomials[r], n) << np.uint64(off)
-    return rows, d0, consumed
+    return rows, d0
 
 
 #: Fill bits of one block of a stage scoring, and the cells (parents x
@@ -205,13 +197,13 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 ) -> ScoreBoard | list[ScoreBoard]:
     """Score every joint fill of the stage's targets; retain the top k.
 
-    ``known`` maps each register the mask consumes to its recovered fill
-    and gives one ScoreBoard. A list of such dicts gives one board per
-    dict, in order: the rows and the packed complemented ciphertext are
-    built once. A batch holds as many parents as fit 2^_BLOCK_BITS cells,
-    at least one. In each batch the packed sequences of the consumed
-    registers' fills (kernels.packed_sequences) are XORed into the
-    parents' words, which are unpacked once.
+    ``known`` is a (parents, words) uint64 array, a row per parent: the
+    XOR of its consumed registers' packed sequences (bits.pack_words), as
+    _grow gathers them from a beam. It gives one board per row, in order.
+    A dict from each consumed register to its fill gives one ScoreBoard;
+    it is packed into a row by kernels.packed_sequences. A batch holds as
+    many parents as fit 2^_BLOCK_BITS cells, at least one; its rows XOR
+    the packed c XOR s are its data bits, which are unpacked once.
 
     A batch runs over the joint fills in blocks of 2^_BLOCK_BITS over
     their high bits, one block when the stage has no more bits. A block's
@@ -243,13 +235,21 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
         raise StageTooLarge(
             f"stage needs 2^{stage.exponent} joint states, budget is "
             f"2^{budget}; raise --budget or attack a smaller instance")
-    knowns = known if isinstance(known, list) else [known]
     layout = _joint_layout(sample.spec, stage.targets)
-    rows, d0, consumed = _stage_inputs(sample, stage, layout, knowns, kprime)
+    rows, d0 = _stage_inputs(sample, stage, layout, kprime)
     n = sample.bits.size
+    words = known
+    if isinstance(known, dict):
+        words = np.zeros((1, d0.size), dtype=np.uint64)
+        for r in sorted(mask_registers(stage.mask) - stage.targets):
+            if r not in known:
+                raise MissingKnownRegister(f"stage mask needs recovered R{r}")
+            poly = sample.spec.polynomials[r]
+            words ^= kernels.packed_sequences(poly.tapmask, poly.degree,
+                                              [known[r]], n)
     lo = min(stage.exponent, _BLOCK_BITS)
     step = max(1, (1 << _BLOCK_BITS) // max(n, 1 << lo))
-    width = min(step, len(knowns))
+    width = min(step, len(words))
     rows_hi = rows >> np.uint64(lo)
     # a table has at most 2^_BLOCK_BITS entries, so int32 indices do
     rows_lo = (rows & np.uint64((1 << lo) - 1)).astype(np.int32)
@@ -260,15 +260,9 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
              np.empty((width, 1 << lo), bool),
              np.empty((width, n), dtype))
     boards = []
-    for c in range(0, len(knowns), step):
-        batch = knowns[c:c + step]
-        d = np.tile(d0, (len(batch), 1))
-        for r in consumed:
-            poly = sample.spec.polynomials[r]
-            d ^= kernels.packed_sequences(poly.tapmask, poly.degree,
-                                          [kn[r] for kn in batch], n)
-        d = unpack_words(d, n)
-        table, part, mask, signs = (a[:len(batch)] for a in space)
+    for c in range(0, len(words), step):
+        d = unpack_words(words[c:c + step] ^ d0, n)
+        table, part, mask, signs = (a[:len(d)] for a in space)
         top = kth = None
         for hi in range(1 << (stage.exponent - lo)):
             flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
@@ -295,15 +289,15 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
             if top is not None:
                 hits = map(np.concatenate, zip(top, hits))
             top = _first_k(*hits, k)
-            if top[0].size == k * len(batch):
+            if top[0].size == k * len(d):
                 kth = top[2][k - 1::k].astype(dtype)
         row, fill, corr = top
-        bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
+        bounds = np.searchsorted(row, np.arange(len(d) + 1)).tolist()
         entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
         boards += [ScoreBoard(entries=tuple(entries[a:b]),
                               n_candidates=1 << stage.exponent)
                    for a, b in zip(bounds[:-1], bounds[1:])]
-    return boards if isinstance(known, list) else boards[0]
+    return boards[0] if isinstance(known, dict) else boards
 
 
 @dataclass(frozen=True)
@@ -509,12 +503,12 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
     (k^stages candidates at most). Each parent row is repeated once per
     retained fill of its scoring and the target columns are assigned
     (_grow). Before any stage is scored, every stage is checked against
-    the budget, then the size the beam will have after each stage against
-    _MAX_CANDIDATES (_beam_size). The final beam is validated in
-    bit-sliced passes that stop counting a candidate once it cannot pass
-    (_validate_assignments). The run's candidates, which its transcript
-    lists, are the first _LISTED that pass, by z and then the fills;
-    ``validated`` counts all that pass.
+    the budget and for a consumed register no earlier stage recovers, then
+    the beam's size after each stage against _MAX_CANDIDATES (_beam_size).
+    The final beam is validated in bit-sliced passes that stop counting a
+    candidate once it cannot pass (_validate_assignments). The run's
+    candidates, which its transcript lists, are the first _LISTED that
+    pass, by z and then the fills; ``validated`` counts all that pass.
 
     ``cache`` is the run cache of a search over several instances of the
     same sample and k; without one the run builds its own. The first run
@@ -526,11 +520,15 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
         cache = _RunCache(sample)
     kprime = plan.kprime
     spec = sample.spec
+    assigned = set()
     for st in plan.stages:
         if st.exponent > budget:
             raise StageTooLarge(
                 f"plan stage needs 2^{st.exponent} joint states, budget is "
                 f"2^{budget}; raise --budget or attack a smaller instance")
+        for r in sorted(mask_registers(st.mask) - st.targets - assigned):
+            raise MissingKnownRegister(f"stage mask needs recovered R{r}")
+        assigned |= st.targets
     size = _beam_size(spec, plan, k)
     if size > _MAX_CANDIDATES:
         raise BeamTooLarge(f"beam grew to {size} candidates; lower the "
@@ -625,34 +623,34 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
           budget: int) -> _Beam:
     """The beam after the plan's next stage, which ``beam`` has not run.
 
-    The parents are the distinct rows of the consumed columns that an
-    earlier stage assigned; the boards of those the cache lacks are
-    scored in one score_stage call. A target's new column is the distinct
-    values of its part of the retained fills, so no column ever holds a
-    fill twice, and its words are packed once, here.
+    The parents are the distinct rows of the consumed columns. The boards
+    of those the cache lacks are scored in one score_stage call, from the
+    XOR of each one's consumed words. A target's new column is the
+    distinct values of its part of the retained fills, so no column ever
+    holds a fill twice, and its words are packed once, here.
     """
     sample = cache.sample
     stage = plan.stages[len(beam.log)]
-    assigned = set().union(*(st.targets
-                             for st in plan.stages[:len(beam.log)]))
     slots = beam.slots
-    cols = [r for r in sorted(mask_registers(stage.mask) - stage.targets)
-            if r in assigned]
+    cols = sorted(mask_registers(stage.mask) - stage.targets)
     # a parent's slots in mixed radix: one integer per distinct row (all 0,
-    # so one parent {}, when nothing is consumed)
+    # so one parent, when nothing is consumed)
     code = np.zeros(len(slots), dtype=np.int64)
     for r in cols:
         code = code * len(beam.columns[r]) + slots[:, r]
     _, first, pick = np.unique(code, return_index=True, return_inverse=True)
-    parents = [{r: int(beam.columns[r][slots[j, r]]) for r in cols}
-               for j in first]
+    fills = [beam.columns[r][slots[first, r]].tolist() for r in cols]
     s = _complement(stage, sample.model)
-    keys = [(stage.mask, stage.targets, tuple(known.values()), s)
-            for known in parents]
+    keys = [(stage.mask, stage.targets, tuple(f[j] for f in fills), s)
+            for j in range(first.size)]
     misses = [i for i, key in enumerate(keys) if key not in cache.boards]
     if misses:
-        scored = score_stage(sample, stage, [parents[i] for i in misses],
-                             plan.kprime, k=k, budget=budget)
+        known = np.zeros((len(misses), cache.ct.size), dtype=np.uint64)
+        for r in cols:
+            known ^= beam.words[r][slots[first[misses], r]]
+        scored = score_stage(sample, stage, known, plan.kprime, k=k,
+                             budget=budget)
+        del known       # before the new columns' words are packed
         for i, board in zip(misses, scored):
             cache.boards[keys[i]] = np.array(board.entries, dtype=np.int64
                                              ).reshape(-1, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import time
@@ -10,18 +11,19 @@ from bsea2 import attack, boolfn, kernels
 from bsea2.attack import (CiphertextSample, DEFAULT_BUDGET_EXPONENT,
                           run_parallel_instances, run_plan, score_stage,
                           split_joint_fill)
+from bsea2.bits import fill_hex
 from bsea2.cipher import (DEFAULT_SPEC, MINI_SPEC, InstanceSpec, assemble_key,
                           combine_outputs, random_key, split_key)
-from bsea2.classifier import (AttackStage, attackable_kprimes, partition_keys,
-                              plan_attack)
+from bsea2.classifier import (AttackStage, attackable_kprimes, mask_registers,
+                              partition_keys, plan_attack)
 from bsea2.errors import (BeamTooLarge, Bsea2Error, EmptyBeam,
                           MissingKnownRegister, StageTooLarge, Unattackable)
 from bsea2.lfsr import make_polynomial
 from bsea2.plaintext import KNOWN_KEYSTREAM_MODEL, PlaintextModel
 import reference
 from conftest import encrypt_fresh
-from oracles import (oracle_all_scores, oracle_topk, oracle_validation_zeros,
-                     validate_key)
+from oracles import (oracle_all_scores, oracle_pack_words, oracle_topk,
+                     oracle_validation_zeros, validate_key)
 
 SPEC_953F = InstanceSpec("default-953F", DEFAULT_SPEC.polynomials, 0x953F)
 MINI_953F = InstanceSpec("mini-953F", MINI_SPEC.polynomials, 0x953F)
@@ -46,6 +48,19 @@ def stage_for(spec, kprime, mask, known=frozenset()):
 
 def target_degrees(spec, stage):
     return [spec.degrees[r] for r in sorted(stage.targets)]
+
+
+def known_rows(spec, n, knowns):
+    """score_stage's array form of a list of {register: fill} dicts: row
+    i is the XOR of the packed output sequences of knowns[i]'s fills,
+    made from the scalar reference and packed one bit at a time."""
+    rows = np.zeros((len(knowns), -(-n // 64)), dtype=np.uint64)
+    for row, known in zip(rows, knowns):
+        for r, fill in known.items():
+            poly = spec.polynomials[r]
+            row ^= np.array(oracle_pack_words(reference.register_bits(
+                poly.degree, poly.exponents, fill, n)), dtype=np.uint64)
+    return rows
 
 
 class TestScoreStage:
@@ -245,7 +260,8 @@ class TestScoreStage:
         sample = keystream_sample(MINI_953F, key, block + 1000)
         stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
         assert stage.exponent == 13
-        score_stage(sample, stage, [{0: f} for f in (1, 2, 3)], 0xBD)
+        score_stage(sample, stage, known_rows(
+            MINI_953F, block + 1000, [{0: f} for f in (1, 2, 3)]), 0xBD)
         assert [n for n in sizes if n > 16] == [1 << 13] * 3
 
     def test_zero_fill_is_never_ranked(self):
@@ -328,7 +344,8 @@ class TestScoreStage:
         r2 = [fills[2], 5, 77]
         r3 = [fills[3], 1000]
         knowns = [{2: r2[i % 3], 3: r3[i % 2]} for i in range(parents)]
-        batch = score_stage(sample, stage, knowns, 0x02, k=20)
+        batch = score_stage(sample, stage, known_rows(MINI_SPEC, 160, knowns),
+                            0x02, k=20)
         assert len(batch) == parents
         for known, board in zip(knowns, batch):
             one = score_stage(sample, stage, known, 0x02, k=20)
@@ -391,8 +408,9 @@ class TestScoreStage:
         r0 = [5, 77, 100, 3]
         r0.insert(true_row, fills[0])
         knowns = [{0: f} for f in r0]
-        blocked, one = self._blocked_and_one_block(sample, stage, knowns,
-                                                   0xBD, 12, monkeypatch)
+        blocked, one = self._blocked_and_one_block(
+            sample, stage, known_rows(MINI_953F, 128, knowns), 0xBD, 12,
+            monkeypatch)
         assert blocked == one
         assert blocked[true_row].entries[0][0] == fills[3]
         for known, board in zip(knowns, blocked):
@@ -402,7 +420,7 @@ class TestScoreStage:
 
     def test_known_fill_above_2_pow_63(self):
         # a 64-stage register's fill must reach the sequence kernel
-        # exactly, not through a float
+        # exactly, not through a float, and its rows score as the dict
         spec = InstanceSpec("wide", MINI_953F.polynomials[:3]
                             + (make_polynomial([4, 3, 1, 0], 64),), 0x953F)
         wide = (1 << 63) | 12345
@@ -410,20 +428,28 @@ class TestScoreStage:
         sample = keystream_sample(spec, key, 160)
         stage = stage_for(spec, 0xBD, 0b1001, known=frozenset({3}))
         knowns = [{3: wide}, {3: 7}]
-        boards = score_stage(sample, stage, knowns, 0xBD, k=10)
+        boards = score_stage(sample, stage, known_rows(spec, 160, knowns),
+                             0xBD, k=10)
         for known, board in zip(knowns, boards):
             expected = oracle_all_scores(sample, stage, known, 0xBD)
             assert list(board.entries) == oracle_topk(
                 expected, 10, target_degrees(spec, stage))
+            assert score_stage(sample, stage, known, 0xBD, k=10) == board
 
     def test_empty_batch_still_checks_the_stage(self):
         rng = np.random.default_rng(25)
         key = random_key(MINI_953F, rng, kprime=0xBD)
         sample = keystream_sample(MINI_953F, key, 64)
         stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
-        assert score_stage(sample, stage, [], 0xBD) == []
-        with pytest.raises(MissingKnownRegister):
-            score_stage(sample, stage, [{0: 3}, {}], 0xBD)
+        empty = np.zeros((0, 1), dtype=np.uint64)
+        assert score_stage(sample, stage, empty, 0xBD) == []
+        bad = AttackStage(targets=stage.targets, mask=stage.mask,
+                          exponent=stage.exponent, known=stage.known,
+                          chi=-stage.chi)
+        with pytest.raises(Bsea2Error, match="is not the nonzero chi"):
+            score_stage(sample, bad, empty, 0xBD)
+        with pytest.raises(StageTooLarge):
+            score_stage(sample, stage, empty, 0xBD, budget=12)
 
     def test_budget_refusal(self):
         rng = np.random.default_rng(51)
@@ -788,6 +814,25 @@ class TestBeamWords:
         assert beam.log[-1][0] == 1000
 
 
+def row_0_parents(spec, plan, transcript):
+    """Each stage's parent in beam row 0: the fills of the registers its
+    mask consumes. Row 0 takes the first fill of every earlier stage's
+    logged list."""
+    fills, parents = {}, []
+    for stage, log in zip(plan.stages, transcript["stages"]):
+        parents.append({r: fills[r] for r in
+                        sorted(mask_registers(stage.mask) - stage.targets)})
+        fills.update(split_joint_fill(spec, stage.targets,
+                                      int(log["retained"][0]["fill"], 16)))
+    return parents
+
+
+def logged(stage, entries):
+    """A stage log's ``retained`` list of (fill, score) entries."""
+    return [{"fill": fill_hex(fill, stage.exponent), "score": score}
+            for fill, score in entries]
+
+
 class TestRunPlan:
     def test_noiseless_recovers_unique_true_key(self):
         # known-keystream samples over 100 random mini keys: the true key
@@ -840,6 +885,68 @@ class TestRunPlan:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    def test_unrecovered_register_refused_before_scoring(self,
+                                                         monkeypatch):
+        # K' 0x32's stages reordered so that the second (mask 0101, target
+        # R1) consumes R3 before any stage recovers it
+        scored = []
+        real = attack.score_stage
+
+        def spy(sample, stage, *args, **kwargs):
+            scored.append(stage)
+            return real(sample, stage, *args, **kwargs)
+        monkeypatch.setattr(attack, "score_stage", spy)
+        rng = np.random.default_rng(77)
+        key = random_key(MINI_SPEC, rng, kprime=0x32)
+        sample = keystream_sample(MINI_SPEC, key, 256)
+        plan = plan_attack(MINI_SPEC, 0x32)
+        first, second, third, fourth = plan.stages
+        bad = dataclasses.replace(plan, stages=(first, third, second, fourth))
+        with pytest.raises(MissingKnownRegister, match="recovered R3"):
+            run_plan(sample, bad)
+        assert scored == []
+        run_plan(sample, plan)
+        assert len(scored) == 4
+
+    def test_logs_the_board_of_beam_row_0s_parent(self, make_sample):
+        # K' 0x32's stages 2-4 consume earlier targets and have up to 10,
+        # 100 and 1,000 parents. Row 0's parent holds the first fill of each
+        # earlier logged list; stage 2's first distinct parent holds the
+        # least of stage 1's fills, and its board differs
+        rng = np.random.default_rng(46)
+        kprime = 0x32
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 512, 0.9, rng)
+        plan = plan_attack(MINI_SPEC, kprime)
+        tr = run_plan(sample, plan).transcript
+        parents = row_0_parents(MINI_SPEC, plan, tr)
+        for stage, log, known in zip(plan.stages, tr["stages"], parents):
+            board = score_stage(sample, stage, known, kprime)
+            assert log["retained"] == logged(stage, board.entries)
+        r0 = [int(entry["fill"], 16) for entry in tr["stages"][0]["retained"]]
+        assert parents[1] == {0: r0[0]} and r0[0] != min(r0)
+        assert (score_stage(sample, plan.stages[1], {0: min(r0)}, kprime)
+                != score_stage(sample, plan.stages[1], parents[1], kprime))
+
+    def test_stage_logs_at_p0_one_half(self, make_sample):
+        # at p0 1/2 a stage's data bits are complemented for chi < 0 alone,
+        # and nothing validates; each logged list is the oracle's top 10
+        # for beam row 0's parent
+        rng = np.random.default_rng(47)
+        kprime = 0x32
+        key = random_key(MINI_SPEC, rng, kprime=kprime)
+        sample, _ = make_sample(MINI_SPEC, key, 256, 0.5, rng)
+        plan = plan_attack(MINI_SPEC, kprime)
+        with pytest.raises(EmptyBeam) as exc:
+            run_plan(sample, plan)
+        tr = exc.value.transcript
+        for stage, log, known in zip(plan.stages, tr["stages"],
+                                     row_0_parents(MINI_SPEC, plan, tr)):
+            expected = oracle_topk(
+                oracle_all_scores(sample, stage, known, kprime), 10,
+                target_degrees(MINI_SPEC, stage))
+            assert log["retained"] == logged(stage, expected)
 
     def test_unattackable_errors_at_plan_time(self):
         spec = InstanceSpec("zf", MINI_SPEC.polynomials, 0x0000)
@@ -1148,9 +1255,9 @@ class TestSharedRunCache:
         # this search made before beams were shared; 160 _grow calls, one
         # per node of the tier's tree of stage keys (768 if every instance
         # built its own four beams); one validation per leaf, that is per
-        # distinct whole beam of the 192 C0 plans. Sequences are packed
-        # by score_stage for the consumed registers of each batch and by
-        # _grow once for each new column, never inside validation.
+        # distinct whole beam of the 192 C0 plans. Sequences are packed by
+        # _grow once for each new column, never inside validation or
+        # stage scoring, which gathers the beam's words.
         calls, packs, stack = {}, {}, []
 
         def spy(module, name):
@@ -1183,8 +1290,8 @@ class TestSharedRunCache:
                        for st in plans[status.kprime].stages)
                  for status in attempted}
         assert calls["_validate_assignments"] == len(beams) == 104
-        assert packs == {"score_stage": 600, "_grow": 160}
-        assert calls["packed_sequences"] == 760
+        assert packs == {"_grow": 160}
+        assert calls["packed_sequences"] == 160
 
     def test_defaults_search_memory(self, make_sample):
         # peak traced memory of the search at the CLI defaults: 16.3 MB

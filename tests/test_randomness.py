@@ -313,6 +313,86 @@ def test_batched_counts_match_oracle_row_by_row():
         assert max_run == longest
 
 
+def runs_stream(counts, seed):
+    """20,000 bits of alternating runs, 0s first, in seeded order. Each
+    bit value has counts[label] runs in each runs interval: the closed
+    ones exactly that long, the open one ("6+") 6 to 25 bits long and
+    filling up the value's 10,000 bits."""
+    lengths = []
+    for label, count in counts.items():
+        if not label.endswith("+"):
+            lengths += [int(label)] * count
+    (open_,) = [label for label in counts if label.endswith("+")]
+    q, r = divmod(N // 2 - sum(lengths), counts[open_])
+    assert int(open_.rstrip("+")) <= q and q + (r > 0) <= 25
+    lengths += [q + 1] * r + [q] * (counts[open_] - r)
+    rng = np.random.default_rng(seed)
+    runs = np.stack([rng.permutation(lengths), rng.permutation(lengths)],
+                    axis=1).ravel()
+    return np.repeat(np.arange(runs.size) % 2, runs).astype(np.uint8)
+
+
+@pytest.mark.parametrize("label", list(thresholds()["runs"]["intervals"]))
+def test_runs_intervals_are_inclusive(label):
+    # data/fips140_2.json gives inclusive intervals. Both bit values put
+    # this interval's count one below, on, and one above each bound; the
+    # other intervals sit inside theirs
+    intervals = thresholds()["runs"]["intervals"]
+    lo, hi = intervals[label]
+    cases = [(lo - 1, False), (lo, True), (lo + 1, True),
+             (hi - 1, True), (hi, True), (hi + 1, False)]
+    middle = {"1": 2400, "2": 1200, "3": 600, "4": 300, "5": 150, "6+": 150}
+    rows = [runs_stream({**middle, label: count}, seed)
+            for seed, (count, _) in enumerate(cases)]
+    res = battery_words(pack_words(np.array(rows)), N)
+    column = list(intervals).index(label)
+    for bits, (count, inside), runs, verdicts in zip(
+            rows, cases, res["runs"], res["pass"]):
+        assert runs[:, column].tolist() == [count, count]
+        assert verdicts.tolist() == oracle_verdicts(bits)
+        assert verdicts[2] == inside
+
+
+def nibble_stream(square_sum, seed):
+    """20,000 bits of 5,000 nibbles in seeded order, whose frequencies'
+    squares sum to ``square_sum``."""
+    f = [313] * 8 + [312] * 8
+    while (gap := square_sum - sum(v * v for v in f)) > 0:
+        # moving a nibble from value i to value j adds 2 (f[j] - f[i] + 1)
+        i, j = max(((i, j) for i in range(16) for j in range(16)
+                    if i != j and 2 * (f[j] - f[i] + 1) <= gap),
+                   key=lambda pair: f[pair[1]] - f[pair[0]])
+        f[i] -= 1
+        f[j] += 1
+    assert gap == 0
+    nibbles = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(16), f))
+    return ((nibbles[:, None] >> np.arange(3, -1, -1)) & 1).astype(
+        np.uint8).ravel()
+
+
+def test_monobit_and_poker_edges_are_exclusive():
+    # monobit passes 9725 < ones < 10275. Poker passes 2.16 < X < 46.17,
+    # X = 16 / 5000 * sum(f^2) - 5000; sum(f^2) has the parity of
+    # sum(f) = 5000, so the nearest X to the edges are 2.1568 and 2.1632,
+    # and 46.1696 and 46.1760
+    rng = np.random.default_rng(37)
+    ones = [9724, 9725, 9726, 10274, 10275, 10276]
+    rows = [(rng.permutation(N) < count).astype(np.uint8) for count in ones]
+    squares = [1563174, 1563176, 1576928, 1576930]
+    rows += [nibble_stream(total, seed) for seed, total in enumerate(squares)]
+    res = battery_words(pack_words(np.array(rows)), N)
+    assert res["ones"][:6].tolist() == ones
+    assert res["pass"][:6, 0].tolist() == [False, False, True, True, False,
+                                           False]
+    assert ((res["nibbles"][6:] ** 2).sum(axis=1)).tolist() == squares
+    assert res["poker"][6:].round(4).tolist() == [2.1568, 2.1632, 46.1696,
+                                                  46.176]
+    assert res["pass"][6:, 1].tolist() == [False, True, True, False]
+    for bits, verdicts in zip(rows, res["pass"]):
+        assert verdicts.tolist() == oracle_verdicts(bits)
+
+
 def test_batch_memory_is_bounded():
     # peak traced memory of a 1000-key batch: 1.83 MB when each key was
     # scored on its own; scoring every key in one pass would take tens
