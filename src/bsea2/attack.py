@@ -193,17 +193,18 @@ _BLOCK_BITS = 17
 
 def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 kprime: int, k: int = DEFAULT_RETENTION,
-                budget: int = DEFAULT_BUDGET_EXPONENT
-                ) -> ScoreBoard | list[ScoreBoard]:
+                budget: int = DEFAULT_BUDGET_EXPONENT):
     """Score every joint fill of the stage's targets; retain the top k.
 
     ``known`` is a (parents, words) uint64 array, a row per parent: the
     XOR of its consumed registers' packed sequences (bits.pack_words), as
-    _grow gathers them from a beam. It gives one board per row, in order.
-    A dict from each consumed register to its fill gives one ScoreBoard;
-    it is packed into a row by kernels.packed_sequences. A batch holds as
-    many parents as fit 2^_BLOCK_BITS cells, at least one; its rows XOR
-    the packed c XOR s are its data bits, which are unpacked once.
+    _grow gathers them from a beam. The result is an int64 array of shape
+    (parents, m, 2), m = min(k, fills with no all-zero register part):
+    row i is parent i's top-k list of (fill, Z) pairs. A dict from each
+    consumed register to its fill is packed into one row
+    (kernels.packed_sequences) and gives row 0 as a ScoreBoard. A batch
+    holds as many parents as fit 2^_BLOCK_BITS cells, at least one; its
+    rows XOR the packed c XOR s are its data bits, unpacked once.
 
     A batch runs over the joint fills in blocks of 2^_BLOCK_BITS over
     their high bits, one block when the stage has no more bits. A block's
@@ -222,10 +223,11 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
     _first_k merges them in. Once every row holds k entries, the bar is
     the row's running k-th best score; before that, it is the block's own
     k-th best, from one partition, floored at -n. Every reachable score
-    is at least -n, so _EXCLUDED fills never pass. The merge is exact:
-    blocks run in ascending fill order, so a later entry that ties the
-    running k-th score has the larger fill and loses _first_k's
-    tie-break. A block with nothing kept merges nothing.
+    is at least -n, so _EXCLUDED fills never pass, and until a row holds
+    k a block keeps its k best or all not _EXCLUDED: a row ends with m.
+    The merge is exact: blocks run in ascending fill order, so a later
+    entry that ties the running k-th score has the larger fill and loses
+    _first_k's tie-break. A block with nothing kept merges nothing.
 
     Fills with an all-zero register part are never retained: no key has
     one. Z(I) counts sample positions where the (possibly complemented) mask
@@ -259,11 +261,12 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
              np.empty((width, 1 << lo), dtype),
              np.empty((width, 1 << lo), bool),
              np.empty((width, n), dtype))
-    boards = []
+    m = min(k, math.prod((1 << deg) - 1 for _, _, deg in layout))
+    boards = np.empty((len(words), m, 2), dtype=np.int64)
     for c in range(0, len(words), step):
         d = unpack_words(words[c:c + step] ^ d0, n)
         table, part, mask, signs = (a[:len(d)] for a in space)
-        top = kth = None
+        top, kth = (np.zeros(0, dtype=np.int64),) * 3, None
         for hi in range(1 << (stage.exponent - lo)):
             flip = d ^ kernels.parity_u64(rows_hi & np.uint64(hi)) if hi else d
             np.copyto(signs, flip)
@@ -286,18 +289,16 @@ def score_stage(sample: CiphertextSample, stage: AttackStage, known,
                 continue
             r, i = np.divmod(hit, table.shape[1])
             hits = r, i + base, table.reshape(-1)[hit].astype(np.int64)
-            if top is not None:
-                hits = map(np.concatenate, zip(top, hits))
-            top = _first_k(*hits, k)
+            top = _first_k(*map(np.concatenate, zip(top, hits)), k)
             if top[0].size == k * len(d):
                 kth = top[2][k - 1::k].astype(dtype)
-        row, fill, corr = top
-        bounds = np.searchsorted(row, np.arange(len(d) + 1)).tolist()
-        entries = list(zip(fill.tolist(), ((n + corr) // 2).tolist()))
-        boards += [ScoreBoard(entries=tuple(entries[a:b]),
-                              n_candidates=1 << stage.exponent)
-                   for a, b in zip(bounds[:-1], bounds[1:])]
-    return boards[0] if isinstance(known, dict) else boards
+        _, fill, corr = top
+        boards[c:c + step] = np.stack((fill, (n + corr) // 2),
+                                      axis=1).reshape(len(d), m, 2)
+    if isinstance(known, dict):
+        return ScoreBoard(entries=tuple(map(tuple, boards[0].tolist())),
+                          n_candidates=1 << stage.exponent)
+    return boards
 
 
 @dataclass(frozen=True)
@@ -327,11 +328,12 @@ class _RunCache:
     It belongs to one sample and one retention k: run_parallel_instances
     hands one to every run_plan, and a run_plan called alone builds its
     own. ``boards`` maps (mask, targets, consumed fills in register
-    order, s) to the stage's score-board entries as an integer array, one
-    (fill, Z) row each. ``ct`` is the packed sample. ``band`` is (lo, hi),
-    the least and the greatest decrypted zero count that _judge passes,
-    or None if it passes none. _judge's float test is monotone on each
-    side of p0, so it passes exactly the counts from lo to hi.
+    order, s) to the stage's top-k list, a row of score_stage's array:
+    one (fill, Z) pair per entry. ``ct`` is the packed sample. ``band``
+    is (lo, hi), the least and the greatest decrypted zero count that
+    _judge passes, or None if it passes none. _judge's float test is
+    monotone on each side of p0, so it passes exactly the counts from lo
+    to hi.
 
     ``tier`` holds the plans of the class the search is in, those whose
     beams fit _MAX_CANDIDATES. The first run_plan of one of them walks
@@ -568,8 +570,7 @@ def run_plan(sample: CiphertextSample, plan: AttackPlan,
                 "fills": {f"R{r}": fill_hex(c.fills[r], spec.degrees[r])
                           for r in range(4)},
                 "zeros": c.zeros,
-                "z_abs": (round(c.z_abs, 4) if c.z_abs != float("inf")
-                          else None),
+                "z_abs": round(c.z_abs, 4),
             }
             for c in candidates
         ],
@@ -651,15 +652,12 @@ def _grow(cache: _RunCache, plan: AttackPlan, beam: _Beam, k: int,
         scored = score_stage(sample, stage, known, plan.kprime, k=k,
                              budget=budget)
         del known       # before the new columns' words are packed
-        for i, board in zip(misses, scored):
-            cache.boards[keys[i]] = np.array(board.entries, dtype=np.int64
-                                             ).reshape(-1, 2)
-    boards = [cache.boards[key] for key in keys]
-    joints = np.array([b[:, 0] for b in boards], dtype=np.int64)
-    slots = np.repeat(slots, joints.shape[1], axis=0)
+        cache.boards.update(zip([keys[i] for i in misses], scored))
+    boards = np.array([cache.boards[key] for key in keys])
+    slots = np.repeat(slots, boards.shape[1], axis=0)
     columns, words = list(beam.columns), list(beam.words)
     for r, part in split_joint_fill(sample.spec, stage.targets,
-                                    joints).items():
+                                    boards[:, :, 0]).items():
         columns[r], slot = np.unique(part, return_inverse=True)
         slots[:, r] = slot.reshape(part.shape)[pick].ravel()
         poly = sample.spec.polynomials[r]

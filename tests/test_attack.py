@@ -63,6 +63,18 @@ def known_rows(spec, n, knowns):
     return rows
 
 
+def assert_batch(batch, parents, m):
+    """The array form's contract: one int64 (fill, Z) row per parent,
+    each of m entries."""
+    assert batch.dtype == np.int64
+    assert batch.shape == (parents, m, 2)
+
+
+def entries(row):
+    """A row of score_stage's array form as a ScoreBoard's entries."""
+    return tuple(map(tuple, row.tolist()))
+
+
 class TestScoreStage:
     def test_deterministic_relation_scores_full_n(self):
         # f = 0: the keystream is exactly R0's output, so the correct fill
@@ -263,6 +275,13 @@ class TestScoreStage:
         score_stage(sample, stage, known_rows(
             MINI_953F, block + 1000, [{0: f} for f in (1, 2, 3)]), 0xBD)
         assert [n for n in sizes if n > 16] == [1 << 13] * 3
+        # the same stage on 160 bits: a batch holds as many parents as
+        # fill a block, 16 of 20, and the last batch the other 4
+        sizes.clear()
+        sample = keystream_sample(MINI_953F, key, 160)
+        score_stage(sample, stage, known_rows(
+            MINI_953F, 160, [{0: f} for f in range(1, 21)]), 0xBD)
+        assert [n for n in sizes if n > 16] == [block, 4 << 13]
 
     def test_zero_fill_is_never_ranked(self):
         # on this sample fill 0 used to rank first in stage 1001 (R3,
@@ -346,13 +365,33 @@ class TestScoreStage:
         knowns = [{2: r2[i % 3], 3: r3[i % 2]} for i in range(parents)]
         batch = score_stage(sample, stage, known_rows(MINI_SPEC, 160, knowns),
                             0x02, k=20)
-        assert len(batch) == parents
-        for known, board in zip(knowns, batch):
+        assert_batch(batch, parents, 20)
+        for known, row in zip(knowns, batch):
             one = score_stage(sample, stage, known, 0x02, k=20)
-            assert board == one
+            assert entries(row) == one.entries
+            assert one.n_candidates == 1 << 7
             expected = oracle_all_scores(sample, stage, known, 0x02)
-            assert list(board.entries) == oracle_topk(
+            assert list(entries(row)) == oracle_topk(
                 expected, 20, target_degrees(MINI_SPEC, stage))
+
+    def test_batch_rows_hold_every_possible_fill_below_k(self):
+        # R0 has 127 fills with a nonzero part, fewer than k = 200: every
+        # row holds all of them, in the oracle's order
+        rng = np.random.default_rng(26)
+        key = random_key(MINI_SPEC, rng, kprime=0x02)
+        fills, _ = split_key(MINI_SPEC, key)
+        sample = keystream_sample(MINI_SPEC, key, 96)
+        stage = stage_for(MINI_SPEC, 0x02, 0b1011, known=frozenset({2, 3}))
+        knowns = [{2: fills[2], 3: fills[3]}, {2: 5, 3: 1000}]
+        batch = score_stage(sample, stage, known_rows(MINI_SPEC, 96, knowns),
+                            0x02, k=200)
+        assert_batch(batch, 2, 127)
+        for known, row in zip(knowns, batch):
+            assert entries(row) == score_stage(sample, stage, known, 0x02,
+                                               k=200).entries
+            expected = oracle_all_scores(sample, stage, known, 0x02)
+            assert list(entries(row)) == oracle_topk(
+                expected, 200, target_degrees(MINI_SPEC, stage))
 
     # Blocks after the first are selected against the running k-th score.
     # R3 alone has 2^13 fills: 128 blocks of 2^6, or one block of 2^24.
@@ -397,6 +436,22 @@ class TestScoreStage:
             expected, 10, target_degrees(MINI_953F, stage))
         assert blocked == one
 
+    def test_later_block_beats_the_running_kth(self, monkeypatch):
+        # R0's 127 fills in 16 blocks of 2^3: once the list is full, a
+        # later fill scoring between the running k-th and (k-1)-th best
+        # must displace the k-th (this sample has such a fill at k = 2
+        # and at k = 4)
+        monkeypatch.setattr(attack, "_BLOCK_BITS", 3)
+        rng = np.random.default_rng(60)
+        key = random_key(MINI_SPEC, rng, kprime=0x00)
+        sample = keystream_sample(MINI_SPEC, key, 256)
+        stage = stage_for(MINI_SPEC, 0x00, 0b1000)
+        expected = oracle_all_scores(sample, stage, {}, 0x00)
+        for k in range(2, 11):
+            board = score_stage(sample, stage, {}, 0x00, k=k)
+            assert list(board.entries) == oracle_topk(
+                expected, k, target_degrees(MINI_SPEC, stage))
+
     @pytest.mark.parametrize("true_row", [0, 2, 4])
     def test_threshold_is_per_row_in_a_batch(self, true_row, monkeypatch):
         # five parents share one batch; each row keeps its own threshold
@@ -411,11 +466,12 @@ class TestScoreStage:
         blocked, one = self._blocked_and_one_block(
             sample, stage, known_rows(MINI_953F, 128, knowns), 0xBD, 12,
             monkeypatch)
-        assert blocked == one
-        assert blocked[true_row].entries[0][0] == fills[3]
-        for known, board in zip(knowns, blocked):
+        assert_batch(blocked, 5, 12)
+        assert np.array_equal(blocked, one)
+        assert blocked[true_row, 0, 0] == fills[3]
+        for known, row in zip(knowns, blocked):
             expected = oracle_all_scores(sample, stage, known, 0xBD)
-            assert list(board.entries) == oracle_topk(
+            assert list(entries(row)) == oracle_topk(
                 expected, 12, target_degrees(MINI_953F, stage))
 
     def test_known_fill_above_2_pow_63(self):
@@ -430,11 +486,13 @@ class TestScoreStage:
         knowns = [{3: wide}, {3: 7}]
         boards = score_stage(sample, stage, known_rows(spec, 160, knowns),
                              0xBD, k=10)
-        for known, board in zip(knowns, boards):
+        assert_batch(boards, 2, 10)
+        for known, row in zip(knowns, boards):
             expected = oracle_all_scores(sample, stage, known, 0xBD)
-            assert list(board.entries) == oracle_topk(
+            assert list(entries(row)) == oracle_topk(
                 expected, 10, target_degrees(spec, stage))
-            assert score_stage(sample, stage, known, 0xBD, k=10) == board
+            assert (score_stage(sample, stage, known, 0xBD, k=10).entries
+                    == entries(row))
 
     def test_empty_batch_still_checks_the_stage(self):
         rng = np.random.default_rng(25)
@@ -442,7 +500,7 @@ class TestScoreStage:
         sample = keystream_sample(MINI_953F, key, 64)
         stage = stage_for(MINI_953F, 0xBD, 0b1001, known=frozenset({0}))
         empty = np.zeros((0, 1), dtype=np.uint64)
-        assert score_stage(sample, stage, empty, 0xBD) == []
+        assert_batch(score_stage(sample, stage, empty, 0xBD), 0, 10)
         bad = AttackStage(targets=stage.targets, mask=stage.mask,
                           exponent=stage.exponent, known=stage.known,
                           chi=-stage.chi)
@@ -848,14 +906,24 @@ class TestRunPlan:
             assert result.transcript["validated"] == 1
             assert result.candidates[0].key.value == key.value
             assert result.candidates[0].rank == 1
+            # at p0 1 the band is the one exact count, so z is 0
+            assert result.transcript["candidates"][0]["z_abs"] == 0.0
 
-    def test_beam_is_bounded_by_retention_product(self):
+    def test_beam_is_bounded_by_retention_product(self, monkeypatch):
         rng = np.random.default_rng(72)
         kprime = 0x00  # bent table: four singleton stages
         key = random_key(MINI_SPEC, rng, kprime=kprime)
         sample = keystream_sample(MINI_SPEC, key, 512)
-        result = run_plan(sample, plan_attack(MINI_SPEC, kprime), k=10)
+        plan = plan_attack(MINI_SPEC, kprime)
+        result = run_plan(sample, plan, k=10)
         assert result.transcript["beam_size"] <= 10 ** 4
+        # a beam of exactly _MAX_CANDIDATES is run; with a lower cap the
+        # refusal names the size after the first stage that passes it
+        monkeypatch.setattr(attack, "_MAX_CANDIDATES", 10 ** 4)
+        assert run_plan(sample, plan, k=10).transcript["beam_size"] == 10 ** 4
+        monkeypatch.setattr(attack, "_MAX_CANDIDATES", 100)
+        with pytest.raises(BeamTooLarge, match="beam grew to 1000 candidates"):
+            run_plan(sample, plan, k=10)
 
     def test_budget_error_before_scoring(self):
         rng = np.random.default_rng(73)
@@ -885,6 +953,10 @@ class TestRunPlan:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1 << 20
+        # K' 0x32 opens with R0, whose 127 fills are fewer than k = 200
+        with pytest.raises(BeamTooLarge,
+                           match="beam grew to 5080000 candidates"):
+            run_plan(sample, plan_attack(MINI_SPEC, 0x32), k=200)
 
     def test_unrecovered_register_refused_before_scoring(self,
                                                          monkeypatch):

@@ -32,6 +32,7 @@ OUTSIDE_READERS = {
 #: The dataclass fields no module of the package reads, each with the
 #: file that reads it and so keeps it
 OUTSIDE_FIELD_READERS = {
+    "ScoreBoard.entries": "perfbench/workloads.py",
     "ScoreBoard.n_candidates": "perfbench/workloads.py",
 }
 
